@@ -14,7 +14,6 @@ from .bend import (
     default_specimen,
     load_specimen_config,
     simulate_batch,
-    simulate_bend,
     simulate_dataset,
 )
 from .catalog import ParameterCatalog, SamplingDistribution, build_catalog
@@ -36,14 +35,12 @@ from .sampling import (
     saltelli_matrices,
 )
 from .sensitivity import (
-    ConvergenceReport,
     ParameterScreen,
     ScreeningResult,
     SobolResult,
     benjamini_hochberg,
     retain_parameters,
     screen_fdr_logworth,
-    sobol_convergence,
     sobol_indices,
 )
 from .surrogate import (
@@ -64,7 +61,6 @@ from .workflow import (
     MechanismRDSM,
     SubspaceSample,
     SummedFit,
-    SummedPrediction,
     SummedRDSM,
     UQReport,
     UQRow,
@@ -73,11 +69,9 @@ from .workflow import (
     fit_direct,
     fit_mechanism,
     fit_summed,
-    gate_engaged,
     merge_datasets,
     resample_subspace,
     split_holdout,
-    summed_predict,
     uq_sweep,
 )
 
@@ -104,7 +98,6 @@ __all__ = [
     "BendSpecimen",
     "default_specimen",
     "load_specimen_config",
-    "simulate_bend",
     "simulate_batch",
     "simulate_dataset",
     # errors
@@ -117,12 +110,10 @@ __all__ = [
     "ParameterScreen",
     "ScreeningResult",
     "SobolResult",
-    "ConvergenceReport",
     "benjamini_hochberg",
     "retain_parameters",
     "screen_fdr_logworth",
     "sobol_indices",
-    "sobol_convergence",
     # surrogates
     "NetworkSpec",
     "SurrogateModel",
@@ -134,7 +125,6 @@ __all__ = [
     "MechanismRDSM",
     "EngagementGate",
     "SummedRDSM",
-    "SummedPrediction",
     "DirectFit",
     "MechanismFit",
     "SummedFit",
@@ -144,13 +134,11 @@ __all__ = [
     "ApproachStats",
     "ComparisonSection",
     "ComparisonReport",
-    "gate_engaged",
     "engagement_mask",
     "fit_direct",
     "fit_mechanism",
     "fit_summed",
     "resample_subspace",
-    "summed_predict",
     "uq_sweep",
     "compare_approaches",
     "split_holdout",

@@ -33,14 +33,20 @@ is reported as the exact five-term sum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .catalog import ParameterCatalog, SamplingDistribution
-from .constitutive import bk_mixed_mode_gc, cdm_damage_evolution
-from .dataset import Dataset, EnergyVector
+from .constitutive import (
+    bk_mixed_mode_gc,
+    cdm_damage_evolution,
+    cdm_shear_damage,
+    czm_dissipated,
+    jc_stress,
+)
+from .dataset import Dataset
 from .errors import AdmissibilityError, NumericalFailureError, SchemaError
 
 __all__ = [
@@ -48,7 +54,6 @@ __all__ = [
     "BendSpecimen",
     "load_specimen_config",
     "default_specimen",
-    "simulate_bend",
     "simulate_batch",
     "simulate_dataset",
 ]
@@ -274,17 +279,6 @@ def _solve_power_hardening(total, stiffness, y0, coef, expo, lo):
     return 0.5 * (lo + hi)
 
 
-def _triangular_dissipated(delta_max, t0, delta0, delta_f):
-    """Energy per unit area dissipated by the triangular law at delta_max.
-
-    Closed form 0.5 * t0 * delta_f * (delta_max - delta0) / (delta_f - delta0)
-    on [delta0, delta_f]; equals the full toughness at delta_f.
-    """
-    d = np.clip(delta_max, delta0, delta_f)
-    span = np.where(delta_f > delta0, delta_f - delta0, 1.0)
-    return np.where(delta_f > delta0, 0.5 * t0 * delta_f * (d - delta0) / span, 0.0)
-
-
 class _CohesiveBank:
     """Vectorized state for a set of cohesive points sharing resin properties.
 
@@ -376,7 +370,7 @@ class _CohesiveBank:
         )
         new_diss = np.where(
             self.initiated,
-            _triangular_dissipated(self.delta_max, self.t0_m, self.delta0_m, self.delta_f_m),
+            czm_dissipated(self.delta_max, self.t0_m, self.delta0_m, self.delta_f_m),
             0.0,
         )
         inc = new_diss - self.dissipated
@@ -536,7 +530,7 @@ class BendState:
         c_h = self.c_h[:, None]
         p_h = self.p_h[:, None]
         trial = gs * (gamma - self.eps12_p)
-        flow_old = sig_y + c_h * self.eps12_p**p_h
+        flow_old = jc_stress(self.eps12_p, sig_y, c_h, p_h)
         plastic = (~self.failed) & (trial > flow_old)
         eps_p_new = self.eps12_p.copy()
         if np.any(plastic):
@@ -549,7 +543,7 @@ class BendState:
                 np.broadcast_to(p_h, gamma.shape)[idx],
                 self.eps12_p[idx],
             )
-        flow_new = sig_y + c_h * eps_p_new**p_h
+        flow_new = jc_stress(eps_p_new, sig_y, c_h, p_h)
         self.energy["PL"] += (
             np.where(plastic, 0.5 * (flow_old + flow_new) * (eps_p_new - self.eps12_p), 0.0)
         ).sum(axis=1) * self.vol_ply
@@ -562,12 +556,12 @@ class BendState:
         dmg_hit = (~self.failed) & (k12 >= 1.0)
         d12_new = self.d12.copy()
         if np.any(dmg_hit):
-            cand = np.clip(
-                self.alpha12[:, None] * np.log(np.maximum(k12, 1.0)),
-                0.0,
-                self.d12_max[:, None],
+            cand = cdm_shear_damage(
+                k12[dmg_hit],
+                np.broadcast_to(self.alpha12[:, None], k12.shape)[dmg_hit],
+                np.broadcast_to(self.d12_max[:, None], k12.shape)[dmg_hit],
             )
-            d12_new[dmg_hit] = np.maximum(self.d12[dmg_hit], cand[dmg_hit])
+            d12_new[dmg_hit] = np.maximum(self.d12[dmg_hit], cand)
         sig_mid = 0.5 * (self.sig12_eff + sig_eff)
         self.energy["PL"] += (
             (d12_new - self.d12) * (sig_mid**2 / (2.0 * gs))
@@ -614,7 +608,7 @@ class BendState:
         b_m = self.b_m[:, None]
         n_m = self.n_m[:, None]
         trial_m = e_m * (eps_m - self.eps_p_m)
-        flow_m_old = a_m + b_m * self.eps_p_m**n_m
+        flow_m_old = jc_stress(self.eps_p_m, a_m, b_m, n_m)
         plastic_m = trial_m > flow_m_old
         eps_p_m_new = self.eps_p_m.copy()
         if np.any(plastic_m):
@@ -627,7 +621,7 @@ class BendState:
                 np.broadcast_to(n_m, eps_m.shape)[idx],
                 self.eps_p_m[idx],
             )
-        flow_m_new = a_m + b_m * eps_p_m_new**n_m
+        flow_m_new = jc_stress(eps_p_m_new, a_m, b_m, n_m)
         self.energy["PM"] += (
             np.where(plastic_m, 0.5 * (flow_m_old + flow_m_new) * (eps_p_m_new - self.eps_p_m), 0.0)
         ).sum(axis=1) * self.vol_metal
@@ -653,12 +647,6 @@ class BendState:
         return out
 
 
-def simulate_bend(x, specimen: BendSpecimen, n_steps: int | None = None) -> EnergyVector:
-    """Run one sample through the ramp; returns its mechanism energies."""
-    out = BendState(specimen, np.asarray(x, dtype=float)[None, :], n_steps).run()[0]
-    return EnergyVector(*out)
-
-
 def simulate_batch(
     X: np.ndarray, specimen: BendSpecimen, n_steps: int | None = None, threads: int = 1
 ) -> np.ndarray:
@@ -675,10 +663,8 @@ def simulate_batch(
         futures = [
             pool.submit(_simulate_chunk, specimen, X[c], n_steps) for c in chunks if len(c)
         ]
-        pos = 0
         for c, fut in zip([c for c in chunks if len(c)], futures):
             out[c] = fut.result()
-            pos += len(c)
     return out
 
 

@@ -62,100 +62,151 @@ exit codes:
 
 _DISTRIBUTIONS = ("uniform_pm20", "normal_10std")
 
-# built-in defaults per subcommand; argparse stores None for omitted flags so
-# a config file can fill the gap before these apply
-_DEFAULTS: dict[str, dict] = {
-    "catalog": {"distribution": "uniform_pm20", "out": None, "outdir": None},
-    "sample": {
-        "n": 1555,
-        "seed": 0,
-        "method": "lhs",
-        "distribution": "uniform_pm20",
-        "strata": None,
-        "unit": False,
-        "out": None,
-        "outdir": None,
-    },
-    "simulate": {
-        "n": 1555,
-        "seed": 7,
-        "design": None,
-        "distribution": "uniform_pm20",
-        "specimen": None,
-        "threads": 1,
-        "out": None,
-        "outdir": None,
-    },
-    "screen": {
-        "data": None,
-        "output": "TS",
-        "max_k": None,
-        "out": None,
-        "outdir": None,
-    },
-    "fit": {
-        "data": None,
-        "route": "direct",
-        "seed": 0,
-        "holdout": 0,
-        "hidden": None,
-        "learning_rate": None,
-        "epochs": None,
-        "batch_size": None,
-        "split": None,
-        "max_retained": 4,
-        "query_mode": "retrained",
-        "resample_n": 3277,
-        "threshold": 0.03,
-        "threshold_mode": "relative",
-        "specimen": None,
-        "threads": 1,
-        "outdir": None,
-    },
-    "sobol": {
-        "model": None,
-        "n_base": 512,
-        "seed": 0,
-        "distribution": "uniform_pm20",
-        "n_bootstrap": 100,
-        "out": None,
-        "outdir": None,
-    },
-    "uq": {
-        "model": None,
-        "subsets": None,
-        "n": 5000,
-        "seed": 0,
-        "distribution": "normal_10std",
-        "strata": None,
-        "out": None,
-        "outdir": None,
-    },
-    "gate-check": {
-        "p": None,
-        "xis": None,
-        "giii": None,
-        "grid": None,
-        "out": None,
-        "outdir": None,
-    },
-    "compare": {
-        "direct": None,
-        "summed": None,
-        "validation": None,
-        "train_rows": None,
-        "out": None,
-        "outdir": None,
-    },
-    "plot-data": {
-        "kind": "parity",
-        "model": None,
-        "validation": None,
-        "data": None,
-        "out": None,
-        "outdir": None,
-    },
+# the most worker processes --threads may start, and the largest --grid, whose
+# N x N x N rows are built in memory before they are written
+_MAX_THREADS = os.cpu_count() or 1
+_MAX_GRID = 100
+
+
+def _opt(name, default=None, bounds=None, **kwargs):
+    """One option: config key and flag name, built-in default, inclusive
+    (lo, hi) bounds (either may be None), and argparse keywords.  A help
+    string may cite the default as {default}."""
+    return name, default, bounds, kwargs
+
+
+_THREADS = _opt(
+    "threads", 1, bounds=(1, _MAX_THREADS), type=int,
+    help=f"worker processes, at most {_MAX_THREADS} (default: {{default}})",
+)
+_OUTDIR = _opt(
+    "outdir",
+    help="output directory (default: $RDSM_OUTDIR, else the current directory)",
+)
+
+# each subcommand's help line and options; argparse stores None for omitted
+# flags so a config file can fill the gap before the default applies
+_COMMANDS: dict[str, tuple[str, tuple]] = {
+    "catalog": ("write the parameter table with bounds", (
+        _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
+        _opt("out", help="output CSV path (default: catalog.csv)"),
+    )),
+    "sample": ("write a sampling design CSV", (
+        _opt("n", 1555, type=int, help="number of rows (default: {default})"),
+        _opt("seed", 0, type=int),
+        _opt("method", "lhs", choices=("lhs", "mc", "lss")),
+        _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
+        _opt("strata", type=int, help="coarse strata per dimension (lss)"),
+        _opt(
+            "unit", False, action="store_true",
+            help="emit the unit-cube design instead of parameter space",
+        ),
+        _opt("out", help="output CSV path (default: design.csv)"),
+    )),
+    "simulate": ("run the bend source model over a design", (
+        _opt("n", 1555, type=int, help="number of rows (default: {default})"),
+        _opt("seed", 7, type=int),
+        _opt("design", help="simulate this design CSV instead of sampling"),
+        _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
+        _opt("specimen", help="specimen config JSON (default: built-in)"),
+        _THREADS,
+        _opt("out", help="output CSV path (default: data.csv)"),
+    )),
+    "screen": ("rank parameters by FDR logworth", (
+        _opt("data", help="dataset CSV"),
+        _opt(
+            "output", "TS", choices=ENERGY_COLUMNS,
+            help="energy column to screen (default: {default})",
+        ),
+        _opt(
+            "max_k", type=int,
+            help="retention cap (default: 4 for TS, 3 for mechanisms)",
+        ),
+        _opt("out", help="output CSV path (default: screening_<output>.csv)"),
+    )),
+    "fit": ("fit a direct or summed model to a dataset", (
+        _opt("data", help="dataset CSV"),
+        _opt("route", "direct", choices=("direct", "summed")),
+        _opt("seed", 0, type=int),
+        _opt(
+            "holdout", 0, type=int,
+            help="rows to set aside as validation.csv before fitting (default: {default})",
+        ),
+        _opt("hidden", help="hidden layer widths, e.g. 60,80 (direct route)"),
+        _opt("learning_rate", type=float),
+        _opt("epochs", type=int),
+        _opt("batch_size", type=int),
+        _opt("split", help="train,test fractions, e.g. 0.9,0.1"),
+        _opt("max_retained", 4, type=int, help="direct retention cap (default: {default})"),
+        _opt("query_mode", "retrained", choices=("retrained", "frozen_full")),
+        _opt(
+            "resample_n", 3277, type=int,
+            help="focused disbond design size (default: {default})",
+        ),
+        _opt("threshold", 0.03, type=float, help="engagement threshold (default: {default})"),
+        _opt("threshold_mode", "relative", choices=("relative", "absolute")),
+        _opt("specimen", help="specimen config JSON for resampling"),
+        _THREADS,
+    )),
+    "sobol": ("Sobol' indices of a saved model", (
+        _opt("model", help="model file or summed model directory"),
+        _opt("n_base", 512, type=int, help="base sample size (default: {default})"),
+        _opt("seed", 0, type=int),
+        _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
+        _opt("n_bootstrap", 100, type=int, help="bootstrap resamples (default: {default})"),
+        _opt("out", help="output CSV path (default: sobol.csv)"),
+    )),
+    "uq": ("prediction spread over nested parameter subsets", (
+        _opt("model", help="model file or summed model directory"),
+        _opt(
+            "subsets",
+            help="nested subsets, e.g. 'A;A,E;A,E,XS' (default: the retained ladder)",
+        ),
+        _opt("n", 5000, type=int, help="rows per subset (default: {default})"),
+        _opt("seed", 0, type=int),
+        _opt("distribution", "normal_10std", choices=_DISTRIBUTIONS),
+        _opt("strata", type=int, help="coarse strata per dimension"),
+        _opt("out", help="output CSV path (default: uq.csv)"),
+    )),
+    "gate-check": ("disbond engagement test in normalized coordinates", (
+        _opt("p", type=float, help="first gate coordinate in [0, 1]"),
+        _opt("xis", type=float, help="second gate coordinate in [0, 1]"),
+        _opt("giii", type=float, help="third gate coordinate in [0, 1]"),
+        _opt(
+            "grid", bounds=(None, _MAX_GRID), type=int,
+            help=f"write margins over an N x N x N grid instead of one point; "
+            f"N is at most {_MAX_GRID} ({_MAX_GRID**3:,} rows)",
+        ),
+        _opt("out", help="grid CSV path (default: gate_grid.csv)"),
+    )),
+    "compare": ("direct vs summed accuracy on a validation set", (
+        _opt("direct", help="direct model file"),
+        _opt("summed", help="summed model directory"),
+        _opt("validation", help="validation dataset CSV"),
+        _opt(
+            "train_rows",
+            help="fit_report.json (or a JSON key list) rejecting validation rows "
+            "that appeared in training",
+        ),
+        _opt("out", help="output CSV path (default: comparison.csv)"),
+    )),
+    "plot-data": ("emit plot-ready CSV series", (
+        _opt("kind", "parity", choices=("parity", "energy-stack")),
+        _opt("model", help="model file or summed model directory (parity)"),
+        _opt("validation", help="validation dataset CSV (parity)"),
+        _opt("data", help="dataset CSV (energy-stack)"),
+        _opt("out", help="output CSV path"),
+    )),
 }
+
+
+def _options(command) -> tuple:
+    """Every resolved option of a subcommand, the shared --outdir last."""
+    return _COMMANDS[command][1] + (_OUTDIR,)
+
+
+def _flag(name) -> str:
+    return "--" + name.replace("_", "-")
 
 
 class _UsageError(Exception):
@@ -178,28 +229,42 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+def _check_bounds(name, value, bounds) -> None:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return  # not a number: the command reports it as invalid data
+    lo, hi = bounds
+    if lo is not None and number < lo:
+        raise _UsageError(f"{_flag(name)} must be at least {lo}, got {value!r}")
+    if hi is not None and number > hi:
+        raise _UsageError(f"{_flag(name)} must be at most {hi}, got {value!r}")
+
+
 def _resolve(args) -> dict:
-    defaults = _DEFAULTS[args.command]
+    options = _options(args.command)
     config = {}
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         config = _load_config_file(args.config)
-        unknown = sorted(set(config) - set(defaults))
+        unknown = sorted(set(config) - {name for name, *_ in options})
         if unknown:
             raise SchemaError(
                 f"unknown config keys for {args.command}: {', '.join(unknown)}"
             )
     resolved = {"command": args.command}
-    for key, default in defaults.items():
-        flag = getattr(args, key)
-        resolved[key] = flag if flag is not None else config.get(key, default)
+    for name, default, bounds, _ in options:
+        flag = getattr(args, name)
+        value = flag if flag is not None else config.get(name, default)
+        if bounds is not None:
+            _check_bounds(name, value, bounds)
+        resolved[name] = value
     return resolved
 
 
 def _require_opt(resolved, key):
     value = resolved[key]
     if value is None:
-        flag = "--" + key.replace("_", "-")
-        raise _UsageError(f"{resolved['command']} requires {flag}")
+        raise _UsageError(f"{resolved['command']} requires {_flag(key)}")
     return value
 
 
@@ -840,12 +905,10 @@ _HANDLERS = {
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(p) -> None:
-    p.add_argument("--config", help="JSON file supplying defaults for this command")
-    p.add_argument(
-        "--outdir",
-        help="output directory (default: $RDSM_OUTDIR, else the current directory)",
-    )
+def _add_option(parser, name, default, bounds, kwargs) -> None:
+    if "help" in kwargs:
+        kwargs = dict(kwargs, help=kwargs["help"].format(default=default))
+    parser.add_argument(_flag(name), default=None, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -864,127 +927,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("catalog", help="write the parameter table with bounds")
-    p.add_argument("--distribution", choices=_DISTRIBUTIONS)
-    p.add_argument("--out", help="output CSV path (default: catalog.csv)")
-    _add_common(p)
-
-    p = sub.add_parser("sample", help="write a sampling design CSV")
-    p.add_argument("--n", type=int, help="number of rows (default: 1555)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=("lhs", "mc", "lss"))
-    p.add_argument("--distribution", choices=_DISTRIBUTIONS)
-    p.add_argument("--strata", type=int, help="coarse strata per dimension (lss)")
-    p.add_argument(
-        "--unit", action="store_true", default=None,
-        help="emit the unit-cube design instead of parameter space",
-    )
-    p.add_argument("--out", help="output CSV path (default: design.csv)")
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="run the bend source model over a design")
-    p.add_argument("--n", type=int, help="number of rows (default: 1555)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--design", help="simulate this design CSV instead of sampling")
-    p.add_argument("--distribution", choices=_DISTRIBUTIONS)
-    p.add_argument("--specimen", help="specimen config JSON (default: built-in)")
-    p.add_argument("--threads", type=int, help="worker threads (default: 1)")
-    p.add_argument("--out", help="output CSV path (default: data.csv)")
-    _add_common(p)
-
-    p = sub.add_parser("screen", help="rank parameters by FDR logworth")
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument(
-        "--output", choices=ENERGY_COLUMNS,
-        help="energy column to screen (default: TS)",
-    )
-    p.add_argument(
-        "--max-k", type=int,
-        help="retention cap (default: 4 for TS, 3 for mechanisms)",
-    )
-    p.add_argument("--out", help="output CSV path (default: screening_<output>.csv)")
-    _add_common(p)
-
-    p = sub.add_parser("fit", help="fit a direct or summed model to a dataset")
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--route", choices=("direct", "summed"))
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--holdout", type=int,
-        help="rows to set aside as validation.csv before fitting (default: 0)",
-    )
-    p.add_argument("--hidden", help="hidden layer widths, e.g. 60,80 (direct route)")
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--split", help="train,test fractions, e.g. 0.9,0.1")
-    p.add_argument("--max-retained", type=int, help="direct retention cap (default: 4)")
-    p.add_argument("--query-mode", choices=("retrained", "frozen_full"))
-    p.add_argument(
-        "--resample-n", type=int,
-        help="focused disbond design size (default: 3277)",
-    )
-    p.add_argument("--threshold", type=float, help="engagement threshold (default: 0.03)")
-    p.add_argument("--threshold-mode", choices=("relative", "absolute"))
-    p.add_argument("--specimen", help="specimen config JSON for resampling")
-    p.add_argument("--threads", type=int, help="worker threads (default: 1)")
-    _add_common(p)
-
-    p = sub.add_parser("sobol", help="Sobol' indices of a saved model")
-    p.add_argument("--model", help="model file or summed model directory")
-    p.add_argument("--n-base", type=int, help="base sample size (default: 512)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--distribution", choices=_DISTRIBUTIONS)
-    p.add_argument("--n-bootstrap", type=int, help="bootstrap resamples (default: 100)")
-    p.add_argument("--out", help="output CSV path (default: sobol.csv)")
-    _add_common(p)
-
-    p = sub.add_parser("uq", help="prediction spread over nested parameter subsets")
-    p.add_argument("--model", help="model file or summed model directory")
-    p.add_argument(
-        "--subsets",
-        help="nested subsets, e.g. 'A;A,E;A,E,XS' (default: the retained ladder)",
-    )
-    p.add_argument("--n", type=int, help="rows per subset (default: 5000)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--distribution", choices=_DISTRIBUTIONS)
-    p.add_argument("--strata", type=int, help="coarse strata per dimension")
-    p.add_argument("--out", help="output CSV path (default: uq.csv)")
-    _add_common(p)
-
-    p = sub.add_parser(
-        "gate-check", help="disbond engagement test in normalized coordinates"
-    )
-    p.add_argument("--p", type=float, help="first gate coordinate in [0, 1]")
-    p.add_argument("--xis", type=float, help="second gate coordinate in [0, 1]")
-    p.add_argument("--giii", type=float, help="third gate coordinate in [0, 1]")
-    p.add_argument(
-        "--grid", type=int,
-        help="write margins over an N x N x N grid instead of one point",
-    )
-    p.add_argument("--out", help="grid CSV path (default: gate_grid.csv)")
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="direct vs summed accuracy on a validation set")
-    p.add_argument("--direct", help="direct model file")
-    p.add_argument("--summed", help="summed model directory")
-    p.add_argument("--validation", help="validation dataset CSV")
-    p.add_argument(
-        "--train-rows",
-        help="fit_report.json (or a JSON key list) rejecting validation rows "
-        "that appeared in training",
-    )
-    p.add_argument("--out", help="output CSV path (default: comparison.csv)")
-    _add_common(p)
-
-    p = sub.add_parser("plot-data", help="emit plot-ready CSV series")
-    p.add_argument("--kind", choices=("parity", "energy-stack"))
-    p.add_argument("--model", help="model file or summed model directory (parity)")
-    p.add_argument("--validation", help="validation dataset CSV (parity)")
-    p.add_argument("--data", help="dataset CSV (energy-stack)")
-    p.add_argument("--out", help="output CSV path")
-    _add_common(p)
-
+    for command, (help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for option in options:
+            _add_option(p, *option)
+        p.add_argument("--config", help="JSON file supplying defaults for this command")
+        _add_option(p, *_OUTDIR)
     return parser
 
 

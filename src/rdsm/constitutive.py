@@ -24,15 +24,10 @@ from .errors import AdmissibilityError
 
 __all__ = [
     "jc_stress",
-    "jc_plastic_work",
-    "macaulay",
-    "cdm_effective_stress",
-    "cdm_initiation",
     "cdm_damage_evolution",
     "cdm_shear_damage",
-    "cdm_shear_hardening",
     "czm_traction",
-    "czm_initiation",
+    "czm_dissipated",
     "bk_mixed_mode_gc",
 ]
 
@@ -44,53 +39,6 @@ def jc_stress(eps_p, a, b, n):
         raise ValueError("plastic strain must be nonnegative")
     out = a + b * eps_p**n
     return float(out) if out.ndim == 0 else out
-
-def jc_plastic_work(eps_p, a, b, n):
-    """Plastic work density for monotone flow: integral of the flow stress.
-
-    Closed form a*e + b*e**(n+1)/(n+1); valid when the stress point stays on
-    the yield surface from 0 to eps_p, which holds under monotone straining.
-    """
-    eps_p = np.asarray(eps_p, dtype=float)
-    if np.any(eps_p < 0.0):
-        raise ValueError("plastic strain must be nonnegative")
-    out = a * eps_p + b * eps_p ** (n + 1.0) / (n + 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def macaulay(x):
-    """Positive part <x> = max(x, 0), used to split tension from compression."""
-    x = np.asarray(x, dtype=float)
-    out = np.maximum(x, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def cdm_effective_stress(sigma, d):
-    """Effective (undamaged-area) stress sigma / (1 - d) for damage d in [0, 1)."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0.0) or np.any(d >= 1.0):
-        raise ValueError("damage must lie in [0, 1)")
-    out = np.asarray(sigma, dtype=float) / (1.0 - d)
-    return float(out) if out.ndim == 0 else out
-
-
-def cdm_initiation(sigma_eff_11, sigma_eff_22, sigma_eff_12, x11, x22, x12):
-    """First ply direction whose effective stress reaches its strength.
-
-    Returns "11", "22", or "12" for the direction with the largest stress
-    ratio at or beyond one (ties resolved in that order), or None if no
-    direction has initiated.
-    """
-    ratios = (
-        ("11", abs(float(sigma_eff_11)) / float(x11)),
-        ("22", abs(float(sigma_eff_22)) / float(x22)),
-        ("12", abs(float(sigma_eff_12)) / float(x12)),
-    )
-    best = max(ratios, key=lambda t: t[1])
-    for name, r in ratios:  # prefer 11 over 22 over 12 on exact ties
-        if r >= 1.0 and r == best[1]:
-            return name
-    return None
 
 
 def cdm_damage_evolution(k, x, e, g_f, l_c):
@@ -121,15 +69,6 @@ def cdm_shear_damage(k12, alpha12, d12_max=1.0):
     if np.any(k12 < 1.0):
         raise ValueError("shear stress ratio k12 must be >= 1 at and after initiation")
     out = np.clip(alpha12 * np.log(k12), 0.0, d12_max)
-    return float(out) if out.ndim == 0 else out
-
-
-def cdm_shear_hardening(eps12_p, sigma_y, c, p):
-    """Matrix shear flow stress sigma_y + c * eps12_p**p."""
-    eps12_p = np.asarray(eps12_p, dtype=float)
-    if np.any(eps12_p < 0.0):
-        raise ValueError("plastic shear strain must be nonnegative")
-    out = sigma_y + c * eps12_p**p
     return float(out) if out.ndim == 0 else out
 
 
@@ -175,18 +114,15 @@ def czm_traction(delta, k, t0, gc, delta_max=None):
     return float(out) if out.ndim == 0 else out
 
 
-def czm_initiation(t_n, t_s, t_t, t0_n, t0_s, t0_t):
-    """Quadratic stress initiation; compressive normal traction does not count.
+def czm_dissipated(delta_max, t0, delta0, delta_f):
+    """Energy per unit area dissipated by the triangular law at delta_max.
 
-    Returns True where (<t_n>/t0_n)^2 + (t_s/t0_s)^2 + (t_t/t0_t)^2 >= 1.
+    Closed form 0.5 * t0 * delta_f * (delta_max - delta0) / (delta_f - delta0)
+    on [delta0, delta_f]; equals the full toughness at delta_f.
     """
-    q = (
-        (macaulay(t_n) / t0_n) ** 2
-        + (np.asarray(t_s, dtype=float) / t0_s) ** 2
-        + (np.asarray(t_t, dtype=float) / t0_t) ** 2
-    )
-    out = q >= 1.0
-    return bool(out) if np.ndim(out) == 0 else out
+    d = np.clip(delta_max, delta0, delta_f)
+    span = np.where(delta_f > delta0, delta_f - delta0, 1.0)
+    return np.where(delta_f > delta0, 0.5 * t0 * delta_f * (d - delta0) / span, 0.0)
 
 
 def bk_mixed_mode_gc(g_i, g_ii, g_iii, gc_i, gc_ii, exponent):

@@ -1,4 +1,4 @@
-"""Energy vectors and tabular datasets of (inputs, mechanism energies).
+"""Tabular datasets of (inputs, mechanism energies).
 
 A dataset row is the 41 catalog inputs followed by six energies: shear
 plasticity of the ply matrices (PL), ply fiber fracture (DL), delamination
@@ -14,53 +14,18 @@ load reproduces every value bit-exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import ParameterCatalog
 from .errors import SchemaError
 
-__all__ = ["ENERGY_COLUMNS", "EnergyVector", "Dataset", "MECHANISMS"]
+__all__ = ["ENERGY_COLUMNS", "Dataset", "MECHANISMS"]
 
 MECHANISMS = ("PL", "DL", "DC", "DI", "PM")
 ENERGY_COLUMNS = MECHANISMS + ("TS",)
 
 _SUM_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EnergyVector:
-    """Mechanism energies for one specimen evaluation, in lbf-in."""
-
-    pl: float
-    dl: float
-    dc: float
-    di: float
-    pm: float
-    ts: float
-
-    @classmethod
-    def from_components(cls, pl, dl, dc, di, pm) -> "EnergyVector":
-        """Build with TS as the exact component sum (single summation order)."""
-        ts = pl + dl + dc + di + pm
-        return cls(pl, dl, dc, di, pm, ts)
-
-    def __post_init__(self):
-        for name, v in zip(ENERGY_COLUMNS, self.as_array()):
-            if not np.isfinite(v):
-                raise ValueError(f"energy {name} is non-finite")
-        for name, v in zip(MECHANISMS, self.as_array()[:5]):
-            if v < 0.0:
-                raise ValueError(f"energy {name} is negative: {v!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.pl, self.dl, self.dc, self.di, self.pm, self.ts])
-
-    def sum_consistent(self, rtol: float = _SUM_RTOL) -> bool:
-        total = self.pl + self.dl + self.dc + self.di + self.pm
-        scale = max(abs(total), abs(self.ts), 1e-30)
-        return abs(total - self.ts) <= rtol * scale
 
 
 class Dataset:
@@ -127,9 +92,6 @@ class Dataset:
 
     def input_columns(self, names) -> np.ndarray:
         return self.inputs[:, self.catalog.indices(names)]
-
-    def row_energy(self, i: int) -> EnergyVector:
-        return EnergyVector(*self.energies[i])
 
     def subset(self, index) -> "Dataset":
         """Row subset (mask or indices) preserving provenance and row ids."""

@@ -16,7 +16,7 @@ matrices, with bootstrap standard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import t as _student_t
@@ -28,12 +28,10 @@ __all__ = [
     "ParameterScreen",
     "ScreeningResult",
     "SobolResult",
-    "ConvergenceReport",
     "screen_fdr_logworth",
     "retain_parameters",
     "benjamini_hochberg",
     "sobol_indices",
-    "sobol_convergence",
 ]
 
 _P_FLOOR = 1e-300  # applied before the log so logworth stays finite
@@ -220,13 +218,6 @@ class SobolResult:
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)
 
-    def ranking(self) -> tuple[str, ...]:
-        """Names by descending S1, ties by column order."""
-        if self.degenerate:
-            return self.names
-        order = np.argsort(-self.s1, kind="stable")
-        return tuple(self.names[i] for i in order)
-
 
 def _jansen(f_a, f_b, f_ab):
     """Jansen estimators from pick-freeze evaluations; f_ab is (dim, n)."""
@@ -312,45 +303,3 @@ def sobol_indices(
         s1_err = np.full(dim, math.nan)
         st_err = np.full(dim, math.nan)
     return SobolResult(names, s1, st, s1_err, st_err, n_base, evals, False)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Agreement between a small and a large Sobol' run."""
-
-    n_small: int
-    n_large: int
-    top_k: int
-    ranking_small: tuple[str, ...]
-    ranking_large: tuple[str, ...]
-    ranks_agree: bool
-    max_abs_delta_s1: float
-    degenerate: bool = False
-
-
-def sobol_convergence(
-    model_eval,
-    dim: int,
-    n_small: int,
-    n_large: int,
-    seed: int = 0,
-    top_k: int = 4,
-    dist: SamplingDistribution | None = None,
-    catalog: ParameterCatalog | None = None,
-    names=None,
-) -> ConvergenceReport:
-    """Compare the top-k ranking between two Sobol' runs of different size."""
-    if not n_small < n_large:
-        raise ValueError("n_small must be below n_large")
-    small = sobol_indices(model_eval, dim, n_small, seed, dist, catalog, names)
-    large = sobol_indices(model_eval, dim, n_large, seed + 1, dist, catalog, names)
-    if small.degenerate and large.degenerate:
-        return ConvergenceReport(
-            n_small, n_large, top_k, small.names[:top_k], large.names[:top_k], True, 0.0, True
-        )
-    rank_s = small.ranking()[:top_k]
-    rank_l = large.ranking()[:top_k]
-    delta = float(np.max(np.abs(small.s1 - large.s1)))
-    return ConvergenceReport(
-        n_small, n_large, top_k, rank_s, rank_l, rank_s == rank_l, delta, False
-    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "SurrogateModel",
     "train_surrogate",
     "gradient_check",
-    "sweep_architectures",
     "serialize_model",
     "deserialize_model",
 ]
@@ -154,14 +153,6 @@ class SurrogateModel:
                 f"input has {x.shape[1]} columns, model expects {self.spec.input_dim}"
             )
         return self._unscale_out(self._forward_scaled(self._scale_in(x)))
-
-    def forward(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.spec.input_dim:
-            raise ValueError(
-                f"input vector has shape {x.shape}, model expects ({self.spec.input_dim},)"
-            )
-        return float(self.predict(x[None, :])[0])
 
 
 def _init_parameters(spec: NetworkSpec, rng: np.random.Generator):
@@ -418,25 +409,6 @@ def gradient_check(
         rel = abs(analytic - numeric) / denom
         samples.append(GradientSample(l, i, j, analytic, numeric, rel, rel <= tolerance, False))
     return samples
-
-
-def sweep_architectures(base_spec: NetworkSpec, hidden_options, x, y):
-    """Train one model per listed hidden-layer layout; pick the lowest test MAE%.
-
-    Ties keep the earliest listed layout.  Returns (best_model, table) where
-    table rows are (hidden_layers, test_mae_pct).
-    """
-    options = [tuple(int(w) for w in opt) for opt in hidden_options]
-    if not options:
-        raise ValueError("need at least one architecture to sweep")
-    best = None
-    table = []
-    for opt in options:
-        model = train_surrogate(replace(base_spec, hidden_layers=opt), x, y)
-        table.append((opt, model.report.test_mae_pct))
-        if best is None or model.report.test_mae_pct < best.report.test_mae_pct:
-            best = model
-    return best, table
 
 
 # -- serialization ---------------------------------------------------------

@@ -37,6 +37,7 @@ from .surrogate import (
     NetworkSpec,
     SurrogateModel,
     TrainReport,
+    _NEAR_ZERO_FRACTION,
     _require_keys,
     deserialize_model,
     serialize_model,
@@ -47,7 +48,6 @@ __all__ = [
     "MechanismRDSM",
     "EngagementGate",
     "SummedRDSM",
-    "SummedPrediction",
     "DirectFit",
     "MechanismFit",
     "SummedFit",
@@ -57,13 +57,11 @@ __all__ = [
     "ApproachStats",
     "ComparisonSection",
     "ComparisonReport",
-    "gate_engaged",
     "engagement_mask",
     "fit_direct",
     "fit_mechanism",
     "fit_summed",
     "resample_subspace",
-    "summed_predict",
     "uq_sweep",
     "compare_approaches",
     "split_holdout",
@@ -156,25 +154,6 @@ class MechanismRDSM:
         full = np.tile(self.baseline, (x.shape[0], 1))
         full[:, self._cols] = x[:, self._cols]
         return self.surrogate.predict(full)
-
-    def predict_retained(self, values) -> np.ndarray:
-        """Predictions for (n, k) rows over the retained parameters only."""
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[1] != len(self.retained_params):
-            raise ValueError(
-                f"input has {values.shape[1]} columns, model retains "
-                f"{len(self.retained_params)}"
-            )
-        x = np.tile(self.baseline, (values.shape[0], 1))
-        x[:, self._cols] = values
-        return self.predict(x)
-
-    def forward(self, x) -> float:
-        """Prediction for one full catalog vector."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"expected a flat vector, got shape {x.shape}")
-        return float(self.predict(x[None, :])[0])
 
     # -- persistence ---------------------------------------------------------
     def save(self, path) -> None:
@@ -290,16 +269,7 @@ class EngagementGate:
 
     def engaged(self, p_norm, xs_norm, giii_norm):
         """True where the point is on the engaged side (boundary included)."""
-        margin = self.boundary_margin(p_norm, xs_norm, giii_norm)
-        if isinstance(margin, float):
-            return margin >= 0.0
-        return margin >= 0.0
-
-
-def gate_engaged(p_norm, xs_norm, giii_norm, gate: EngagementGate | None = None) -> bool:
-    """Engagement decision for one normalized (p, xs, giii) point."""
-    gate = gate if gate is not None else EngagementGate()
-    return bool(gate.engaged(float(p_norm), float(xs_norm), float(giii_norm)))
+        return self.boundary_margin(p_norm, xs_norm, giii_norm) >= 0.0
 
 
 class SummedRDSM:
@@ -376,12 +346,6 @@ class SummedRDSM:
         for name in MECHANISMS[1:]:
             total = total + parts[name]
         return total
-
-    def forward(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"expected a flat vector, got shape {x.shape}")
-        return float(self.predict(x[None, :])[0])
 
     # -- persistence ---------------------------------------------------------
     def save(self, directory) -> None:
@@ -485,32 +449,6 @@ class SummedRDSM:
             return cls(members, gate, catalog, dist)
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"invalid manifest contents: {exc}") from None
-
-
-@dataclass(frozen=True)
-class SummedPrediction:
-    """Breakdown of one summed query: gated terms and their exact sum."""
-
-    ts: float
-    breakdown: dict[str, float]
-    engaged: bool
-
-
-def summed_predict(summed: SummedRDSM, x) -> SummedPrediction:
-    """Evaluate the summed model at one full catalog vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a flat vector, got shape {x.shape}")
-    rows = x[None, :]
-    parts = summed.predict_breakdown(rows)
-    total = parts[MECHANISMS[0]]
-    for name in MECHANISMS[1:]:
-        total = total + parts[name]
-    return SummedPrediction(
-        ts=float(total[0]),
-        breakdown={name: float(parts[name][0]) for name in MECHANISMS},
-        engaged=bool(summed.engaged(rows)[0]),
-    )
 
 
 # -- fitting ------------------------------------------------------------------
@@ -1018,16 +956,13 @@ class ComparisonReport:
     n_validation: int
 
 
-# matches the trainer's near-zero cut: rows whose truth is below this
-# fraction of the truth range are excluded from percent errors
-_NEAR_ZERO_FRACTION = 1e-9
-
-
 def _std1(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) if values.size > 1 else math.nan
 
 
 def _approach_stats(truth: np.ndarray, preds: np.ndarray, scale: float) -> ApproachStats:
+    # the trainer's near-zero cut: rows whose truth is below that fraction of
+    # the truth range are excluded from percent errors
     include = np.abs(truth) >= _NEAR_ZERO_FRACTION * scale
     errors = (
         100.0 * np.abs(preds[include] - truth[include]) / np.abs(truth[include])

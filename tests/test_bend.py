@@ -11,7 +11,6 @@ from rdsm.bend import (
     default_specimen,
     load_specimen_config,
     simulate_batch,
-    simulate_bend,
     simulate_dataset,
 )
 from rdsm.catalog import SamplingDistribution, build_catalog
@@ -89,25 +88,29 @@ def test_explicit_lc_too_large_is_rejected(cat):
         load_specimen_config(cfg, cat)
 
 
+def _single(sp, x):
+    """Energies (PL, DL, DC, DI, PM, TS) of one sample."""
+    return BendState(sp, np.asarray(x, dtype=float)[None, :]).run()[0]
+
+
 def test_means_run_energy_structure(cat, sp):
-    ev = simulate_bend(cat.means, sp)
-    parts = {"PL": ev.pl, "DL": ev.dl, "DC": ev.dc, "DI": ev.di, "PM": ev.pm}
+    pl, dl, dc, di, pm, ts = _single(sp, cat.means)
+    parts = {"PL": pl, "DL": dl, "DC": dc, "DI": di, "PM": pm}
     assert all(v >= 0.0 for v in parts.values())
     # substrate plasticity dominates at catalog means
     assert max(parts, key=parts.get) == "PM"
-    assert parts["PM"] > 0.5 * ev.ts
+    assert parts["PM"] > 0.5 * ts
     # the interface stays below initiation at means
-    assert ev.di == 0.0
+    assert di == 0.0
     # fiber fracture, matrix shear, and delamination all engage
-    assert ev.pl > 0.0 and ev.dl > 0.0 and ev.dc > 0.0
+    assert pl > 0.0 and dl > 0.0 and dc > 0.0
     # total is the exact five-term float sum
-    assert ev.ts == ev.pl + ev.dl + ev.dc + ev.di + ev.pm
+    assert ts == pl + dl + dc + di + pm
 
 
 def test_small_curvature_stays_elastic(cat, sp):
     quiet = dataclasses.replace(sp, kappa_max=0.001)
-    ev = simulate_bend(cat.means, quiet)
-    assert ev.ts == 0.0
+    assert _single(quiet, cat.means)[5] == 0.0
 
 
 def test_batch_matches_single_rows(cat, sp):
@@ -115,10 +118,7 @@ def test_batch_matches_single_rows(cat, sp):
     X = SamplingDistribution.uniform_pm20().transform(u, cat)
     batch = simulate_batch(X, sp)
     for i in range(X.shape[0]):
-        single = simulate_bend(X[i], sp)
-        np.testing.assert_array_equal(
-            batch[i], [single.pl, single.dl, single.dc, single.di, single.pm, single.ts]
-        )
+        np.testing.assert_array_equal(batch[i], _single(sp, X[i]))
 
 
 def test_batch_deterministic_and_thread_invariant(cat, sp):
@@ -251,16 +251,14 @@ def test_matrix_failure_freezes_shear(cat, sp):
     # a tiny plastic strain cap fails the matrix almost immediately
     x = cat.means.copy()
     x[cat.index("epsilon")] = 1e-6
-    ev_capped = simulate_bend(x, sp)
-    ev_mean = simulate_bend(cat.means, sp)
-    assert ev_capped.pl < ev_mean.pl
+    assert _single(sp, x)[0] < _single(sp, cat.means)[0]
 
 
 def test_inadmissible_sample_is_named(cat, sp):
     x = cat.means.copy()
     x[cat.index("X7781")] = 700.0  # ksi, far beyond the damage-law margin
     with pytest.raises(AdmissibilityError, match="ply"):
-        simulate_bend(x, sp)
+        _single(sp, x)
 
 
 def test_input_shape_validation(cat, sp):

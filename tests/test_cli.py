@@ -3,11 +3,14 @@ snapshots, determinism, and the documented exit codes."""
 
 import csv
 import json
+import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rdsm import cli
 from rdsm.catalog import build_catalog
 from rdsm.cli import (
     EXIT_DATA,
@@ -175,6 +178,77 @@ def test_simulate_deterministic(work):
 
 
 # -- config resolution ---------------------------------------------------------------
+
+
+def _help_keys(command, capsys) -> set:
+    assert run(command, "--help") == EXIT_OK
+    flags = re.findall(r"^\s+(--[a-z][a-z-]*)", capsys.readouterr().out, re.M)
+    return {f[2:].replace("-", "_") for f in flags} - {"config"}
+
+
+def test_help_config_and_snapshot_agree(work, data_csv, direct_dir, summed_dir, capsys):
+    direct = direct_dir / "direct_rdsm.json"
+    args = {
+        "catalog": [],
+        "sample": ["--n", 8],
+        "simulate": ["--n", 8],
+        "screen": ["--data", data_csv],
+        "fit": ["--data", data_csv, "--hidden", "4", "--epochs", 5],
+        "sobol": ["--model", direct, "--n-base", 128, "--n-bootstrap", 2],
+        "uq": ["--model", direct, "--n", 50],
+        "gate-check": ["--grid", 2],
+        "compare": ["--direct", direct, "--summed", summed_dir / "model",
+                    "--validation", direct_dir / "validation.csv"],
+        "plot-data": ["--kind", "energy-stack", "--data", data_csv],
+    }
+    for command, extra in args.items():
+        outdir = work / "agree" / command
+        assert run(command, *extra, "--outdir", outdir) == EXIT_OK, command
+        snapshot = json.loads(next(outdir.glob("*run*.json")).read_text())
+        options = snapshot["options"]
+        assert set(options) == _help_keys(command, capsys), command
+        # every snapshot key is a config key: the snapshot replays as a config
+        replay = dict(options, outdir=str(work / "agree" / f"{command}_replay"))
+        config = work / "agree" / f"{command}.json"
+        config.write_text(json.dumps(replay))
+        assert run(command, "--config", config) == EXIT_OK, command
+        replayed = json.loads(
+            next(Path(replay["outdir"]).glob("*run*.json")).read_text()
+        )
+        assert replayed["options"] == replay, command
+
+
+def test_resource_flags_are_bounded(work, data_csv, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("an out-of-range size reached the command")
+
+    # rejected sizes must stop before any pool or grid is built
+    monkeypatch.setattr(cli, "simulate_dataset", never)
+    monkeypatch.setattr(cli, "fit_summed", never)
+    monkeypatch.setattr(cli, "EngagementGate", never)
+    too_many = (os.cpu_count() or 1) + 1
+    too_fine = cli._MAX_GRID + 1
+    out = work / "bounded" / "out.csv"
+    outdir = work / "bounded" / "fit"
+    config = work / "bounded.json"
+    cases = [
+        ["simulate", "--n", 4, "--threads", too_many, "--out", out],
+        ["simulate", "--n", 4, "--threads", 0, "--out", out],
+        ["fit", "--data", data_csv, "--route", "summed", "--threads", too_many,
+         "--outdir", outdir],
+        ["gate-check", "--grid", too_fine, "--out", out],
+    ]
+    for argv in cases:
+        assert run(*argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("rdsm: error: usage:") and err.count("\n") == 1, err
+    for command, key, value in (("simulate", "threads", too_many),
+                                ("gate-check", "grid", too_fine)):
+        config.write_text(json.dumps({key: value}))
+        assert run(command, "--config", config, "--out", out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("rdsm: error: usage:") and err.count("\n") == 1, err
+    assert not out.parent.exists()
 
 
 def test_flags_override_config_overrides_defaults(work):

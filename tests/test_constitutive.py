@@ -6,15 +6,10 @@ import pytest
 from rdsm.constitutive import (
     bk_mixed_mode_gc,
     cdm_damage_evolution,
-    cdm_effective_stress,
-    cdm_initiation,
     cdm_shear_damage,
-    cdm_shear_hardening,
-    czm_initiation,
+    czm_dissipated,
     czm_traction,
-    jc_plastic_work,
     jc_stress,
-    macaulay,
 )
 from rdsm.errors import AdmissibilityError
 
@@ -28,40 +23,6 @@ def test_power_hardening_oracle():
     assert jc_stress(1.0, 29.8, 103.6, 0.607) == pytest.approx(133.4, rel=1e-12)
     with pytest.raises(ValueError):
         jc_stress(-0.1, 29.8, 103.6, 0.607)
-
-
-def test_power_hardening_work_matches_quadrature():
-    a, b, n = 29.8, 103.6, 0.607
-    eps = 0.37
-    grid = np.linspace(0.0, eps, 200001)
-    numeric = np.trapezoid(jc_stress(grid, a, b, n), grid)
-    assert jc_plastic_work(eps, a, b, n) == pytest.approx(numeric, rel=1e-8)
-    assert jc_plastic_work(0.0, a, b, n) == 0.0
-
-
-def test_macaulay():
-    assert macaulay(3.0) == 3.0
-    assert macaulay(-2.0) == 0.0
-    np.testing.assert_array_equal(macaulay(np.array([-1.0, 0.0, 2.5])), [0.0, 0.0, 2.5])
-
-
-def test_effective_stress():
-    assert cdm_effective_stress(10.0, 0.5) == pytest.approx(20.0)
-    assert cdm_effective_stress(10.0, 0.0) == 10.0
-    with pytest.raises(ValueError):
-        cdm_effective_stress(10.0, 1.0)
-    with pytest.raises(ValueError):
-        cdm_effective_stress(10.0, -0.1)
-
-
-def test_cdm_initiation_ratio_and_tie_order():
-    # ratios: 11 -> 0.8, 22 -> 1.2, 12 -> 1.1; largest wins
-    assert cdm_initiation(40.0, 12.0, 5.5, 50.0, 10.0, 5.0) == "22"
-    assert cdm_initiation(40.0, 8.0, 4.0, 50.0, 10.0, 5.0) is None
-    # exact tie resolves in the order 11, 22, 12
-    assert cdm_initiation(50.0, 10.0, 2.0, 50.0, 10.0, 5.0) == "11"
-    # compression counts through the magnitude
-    assert cdm_initiation(-60.0, 0.0, 0.0, 50.0, 10.0, 5.0) == "11"
 
 
 def test_cdm_damage_evolution_oracle():
@@ -94,11 +55,13 @@ def test_shear_damage_log_law():
 
 
 def test_shear_hardening():
-    assert cdm_shear_hardening(0.0, 5.16e3, 0.65e3, 0.729) == pytest.approx(5.16e3)
-    got = cdm_shear_hardening(0.01, 5.16e3, 0.65e3, 0.729)
+    # the ply matrix shear flow stress is the same power law at the shear
+    # calibration point
+    assert jc_stress(0.0, 5.16e3, 0.65e3, 0.729) == pytest.approx(5.16e3)
+    got = jc_stress(0.01, 5.16e3, 0.65e3, 0.729)
     assert got == pytest.approx(5.16e3 + 0.65e3 * 0.01**0.729, rel=1e-12)
     with pytest.raises(ValueError):
-        cdm_shear_hardening(-1e-3, 5.16e3, 0.65e3, 0.729)
+        jc_stress(-1e-3, 5.16e3, 0.65e3, 0.729)
 
 
 def test_czm_traction_envelope_and_unloading():
@@ -126,25 +89,28 @@ def test_czm_softening_area_equals_gc():
     assert np.trapezoid(tr, grid) == pytest.approx(gc, rel=1e-6)
 
 
+def test_czm_partial_dissipation_matches_quadrature():
+    # dissipated = work done along the envelope minus the elastic energy
+    # recoverable along the secant, at every separation between the kinks
+    k, t0, gc = 1e7, 7.6e3, 7.6
+    delta0 = t0 / k
+    delta_f = 2.0 * gc / t0
+    for d in np.linspace(delta0, delta_f, 9):
+        grid = np.linspace(0.0, d, 200001)
+        grid = np.union1d(grid, [delta0]) if d > delta0 else grid
+        work = np.trapezoid(czm_traction(grid, k, t0, gc), grid)
+        recoverable = 0.5 * czm_traction(d, k, t0, gc) * d
+        assert czm_dissipated(d, t0, delta0, delta_f) == pytest.approx(
+            work - recoverable, rel=1e-6, abs=1e-9 * gc
+        )
+    assert czm_dissipated(delta0, t0, delta0, delta_f) == 0.0
+    assert czm_dissipated(delta_f, t0, delta0, delta_f) == pytest.approx(gc, rel=1e-12)
+
+
 def test_czm_degenerate_lengths_rejected():
     # delta_f <= delta0 when gc is too small for the strength
     with pytest.raises(AdmissibilityError):
         czm_traction(1e-3, k=1e4, t0=7.6e3, gc=1e-3)
-
-
-def test_czm_initiation_quadratic():
-    # pure normal at strength trips; just below does not
-    assert czm_initiation(7.6e3, 0.0, 0.0, 7.6e3, 4.9e3, 4.9e3)
-    assert not czm_initiation(7.59e3, 0.0, 0.0, 7.6e3, 4.9e3, 4.9e3)
-    # compressive normal traction does not count
-    assert not czm_initiation(-50e3, 0.0, 0.0, 7.6e3, 4.9e3, 4.9e3)
-    # mixed loading crossing the quadratic surface trips; just inside does not
-    assert czm_initiation(0.8 * 7.6e3, 0.7 * 4.9e3, 0.0, 7.6e3, 4.9e3, 4.9e3)
-    assert not czm_initiation(0.7 * 7.6e3, 0.7 * 4.9e3, 0.0, 7.6e3, 4.9e3, 4.9e3)
-    got = czm_initiation(
-        np.array([0.0, 8e3]), np.array([0.0, 0.0]), 0.0, 7.6e3, 4.9e3, 4.9e3
-    )
-    np.testing.assert_array_equal(got, [False, True])
 
 
 def test_bk_mixed_mode_oracle():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rdsm.catalog import build_catalog
-from rdsm.dataset import ENERGY_COLUMNS, Dataset, EnergyVector
+from rdsm.dataset import ENERGY_COLUMNS, Dataset
 from rdsm.errors import SchemaError
 
 
@@ -17,20 +17,6 @@ def _toy_rows(catalog, n, seed=0):
     mech = rng.uniform(0.0, 10.0, size=(n, 5))
     ts = mech[:, 0] + mech[:, 1] + mech[:, 2] + mech[:, 3] + mech[:, 4]
     return x, np.column_stack([mech, ts])
-
-
-def test_energy_vector_sum():
-    ev = EnergyVector.from_components(1.1, 2.2, 3.3, 0.0, 4.4)
-    assert ev.ts == 1.1 + 2.2 + 3.3 + 0.0 + 4.4
-    assert ev.sum_consistent()
-    assert not EnergyVector(1, 1, 1, 1, 1, 9).sum_consistent()
-
-
-def test_energy_vector_validation():
-    with pytest.raises(ValueError, match="negative"):
-        EnergyVector.from_components(-0.5, 1, 1, 1, 1)
-    with pytest.raises(ValueError, match="non-finite"):
-        EnergyVector.from_components(np.nan, 1, 1, 1, 1)
 
 
 def test_dataset_toy_sum_enforced(catalog):

@@ -13,7 +13,6 @@ from rdsm.surrogate import (
     deserialize_model,
     gradient_check,
     serialize_model,
-    sweep_architectures,
     train_surrogate,
 )
 
@@ -61,9 +60,9 @@ def test_forward_matches_matrix_oracle():
 def test_forward_identity_and_constant_networks():
     spec = NetworkSpec(input_dim=1, hidden_layers=(), scaling="identity")
     ident = _identity_scaled(spec, [np.array([[1.0]])], [np.zeros(1)])
-    assert ident.forward(np.array([0.37])) == pytest.approx(0.37, abs=1e-15)
+    assert ident.predict(np.array([[0.37]]))[0] == pytest.approx(0.37, abs=1e-15)
     const = _identity_scaled(spec, [np.array([[0.0]])], [np.array([4.25])])
-    assert const.forward(np.array([123.0])) == 4.25
+    assert const.predict(np.array([[123.0]]))[0] == 4.25
 
 
 def test_forward_dimension_mismatch():
@@ -71,8 +70,8 @@ def test_forward_dimension_mismatch():
     model = _identity_scaled(spec, [np.ones((2, 1))], [np.zeros(1)])
     with pytest.raises(ValueError, match="columns"):
         model.predict(np.ones((4, 3)))
-    with pytest.raises(ValueError, match="shape"):
-        model.forward(np.ones(3))
+    with pytest.raises(ValueError, match="columns"):
+        model.predict(np.ones(3))
 
 
 @pytest.fixture(scope="module")
@@ -295,15 +294,3 @@ def test_serialization_rejects_bad_documents(linear_problem):
     doc["layer_dims"] = [1, 99, 1]
     with pytest.raises(SchemaError, match="layer_dims"):
         deserialize_model(json.dumps(doc))
-
-
-def test_architecture_sweep_picks_lowest_test_mae(linear_problem):
-    x, y = linear_problem
-    base = NetworkSpec(input_dim=1, hidden_layers=(4,), epochs=120, seed=3)
-    best, table = sweep_architectures(base, [(2,), (8,)], x, y)
-    assert len(table) == 2
-    maes = dict((tuple(k), v) for k, v in table)
-    assert best.report.test_mae_pct == min(maes.values())
-    assert best.spec.hidden_layers in maes
-    with pytest.raises(ValueError):
-        sweep_architectures(base, [], x, y)

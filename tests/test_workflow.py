@@ -22,11 +22,9 @@ from rdsm.workflow import (
     fit_direct,
     fit_mechanism,
     fit_summed,
-    gate_engaged,
     merge_datasets,
     resample_subspace,
     split_holdout,
-    summed_predict,
     uq_sweep,
 )
 
@@ -116,9 +114,8 @@ def test_gate_extreme_points():
     assert not gate.engaged(0.0, 0.0, 0.0)
     for z in (0.0, 0.5, 1.0):
         assert gate.engaged(1.0, 1.0, z)
-    assert gate_engaged(1.0, 1.0, 1.0)
-    assert not gate_engaged(0.0, 0.0, 0.0)
-    assert isinstance(gate_engaged(0.3, 0.3, 0.3), bool)
+    # a scalar point gets a plain bool
+    assert isinstance(gate.engaged(0.3, 0.3, 0.3), bool)
 
 
 def test_gate_boundary_midpoints_exact():
@@ -198,26 +195,12 @@ def test_frozen_parameters_change_nothing(summed_fit, splits, cat):
     assert not np.array_equal(member.predict(moved), base)
 
 
-def test_predict_retained_matches_full_query(summed_fit, cat):
-    member = summed_fit.summed.members["DC"]
-    rng = np.random.default_rng(4)
-    vals = cat.means[cat.indices(member.retained_params)] * (
-        0.8 + 0.4 * rng.random((6, len(member.retained_params)))
-    )
-    full = np.tile(cat.means, (6, 1))
-    full[:, cat.indices(member.retained_params)] = vals
-    assert np.array_equal(member.predict_retained(vals), member.predict(full))
-
-
 def test_mechanism_forward_and_shape_errors(summed_fit, cat):
     member = summed_fit.summed.members["PL"]
-    assert member.forward(cat.means) == member.predict(cat.means[None, :])[0]
+    # a flat vector is one row
+    assert member.predict(cat.means)[0] == member.predict(cat.means[None, :])[0]
     with pytest.raises(ValueError, match="columns"):
         member.predict(np.ones((3, 7)))
-    with pytest.raises(ValueError, match="flat"):
-        member.forward(np.ones((2, len(cat))))
-    with pytest.raises(ValueError, match="columns"):
-        member.predict_retained(np.ones((2, len(cat))))
 
 
 # -- summed model ---------------------------------------------------------------
@@ -234,10 +217,9 @@ def test_summed_constant_members_sum_exactly(cat, box):
     expected = ((((values["PL"] + values["DL"]) + values["DC"]) + values["DI"])
                 + values["PM"])
     assert summed.predict(x)[0] == expected
-    pred = summed_predict(summed, cat.means)
-    assert pred.ts == expected
-    assert pred.engaged
-    assert pred.breakdown == values
+    assert summed.engaged(x)[0]
+    parts = summed.predict_breakdown(x)
+    assert {name: float(parts[name][0]) for name in MECHANISMS} == values
 
 
 def test_summed_gate_zeroes_disbond_exactly(cat, box):
@@ -251,11 +233,10 @@ def test_summed_gate_zeroes_disbond_exactly(cat, box):
     x = np.array(cat.means)
     for axis in gate.axes:  # lower box corner of the gate axes: (0, 0, 0)
         x[cat.index(axis)] *= 0.8
-    pred = summed_predict(summed, x)
-    assert not pred.engaged
-    assert pred.breakdown["DI"] == 0.0
-    assert pred.ts == ((((values["PL"] + values["DL"]) + values["DC"]) + 0.0)
-                       + values["PM"])
+    assert not summed.engaged(x)[0]
+    assert summed.predict_breakdown(x)["DI"][0] == 0.0
+    assert summed.predict(x)[0] == ((((values["PL"] + values["DL"]) + values["DC"])
+                                    + 0.0) + values["PM"])
 
 
 def test_breakdown_resums_bit_exactly(summed_fit, cat, box):
