@@ -18,13 +18,7 @@ from .bend import (
 )
 from .catalog import ParameterCatalog, SamplingDistribution, build_catalog
 from .dataset import ENERGY_COLUMNS, MECHANISMS, Dataset
-from .errors import (
-    AdmissibilityError,
-    NumericalFailureError,
-    RdsmError,
-    SchemaError,
-    SupportError,
-)
+from .errors import AdmissibilityError, NumericalFailureError, RdsmError, SchemaError
 from .sampling import (
     DesignMatrix,
     SaltelliDesign,
@@ -69,7 +63,6 @@ from .workflow import (
     fit_direct,
     fit_mechanism,
     fit_summed,
-    merge_datasets,
     resample_subspace,
     split_holdout,
     uq_sweep,
@@ -102,7 +95,6 @@ __all__ = [
     "simulate_dataset",
     # errors
     "RdsmError",
-    "SupportError",
     "SchemaError",
     "AdmissibilityError",
     "NumericalFailureError",
@@ -142,5 +134,4 @@ __all__ = [
     "uq_sweep",
     "compare_approaches",
     "split_holdout",
-    "merge_datasets",
 ]

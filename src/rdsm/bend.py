@@ -168,18 +168,11 @@ class BendSpecimen:
         return self.composite_thickness + (np.arange(self.metal_sublayers) + 0.5) * t
 
 
-def _resolve_lc(
-    catalog: ParameterCatalog,
-    stacking: tuple[str, ...],
-    safety: float,
-    dist: SamplingDistribution,
-) -> float:
+def _resolve_lc(catalog: ParameterCatalog, stacking: tuple[str, ...], safety: float) -> float:
     """Largest characteristic length keeping every ply admissible with a
-    safety factor at the worst corner of the sampling support."""
-    if dist.is_bounded:
-        lo_f, hi_f = dist.lo_frac, dist.hi_frac
-    else:
-        lo_f, hi_f = 0.8, 1.2  # sizing box for unbounded marginals
+    safety factor at the worst corner of the +/-20% sampling box."""
+    box = SamplingDistribution.uniform_pm20()
+    lo_f, hi_f = box.lo_frac, box.hi_frac
     lc = np.inf
     for kind in set(stacking):
         e_name, x_name, _, g_name = FABRICS[kind]
@@ -191,19 +184,23 @@ def _resolve_lc(
     return float(lc)
 
 
-def load_specimen_config(source, catalog: ParameterCatalog, dist: SamplingDistribution | None = None) -> BendSpecimen:
+def load_specimen_config(source, catalog: ParameterCatalog) -> BendSpecimen:
     """Build a specimen from a JSON config (path, file object, or dict).
 
-    Unknown keys are rejected.  A null characteristic length resolves to the
-    largest admissible value with the configured safety factor.
+    Unknown keys and malformed JSON are schema errors.  A null
+    characteristic length resolves to the largest admissible value with the
+    configured safety factor.
     """
-    if isinstance(source, dict):
-        cfg = dict(source)
-    elif hasattr(source, "read"):
-        cfg = json.load(source)
-    else:
-        with open(source) as fh:
-            cfg = json.load(fh)
+    try:
+        if isinstance(source, dict):
+            cfg = dict(source)
+        elif hasattr(source, "read"):
+            cfg = json.load(source)
+        else:
+            with open(source) as fh:
+                cfg = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"malformed specimen config: {exc}") from None
     if not isinstance(cfg, dict):
         raise SchemaError("specimen config must be a JSON object")
     unknown = set(cfg) - _CONFIG_KEYS
@@ -226,12 +223,7 @@ def load_specimen_config(source, catalog: ParameterCatalog, dist: SamplingDistri
         raise SchemaError(f"shear_fraction missing fabric {exc.args[0]!r}") from None
     lc = cfg["characteristic_length_in"]
     if lc is None:
-        lc = _resolve_lc(
-            catalog,
-            stacking,
-            float(cfg["lc_safety_factor"]),
-            dist or SamplingDistribution.uniform_pm20(),
-        )
+        lc = _resolve_lc(catalog, stacking, float(cfg["lc_safety_factor"]))
     return BendSpecimen(
         catalog=catalog,
         stacking=stacking,
@@ -256,10 +248,10 @@ def load_specimen_config(source, catalog: ParameterCatalog, dist: SamplingDistri
     )
 
 
-def default_specimen(catalog: ParameterCatalog, dist: SamplingDistribution | None = None) -> BendSpecimen:
+def default_specimen(catalog: ParameterCatalog) -> BendSpecimen:
     """The shipped calibrated specimen config."""
     with resources.files("rdsm.data").joinpath("default_specimen.json").open() as fh:
-        return load_specimen_config(fh, catalog, dist)
+        return load_specimen_config(fh, catalog)
 
 
 def _solve_power_hardening(total, stiffness, y0, coef, expo, lo):
@@ -277,6 +269,35 @@ def _solve_power_hardening(total, stiffness, y0, coef, expo, lo):
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _return_map(strain, eps_p, stiffness, y0, coef, expo, active):
+    """One power-hardening return-map step over (n, m) points.
+
+    stiffness and the hardening constants are (n, 1) columns; points flow
+    only where active and the elastic trial stress exceeds the current flow
+    stress.  Returns the trial stress, the plastic mask, the new plastic
+    strain, the new flow stress and the trapezoid plastic work per row.
+    """
+    trial = stiffness * (strain - eps_p)
+    flow_old = jc_stress(eps_p, y0, coef, expo)
+    plastic = active & (trial > flow_old)
+    eps_p_new = eps_p.copy()
+    if np.any(plastic):
+        idx = np.nonzero(plastic)
+        eps_p_new[idx] = _solve_power_hardening(
+            strain[idx],
+            np.broadcast_to(stiffness, strain.shape)[idx],
+            np.broadcast_to(y0, strain.shape)[idx],
+            np.broadcast_to(coef, strain.shape)[idx],
+            np.broadcast_to(expo, strain.shape)[idx],
+            eps_p[idx],
+        )
+    flow_new = jc_stress(eps_p_new, y0, coef, expo)
+    work = (
+        np.where(plastic, 0.5 * (flow_old + flow_new) * (eps_p_new - eps_p), 0.0)
+    ).sum(axis=1)
+    return trial, plastic, eps_p_new, flow_new, work
 
 
 class _CohesiveBank:
@@ -524,29 +545,17 @@ class BendState:
         self.d11 = d_new
 
         # --- ply matrix shear (PL) ----------------------------------------
-        gamma = self.sf[None, :] * abs_eps
         gs = self.gs[:, None]
-        sig_y = self.sig_y[:, None]
-        c_h = self.c_h[:, None]
-        p_h = self.p_h[:, None]
-        trial = gs * (gamma - self.eps12_p)
-        flow_old = jc_stress(self.eps12_p, sig_y, c_h, p_h)
-        plastic = (~self.failed) & (trial > flow_old)
-        eps_p_new = self.eps12_p.copy()
-        if np.any(plastic):
-            idx = np.nonzero(plastic)
-            eps_p_new[idx] = _solve_power_hardening(
-                gamma[idx],
-                np.broadcast_to(gs, gamma.shape)[idx],
-                np.broadcast_to(sig_y, gamma.shape)[idx],
-                np.broadcast_to(c_h, gamma.shape)[idx],
-                np.broadcast_to(p_h, gamma.shape)[idx],
-                self.eps12_p[idx],
-            )
-        flow_new = jc_stress(eps_p_new, sig_y, c_h, p_h)
-        self.energy["PL"] += (
-            np.where(plastic, 0.5 * (flow_old + flow_new) * (eps_p_new - self.eps12_p), 0.0)
-        ).sum(axis=1) * self.vol_ply
+        trial, plastic, eps_p_new, flow_new, work = _return_map(
+            self.sf[None, :] * abs_eps,
+            self.eps12_p,
+            gs,
+            self.sig_y[:, None],
+            self.c_h[:, None],
+            self.p_h[:, None],
+            ~self.failed,
+        )
+        self.energy["PL"] += work * self.vol_ply
 
         # effective shear stress: on the yield surface while flowing,
         # elastic trial otherwise; frozen at failure
@@ -603,29 +612,16 @@ class BendState:
 
         # --- substrate plasticity (PM) ------------------------------------
         eps_m = np.abs(kappa_new * (self.ybar[:, None] - sp.metal_mid_y[None, :]))
-        e_m = self.e_m[:, None]
-        a_m = self.a_m[:, None]
-        b_m = self.b_m[:, None]
-        n_m = self.n_m[:, None]
-        trial_m = e_m * (eps_m - self.eps_p_m)
-        flow_m_old = jc_stress(self.eps_p_m, a_m, b_m, n_m)
-        plastic_m = trial_m > flow_m_old
-        eps_p_m_new = self.eps_p_m.copy()
-        if np.any(plastic_m):
-            idx = np.nonzero(plastic_m)
-            eps_p_m_new[idx] = _solve_power_hardening(
-                eps_m[idx],
-                np.broadcast_to(e_m, eps_m.shape)[idx],
-                np.broadcast_to(a_m, eps_m.shape)[idx],
-                np.broadcast_to(b_m, eps_m.shape)[idx],
-                np.broadcast_to(n_m, eps_m.shape)[idx],
-                self.eps_p_m[idx],
-            )
-        flow_m_new = jc_stress(eps_p_m_new, a_m, b_m, n_m)
-        self.energy["PM"] += (
-            np.where(plastic_m, 0.5 * (flow_m_old + flow_m_new) * (eps_p_m_new - self.eps_p_m), 0.0)
-        ).sum(axis=1) * self.vol_metal
-        self.eps_p_m = eps_p_m_new
+        _, _, self.eps_p_m, _, work_m = _return_map(
+            eps_m,
+            self.eps_p_m,
+            self.e_m[:, None],
+            self.a_m[:, None],
+            self.b_m[:, None],
+            self.n_m[:, None],
+            True,
+        )
+        self.energy["PM"] += work_m * self.vol_metal
 
         self.step += 1
         self.kappa = kappa_new

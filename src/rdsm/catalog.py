@@ -9,9 +9,7 @@ for array layouts.
 
 A SamplingDistribution maps unit-cube designs into parameter space.  The two
 stock choices vary every parameter around its catalog mean: a +/-20% uniform
-box, and independent normals with 10% standard deviation.  normalize and
-denormalize convert between parameter space and the unit cube for bounded
-distributions and are exact inverses.
+box, and independent normals with 10% standard deviation.
 """
 
 from __future__ import annotations
@@ -22,15 +20,11 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .errors import SupportError
-
 __all__ = [
     "ParameterSpec",
     "ParameterCatalog",
     "SamplingDistribution",
     "build_catalog",
-    "normalize",
-    "denormalize",
     "GROUPS",
 ]
 
@@ -267,42 +261,3 @@ class SamplingDistribution:
         tiny = np.finfo(float).tiny
         q = np.clip(u, tiny, 1.0 - 1e-16)
         return self.mean_frac * means + (self.std_frac * means) * _norm.ppf(q)
-
-
-def normalize(
-    x: np.ndarray, catalog: ParameterCatalog, dist: SamplingDistribution
-) -> np.ndarray:
-    """Affine map from parameter space onto [0, 1]^d for a bounded distribution.
-
-    Raises SupportError naming the offending parameter if any coordinate
-    falls outside the support.
-    """
-    lo, hi = dist.bounds(catalog)
-    arr = np.asarray(x, dtype=float)
-    if arr.shape[-1] != len(catalog):
-        raise ValueError(f"point has {arr.shape[-1]} coordinates, catalog has {len(catalog)}")
-    flat = np.atleast_2d(arr)
-    for j in range(flat.shape[1]):
-        col = flat[:, j]
-        bad = (col < lo[j]) | (col > hi[j])
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise SupportError(catalog[j].name, float(col[k]), float(lo[j]), float(hi[j]))
-    return (arr - lo) / (hi - lo)
-
-
-def denormalize(
-    u: np.ndarray, catalog: ParameterCatalog, dist: SamplingDistribution
-) -> np.ndarray:
-    """Inverse of normalize; exact to floating-point round-trip."""
-    lo, hi = dist.bounds(catalog)
-    arr = np.asarray(u, dtype=float)
-    if arr.shape[-1] != len(catalog):
-        raise ValueError(f"point has {arr.shape[-1]} coordinates, catalog has {len(catalog)}")
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-        bad = np.atleast_2d(arr)
-        mask = (bad < -1e-12) | (bad > 1.0 + 1e-12)
-        j = int(np.argmax(np.any(mask, axis=0)))
-        k = int(np.argmax(mask[:, j]))
-        raise SupportError(catalog[j].name, float(bad[k, j]), 0.0, 1.0)
-    return lo + arr * (hi - lo)

@@ -12,7 +12,6 @@ outputs on one platform.
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -230,14 +229,12 @@ def _load_config_file(path) -> dict:
 
 
 def _check_bounds(name, value, bounds) -> None:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        return  # not a number: the command reports it as invalid data
+    if value is None:
+        return  # an unset option has no size
     lo, hi = bounds
-    if lo is not None and number < lo:
+    if lo is not None and value < lo:
         raise _UsageError(f"{_flag(name)} must be at least {lo}, got {value!r}")
-    if hi is not None and number > hi:
+    if hi is not None and value > hi:
         raise _UsageError(f"{_flag(name)} must be at most {hi}, got {value!r}")
 
 
@@ -252,9 +249,18 @@ def _resolve(args) -> dict:
                 f"unknown config keys for {args.command}: {', '.join(unknown)}"
             )
     resolved = {"command": args.command}
-    for name, default, bounds, _ in options:
+    for name, default, bounds, kwargs in options:
         flag = getattr(args, name)
         value = flag if flag is not None else config.get(name, default)
+        if flag is None and config.get(name) is not None and "type" in kwargs:
+            # argparse typed the flags; a config value gets the same type
+            kind = kwargs["type"]
+            try:
+                value = kind(value)
+            except (ValueError, OverflowError, TypeError):
+                raise _UsageError(
+                    f"{_flag(name)}: invalid {kind.__name__} value {value!r}"
+                ) from None
         if bounds is not None:
             _check_bounds(name, value, bounds)
         resolved[name] = value
@@ -429,16 +435,6 @@ def _write_telemetry(path, report) -> None:
     _write_csv(path, ("epoch", "train_loss", "holdout_mae_pct"), rows)
 
 
-def _row_keys(inputs) -> list:
-    """Content hash per input row; row identity that survives CSV round trips."""
-    return [
-        hashlib.blake2b(
-            np.ascontiguousarray(row, dtype=float).tobytes(), digest_size=8
-        ).hexdigest()
-        for row in np.atleast_2d(inputs)
-    ]
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -580,7 +576,6 @@ def _fit_direct_cmd(resolved, dataset, catalog, outdir, seed) -> dict:
     return {
         "route": "direct",
         "retained_params": list(fit.rdsm.retained_params),
-        "train_row_ids": list(fit.train_row_ids),
         "full_model_test_mae_pct": _num(fit.full_model.report.test_mae_pct),
         "rdsm_test_mae_pct": _num(fit.rdsm.surrogate.report.test_mae_pct),
         "model_file": "direct_rdsm.json",
@@ -617,7 +612,6 @@ def _fit_summed_cmd(resolved, dataset, catalog, outdir, seed) -> dict:
     subspace = fit.subspace
     return {
         "route": "summed",
-        "train_row_ids": list(fit.train_row_ids),
         "mechanisms": mechanisms,
         "subspace": {
             "varied_params": list(subspace.varied_params),
@@ -652,7 +646,8 @@ def _cmd_fit(resolved) -> None:
     if validation is not None:
         report["validation_file"] = "validation.csv"
         report["holdout_row_ids"] = [int(i) for i in validation.row_ids]
-    report["train_row_keys"] = _row_keys(dataset.inputs)
+    report["train_row_ids"] = [int(i) for i in dataset.row_ids]
+    report["train_row_keys"] = dataset.row_keys()
     (outdir / "fit_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True), encoding="utf-8"
     )
@@ -843,11 +838,7 @@ def _cmd_compare(resolved) -> None:
     data = _require_file(_require_opt(resolved, "validation"), "validation file")
     validation = _load_validation(data, catalog)
     train_keys = _load_train_keys(resolved["train_rows"])
-    if train_keys is not None:
-        shared = sum(k in train_keys for k in _row_keys(validation.inputs))
-        if shared:
-            raise ValueError(f"{shared} validation rows were used for training")
-    report = compare_approaches(direct, summed, validation)
+    report = compare_approaches(direct, summed, validation, train_keys=train_keys)
     out = _out_path(resolved, "comparison.csv")
     _write_comparison_csv(out, report)
     _write_snapshot(resolved, out)

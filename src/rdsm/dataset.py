@@ -14,6 +14,7 @@ load reproduces every value bit-exactly.
 from __future__ import annotations
 
 import csv
+import hashlib
 
 import numpy as np
 
@@ -33,8 +34,8 @@ class Dataset:
 
     provenance is "toy_model" for rows generated by the source model (TS-sum
     invariant enforced) or "external_csv" for rows loaded from outside.
-    row_ids survive subsetting, so training/validation disjointness is
-    checkable after splits.
+    row_ids survive subsetting and name positions; row_keys name contents,
+    so a row keeps its key through a CSV round trip or into another design.
     """
 
     def __init__(
@@ -92,6 +93,15 @@ class Dataset:
 
     def input_columns(self, names) -> np.ndarray:
         return self.inputs[:, self.catalog.indices(names)]
+
+    def row_keys(self) -> list[str]:
+        """Content hash per input row; row identity that survives CSV round trips."""
+        return [
+            hashlib.blake2b(
+                np.ascontiguousarray(row, dtype=float).tobytes(), digest_size=8
+            ).hexdigest()
+            for row in self.inputs
+        ]
 
     def subset(self, index) -> "Dataset":
         """Row subset (mask or indices) preserving provenance and row ids."""

@@ -12,18 +12,6 @@ class RdsmError(Exception):
     """Base class for all package-specific failures."""
 
 
-class SupportError(RdsmError, ValueError):
-    """A coordinate fell outside the sampling distribution's support."""
-
-    def __init__(self, parameter: str, value: float, lo: float, hi: float):
-        self.parameter = parameter
-        self.value = value
-        super().__init__(
-            f"parameter {parameter!r}: value {value!r} outside support "
-            f"[{lo!r}, {hi!r}]"
-        )
-
-
 class SchemaError(RdsmError, ValueError):
     """A file or document does not match its declared schema."""
 

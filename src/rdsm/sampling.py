@@ -157,7 +157,6 @@ class SaltelliDesign:
     b: np.ndarray
     ab: np.ndarray = field(repr=False)  # (dim, n, dim)
     seed: int = 0
-    scheme: str = "lhs"
 
     @property
     def n(self) -> int:
@@ -168,26 +167,20 @@ class SaltelliDesign:
         return self.a.shape[1]
 
 
-def saltelli_matrices(n: int, dim: int, seed: int, scheme: str = "lhs") -> SaltelliDesign:
+def saltelli_matrices(n: int, dim: int, seed: int) -> SaltelliDesign:
     """Draw the A/B pair and the dim column-spliced AB blocks.
 
-    The base designs default to independent Latin hypercubes, the sampling
-    scheme used for the sensitivity sweeps; scheme="mc" gives plain uniforms.
+    The base designs are independent Latin hypercubes, the sampling scheme
+    used for the sensitivity sweeps.
     """
     _check_nd(n, dim)
     rng = _rng(seed)
-    if scheme == "lhs":
-        a = _lhs_values(rng, n, dim)
-        b = _lhs_values(rng, n, dim)
-    elif scheme == "mc":
-        a = rng.random((n, dim))
-        b = rng.random((n, dim))
-    else:
-        raise ValueError(f"unknown base design scheme {scheme!r}")
+    a = _lhs_values(rng, n, dim)
+    b = _lhs_values(rng, n, dim)
     ab = np.empty((dim, n, dim))
     for i in range(dim):
         ab[i] = a
         ab[i][:, i] = b[:, i]
     for arr in (a, b, ab):
         arr.setflags(write=False)
-    return SaltelliDesign(a=a, b=b, ab=ab, seed=seed, scheme=scheme)
+    return SaltelliDesign(a=a, b=b, ab=ab, seed=seed)

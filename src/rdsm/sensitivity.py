@@ -55,8 +55,7 @@ class ScreeningResult:
     """Screening ladder for one output, descending by logworth.
 
     Ties keep catalog order.  retained holds the subset that survives the
-    retention rule used to build the result; retain_parameters re-derives a
-    subset under different knobs.
+    retention rule; retain_parameters re-derives it under another cap.
     """
 
     output_name: str
@@ -118,17 +117,12 @@ def _slope_p_values(x: np.ndarray, y: np.ndarray):
     return p, zero_var
 
 
-def retain_parameters(
-    screening: ScreeningResult,
-    max_k: int,
-    logworth_floor: float = LOGWORTH_FLOOR,
-    drop_ratio: float = DROP_RATIO,
-) -> tuple[str, ...]:
+def retain_parameters(screening: ScreeningResult, max_k: int) -> tuple[str, ...]:
     """Significant head of the logworth ladder.
 
-    Candidates are the entries at or above the floor.  The ladder is then
-    truncated at the cliff nearest the noise floor: the last consecutive pair
-    whose ratio next/current falls below drop_ratio (scanning the whole
+    Candidates are the entries at or above LOGWORTH_FLOOR.  The ladder is
+    then truncated at the cliff nearest the noise floor: the last consecutive
+    pair whose ratio next/current falls below DROP_RATIO (scanning the whole
     candidate ladder, the cut that best separates the significant cluster
     from the tail).  The result is capped at max_k; an empty set means
     nothing screened in.
@@ -137,14 +131,14 @@ def retain_parameters(
         raise ValueError("max_k must be >= 1")
     lw = [e.logworth for e in screening.entries]
     k = 0
-    while k < len(lw) and lw[k] >= logworth_floor:
+    while k < len(lw) and lw[k] >= LOGWORTH_FLOOR:
         k += 1
     candidates = lw[:k]
     if not candidates:
         return ()
     cut = len(candidates)
     for i in range(len(candidates) - 1):
-        if candidates[i + 1] < drop_ratio * candidates[i]:
+        if candidates[i + 1] < DROP_RATIO * candidates[i]:
             cut = i + 1
     return tuple(e.name for e in screening.entries[: min(cut, max_k)])
 
@@ -155,8 +149,6 @@ def screen_fdr_logworth(
     names,
     output_name: str,
     max_k: int = 3,
-    logworth_floor: float = LOGWORTH_FLOOR,
-    drop_ratio: float = DROP_RATIO,
 ) -> ScreeningResult:
     """Rank parameters for one output by FDR logworth and apply retention.
 
@@ -192,7 +184,7 @@ def screen_fdr_logworth(
         for j in order
     )
     result = ScreeningResult(output_name=output_name, entries=entries, retained=())
-    retained = retain_parameters(result, max_k, logworth_floor, drop_ratio)
+    retained = retain_parameters(result, max_k)
     return ScreeningResult(output_name=output_name, entries=entries, retained=retained)
 
 
@@ -208,7 +200,6 @@ class SobolResult:
     st: np.ndarray
     s1_stderr: np.ndarray
     st_stderr: np.ndarray
-    n_base_samples: int
     evaluations_used: int
     degenerate: bool = False
 
@@ -282,7 +273,7 @@ def sobol_indices(
     s1, st, v = _jansen(f_a, f_b, f_ab)
     if s1 is None:
         nan = np.full(dim, math.nan)
-        return SobolResult(names, nan, nan.copy(), nan.copy(), nan.copy(), n_base, evals, True)
+        return SobolResult(names, nan, nan.copy(), nan.copy(), nan.copy(), evals, True)
 
     rng = np.random.default_rng(seed + 1)
     boot_s1 = np.empty((n_bootstrap, dim))
@@ -302,4 +293,4 @@ def sobol_indices(
     else:
         s1_err = np.full(dim, math.nan)
         st_err = np.full(dim, math.nan)
-    return SobolResult(names, s1, st, s1_err, st_err, n_base, evals, False)
+    return SobolResult(names, s1, st, s1_err, st_err, evals, False)

@@ -65,7 +65,6 @@ __all__ = [
     "uq_sweep",
     "compare_approaches",
     "split_holdout",
-    "merge_datasets",
 ]
 
 # engagement threshold: a mechanism counts as engaged on a row when it
@@ -216,11 +215,8 @@ class MechanismRDSM:
 _EDGE_A = ((0.4, 0.0), (0.85, 0.3))  # z = 0 endpoint, z = 1 endpoint
 _EDGE_B = ((0.0, 0.5), (0.0, 1.0))
 
-_GATE_VERTICES = (
-    (0.4, 0.0, 0.0),
-    (0.0, 0.5, 0.0),
-    (0.85, 0.3, 1.0),
-    (0.0, 1.0, 1.0),
+_GATE_VERTICES = tuple(
+    (*edge[z], float(z)) for z in (0, 1) for edge in (_EDGE_A, _EDGE_B)
 )
 
 
@@ -461,7 +457,6 @@ class DirectFit:
     full_model: SurrogateModel
     screening: ScreeningResult
     rdsm: MechanismRDSM
-    train_row_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -484,7 +479,6 @@ class SummedFit:
     fits: dict[str, MechanismFit]
     disbond_base_screening: ScreeningResult | None
     subspace: "SubspaceSample | None"
-    train_row_ids: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "fits", MappingProxyType(dict(self.fits)))
@@ -547,12 +541,7 @@ def fit_direct(
     else:
         model = full_model
     rdsm = MechanismRDSM("TS", retained, model, catalog.means, catalog)
-    return DirectFit(
-        full_model=full_model,
-        screening=screening,
-        rdsm=rdsm,
-        train_row_ids=tuple(int(i) for i in dataset.row_ids),
-    )
+    return DirectFit(full_model=full_model, screening=screening, rdsm=rdsm)
 
 
 def fit_mechanism(
@@ -644,6 +633,17 @@ def engagement_mask(
     return y >= threshold
 
 
+def _subspace_design(design, names, catalog, dist, pinned) -> np.ndarray:
+    """Rows varying the named columns over a unit design, the rest pinned."""
+    cols = catalog.indices(names)
+    unit = np.full((design.shape[0], len(catalog)), 0.5)
+    unit[:, cols] = design
+    x = dist.transform(unit, catalog)
+    frozen = np.setdiff1d(np.arange(len(catalog)), cols)
+    x[:, frozen] = pinned[frozen]
+    return x
+
+
 def resample_subspace(
     specimen: BendSpecimen,
     varied_params,
@@ -674,16 +674,10 @@ def resample_subspace(
     if len(set(varied)) != len(varied):
         raise ValueError("varied parameters contain duplicates")
     catalog = specimen.catalog
-    cols = catalog.indices(varied)
     if dist is None:
         dist = SamplingDistribution.uniform_pm20()
-
-    unit = np.full((n, len(catalog)), 0.5)
-    unit[:, cols] = sample_lhs(n, len(varied), seed).values
-    x = dist.transform(unit, catalog)
-    frozen = np.setdiff1d(np.arange(len(catalog)), cols)
-    x[:, frozen] = catalog.means[frozen]
-
+    design = sample_lhs(n, len(varied), seed).values
+    x = _subspace_design(design, varied, catalog, dist, catalog.means)
     ds = simulate_dataset(x, specimen, threads=threads)
     mask = engagement_mask(ds, mechanism, threshold, threshold_mode)
     mask.setflags(write=False)
@@ -784,31 +778,17 @@ def fit_summed(
         threads=threads,
     )
     if len(subspace.fitting) >= 30:
-        di_screen = screen_fdr_logworth(
-            subspace.fitting.inputs,
-            subspace.fitting.energy("DI"),
-            catalog.names,
-            "DI",
-            max_k=3,
-        )
-        retained, note = _nonempty_retained(di_screen)
-        di_spec = _default_network("DI", len(retained), seed)
-        model = train_surrogate(
-            di_spec,
-            subspace.fitting.input_columns(retained),
-            subspace.fitting.energy("DI"),
-        )
-        di_rdsm = MechanismRDSM("DI", retained, model, catalog.means, catalog)
-        fits["DI"] = MechanismFit("DI", di_rdsm, di_screen, False, note)
-        members["DI"] = di_rdsm
+        fits["DI"] = fit_mechanism(subspace.fitting, "DI", seed=seed)
+        level = float(subspace.fitting.energy("DI")[0])  # used if DI never varies
     else:
         note = (
             "disbond never crossed the engagement threshold"
             if subspace.empty
             else f"only {len(subspace.fitting)} engaged rows; need 30 to screen"
         )
-        members["DI"] = _constant_member("DI", 0.0, catalog, gate.axes[0])
         fits["DI"] = MechanismFit("DI", None, base_screen, True, note)
+        level = 0.0
+    members["DI"] = fits["DI"].rdsm or _constant_member("DI", level, catalog, gate.axes[0])
 
     summed = SummedRDSM(members, gate, catalog, dist)
     return SummedFit(
@@ -816,7 +796,6 @@ def fit_summed(
         fits=fits,
         disbond_base_screening=base_screen,
         subspace=subspace,
-        train_row_ids=tuple(int(i) for i in dataset.row_ids),
     )
 
 
@@ -873,6 +852,8 @@ def uq_sweep(
     subsets = [tuple(s) for s in varied_subsets]
     if not subsets:
         raise ValueError("need at least one parameter subset")
+    if n < 2:
+        raise ValueError(f"need at least 2 rows per subset for a spread, got {n}")
     catalog = rdsm.catalog
     baseline = np.asarray(rdsm.baseline, dtype=float)
     if dist is None:
@@ -892,12 +873,8 @@ def uq_sweep(
             mean = float(rdsm.predict(baseline[None, :])[0])
             rows.append(UQRow(params=(), mean=mean, std=0.0))
             continue
-        cols = catalog.indices(subset)
-        unit = np.full((n, len(catalog)), 0.5)
-        unit[:, cols] = sample_lss(n, len(subset), seed + i, strata_per_dim).values
-        x = dist.transform(unit, catalog)
-        frozen = np.setdiff1d(np.arange(len(catalog)), cols)
-        x[:, frozen] = baseline[frozen]
+        design = sample_lss(n, len(subset), seed + i, strata_per_dim).values
+        x = _subspace_design(design, subset, catalog, dist, baseline)
         preds = np.asarray(rdsm.predict(x), dtype=float)
         rows.append(
             UQRow(
@@ -990,25 +967,22 @@ def compare_approaches(
     direct,
     summed: SummedRDSM,
     validation: Dataset,
-    train_row_ids=None,
+    train_keys=None,
 ) -> ComparisonReport:
     """Score both routes on a validation set, overall and gate-engaged.
 
     direct may be any predictor over full catalog vectors; summed must be a
-    SummedRDSM since its gate defines the engaged subset.  When
-    train_row_ids is given, validation rows sharing an id with it are
-    rejected: held-out means held out.
+    SummedRDSM since its gate defines the engaged subset.  When train_keys
+    (the training set's Dataset.row_keys()) is given, a validation row whose
+    content matches a training row is rejected: held-out means held out.
     """
     if len(validation) == 0:
         raise ValueError("empty validation set")
-    if train_row_ids is not None:
-        overlap = set(int(i) for i in validation.row_ids) & set(
-            int(i) for i in train_row_ids
-        )
-        if overlap:
-            raise ValueError(
-                f"{len(overlap)} validation rows were used for training"
-            )
+    if train_keys is not None:
+        train_keys = set(train_keys)
+        shared = sum(k in train_keys for k in validation.row_keys())
+        if shared:
+            raise ValueError(f"{shared} validation rows were used for training")
     truth = validation.energy("TS")
     preds_direct = np.asarray(direct.predict(validation.inputs), dtype=float)
     preds_summed = np.asarray(summed.predict(validation.inputs), dtype=float)
@@ -1038,31 +1012,3 @@ def split_holdout(dataset: Dataset, n: int, seed: int) -> tuple[Dataset, Dataset
     held = np.sort(perm[:n])
     rest = np.sort(perm[n:])
     return dataset.subset(rest), dataset.subset(held)
-
-
-def merge_datasets(first: Dataset, second: Dataset) -> Dataset:
-    """Concatenate two datasets over the same catalog.
-
-    Row ids are kept when already disjoint; otherwise the second dataset's
-    ids are shifted past the first's maximum so every row stays uniquely
-    addressable.  The merge is a toy-model dataset only when both inputs
-    are.
-    """
-    if first.catalog.names != second.catalog.names:
-        raise ValueError("datasets use different catalogs")
-    ids_first = first.row_ids
-    ids_second = second.row_ids
-    if set(ids_first.tolist()) & set(ids_second.tolist()):
-        ids_second = ids_second + (int(ids_first.max()) + 1)
-    provenance = (
-        "toy_model"
-        if first.provenance == "toy_model" and second.provenance == "toy_model"
-        else "external_csv"
-    )
-    return Dataset(
-        first.catalog,
-        np.vstack([first.inputs, second.inputs]),
-        np.vstack([first.energies, second.energies]),
-        provenance,
-        np.concatenate([ids_first, ids_second]),
-    )

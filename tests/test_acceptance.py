@@ -32,7 +32,6 @@ from rdsm.workflow import (
     compare_approaches,
     fit_direct,
     fit_summed,
-    merge_datasets,
     split_holdout,
     uq_sweep,
 )
@@ -200,16 +199,14 @@ def test_end_to_end_toy_pipeline(cat):
     fresh = simulate_dataset(
         box.transform(sample_lhs(200, len(cat), seed=12).values, cat), specimen
     )
-    # fresh rows get ids beyond the base dataset so the contamination guard
-    # sees them as distinct from every training row
-    fresh = Dataset(
-        cat, fresh.inputs, fresh.energies, provenance="toy_model",
-        row_ids=np.arange(len(dataset), len(dataset) + len(fresh)),
+    validation = Dataset(
+        cat,
+        np.vstack([held.inputs, fresh.inputs]),
+        np.vstack([held.energies, fresh.energies]),
+        provenance="toy_model",
     )
-    validation = merge_datasets(held, fresh)
     report = compare_approaches(
-        direct.rdsm, summed.summed, validation,
-        train_row_ids=direct.train_row_ids,
+        direct.rdsm, summed.summed, validation, train_keys=train.row_keys()
     )
 
     direct_mae = report.all_rows.direct.mae_pct

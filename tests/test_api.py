@@ -12,7 +12,7 @@ PUBLIC = {
     "ENERGY_COLUMNS", "MECHANISMS", "Dataset", "FABRICS", "BendSpecimen",
     "default_specimen", "load_specimen_config", "simulate_batch", "simulate_dataset",
     # errors
-    "RdsmError", "SupportError", "SchemaError", "AdmissibilityError",
+    "RdsmError", "SchemaError", "AdmissibilityError",
     "NumericalFailureError",
     # screening and sensitivity
     "ParameterScreen", "ScreeningResult", "SobolResult", "benjamini_hochberg",
@@ -25,7 +25,7 @@ PUBLIC = {
     "SummedFit", "SubspaceSample", "UQRow", "UQReport", "ApproachStats",
     "ComparisonSection", "ComparisonReport", "engagement_mask", "fit_direct",
     "fit_mechanism", "fit_summed", "resample_subspace", "uq_sweep",
-    "compare_approaches", "split_holdout", "merge_datasets",
+    "compare_approaches", "split_holdout",
 }
 
 

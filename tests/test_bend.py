@@ -37,7 +37,7 @@ def _default_cfg():
 
 
 def test_characteristic_length_resolution(cat, sp):
-    want = _resolve_lc(cat, sp.stacking, 2.0, SamplingDistribution.uniform_pm20())
+    want = _resolve_lc(cat, sp.stacking, 2.0)
     assert sp.characteristic_length == want
     assert 0.01 < sp.characteristic_length < 0.2
     # safety factor 2 leaves margin at the worst +/-20% corner of every ply
@@ -71,6 +71,13 @@ def test_config_schema_errors(cat):
         load_specimen_config(dict(cfg, shear_fraction={"bogus": 1.0}), cat)
     with pytest.raises(SchemaError, match="bogus"):
         load_specimen_config(dict(cfg, stacking=["bogus"] + cfg["stacking"][1:]), cat)
+
+
+def test_malformed_config_is_schema_error(cat, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{bad")
+    with pytest.raises(SchemaError, match="malformed specimen config"):
+        load_specimen_config(path, cat)
 
 
 def test_config_loads_from_path(cat, sp, tmp_path):

@@ -7,10 +7,7 @@ from rdsm.catalog import (
     ParameterSpec,
     SamplingDistribution,
     build_catalog,
-    denormalize,
-    normalize,
 )
-from rdsm.errors import SupportError
 
 
 @pytest.fixture(scope="module")
@@ -93,32 +90,6 @@ def test_distribution_validation():
         SamplingDistribution.uniform_custom(1.2, 0.8)
     with pytest.raises(ValueError):
         SamplingDistribution.normal_custom(1.0, 0.0)
-
-
-def test_normalize_denormalize_round_trip(catalog):
-    dist = SamplingDistribution.uniform_pm20()
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        u = rng.random((8, 41))
-        x = denormalize(u, catalog, dist)
-        u2 = normalize(x, catalog, dist)
-        assert np.max(np.abs(u2 - u)) < 1e-12
-        x2 = denormalize(u2, catalog, dist)
-        assert np.max(np.abs(x2 - x) / np.maximum(np.abs(x), 1e-30)) < 1e-12
-
-
-def test_normalize_midpoint_is_half(catalog):
-    dist = SamplingDistribution.uniform_pm20()
-    u = normalize(catalog.means, catalog, dist)
-    np.testing.assert_allclose(u, 0.5, atol=1e-14)
-
-
-def test_normalize_out_of_support_names_parameter(catalog):
-    dist = SamplingDistribution.uniform_pm20()
-    x = catalog.means.copy()
-    x[catalog.index("XS")] = catalog["XS"].mean * 1.3
-    with pytest.raises(SupportError, match="XS"):
-        normalize(x, catalog, dist)
 
 
 def test_transform_uniform_corners(catalog):

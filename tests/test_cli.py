@@ -278,6 +278,30 @@ def test_config_schema_errors(work, capsys):
     assert run("sample", "--config", work / "nowhere.json") == EXIT_MISSING_FILE
 
 
+def test_config_values_take_option_type(work, capsys):
+    config = work / "typed.json"
+    out = work / "typed" / "design.csv"
+    for value in ("Infinity", "NaN", '"abc"'):
+        config.write_text('{"n": %s}' % value)
+        assert run("sample", "--config", config, "--out", out) == EXIT_USAGE, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rdsm: error: usage:"), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+    assert not out.parent.exists()
+
+
+def test_malformed_specimen_config_is_schema_error(work, capsys):
+    bad = work / "bad_specimen.json"
+    bad.write_text("{bad")
+    out = work / "bad_specimen" / "data.csv"
+    code = run("simulate", "--n", 4, "--specimen", bad, "--out", out)
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("rdsm: error: schema:") and err.count("\n") == 1, err
+    assert not out.parent.exists()
+
+
 def test_outdir_env_default(work, data_csv, monkeypatch):
     envdir = work / "envdir"
     monkeypatch.setenv("RDSM_OUTDIR", str(envdir))
@@ -414,6 +438,15 @@ def test_uq_ladder_layout(work, direct_dir):
     assert [r[0] for r in rows[1::2]] == ["% difference"] * (k - 1)
     stds = [float(r[2]) for r in rows[0::2]]
     assert stds == sorted(stds)
+
+
+def test_uq_rejects_one_row(work, direct_dir, capsys):
+    out = work / "uq_one" / "uq.csv"
+    code = run("uq", "--model", direct_dir / "direct_rdsm.json", "--n", 1, "--out", out)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("rdsm: error: invalid-data:") and err.count("\n") == 1, err
+    assert not out.parent.exists()
 
 
 def test_uq_summed_needs_subsets(work, summed_dir, capsys):

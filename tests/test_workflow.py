@@ -22,7 +22,6 @@ from rdsm.workflow import (
     fit_direct,
     fit_mechanism,
     fit_summed,
-    merge_datasets,
     resample_subspace,
     split_holdout,
     uq_sweep,
@@ -358,7 +357,6 @@ def test_fit_direct_artifacts(direct_fit, splits, cat):
     assert retained == direct_fit.screening.retained
     assert direct_fit.rdsm.surrogate.spec.input_dim == len(retained)
     assert direct_fit.rdsm.mechanism == "TS"
-    assert direct_fit.train_row_ids == tuple(int(i) for i in train.row_ids)
     logworths = [e.logworth for e in direct_fit.screening.entries]
     assert logworths == sorted(logworths, reverse=True)
 
@@ -612,6 +610,16 @@ def test_uq_validates_subsets(direct_fit):
         uq_sweep(direct_fit.rdsm, [], n=500)
 
 
+def test_uq_needs_two_rows_before_sampling(direct_fit, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a one-row sweep reached the sampler")
+
+    monkeypatch.setattr("rdsm.workflow.sample_lss", never)
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            uq_sweep(direct_fit.rdsm, [("E",)], n=n)
+
+
 def test_uq_spread_grows_on_fitted_model(direct_fit):
     retained = direct_fit.rdsm.retained_params
     subsets = [retained[:k] for k in range(1, len(retained) + 1)]
@@ -639,7 +647,7 @@ def test_compare_basic_report(direct_fit, summed_fit, splits):
         direct_fit.rdsm,
         summed_fit.summed,
         held,
-        train_row_ids=direct_fit.train_row_ids,
+        train_keys=splits[0].row_keys(),
     )
     assert rep.n_validation == len(held)
     assert rep.all_rows.n_rows == len(held)
@@ -673,11 +681,42 @@ def test_compare_rejects_contaminated_validation(direct_fit, summed_fit, splits)
     train, held = splits
     with pytest.raises(ValueError, match="training"):
         compare_approaches(
-            direct_fit.rdsm, summed_fit.summed, train, train_row_ids=direct_fit.train_row_ids
+            direct_fit.rdsm, summed_fit.summed, train, train_keys=train.row_keys()
         )
     with pytest.raises(ValueError, match="empty validation"):
         compare_approaches(
             direct_fit.rdsm, summed_fit.summed, held.subset(np.zeros(len(held), bool))
+        )
+
+
+def test_compare_accepts_fresh_rows_with_training_ids(
+    direct_fit, summed_fit, splits, cat, sp, box
+):
+    train, _ = splits
+    x = box.transform(sample_lhs(40, len(cat), seed=21).values, cat)
+    fresh = simulate_dataset(x, sp)
+    # a fresh design numbers its rows 0..n-1, the same ids the training rows carry
+    assert set(fresh.row_ids.tolist()) & set(train.row_ids.tolist())
+    rep = compare_approaches(
+        direct_fit.rdsm, summed_fit.summed, fresh, train_keys=train.row_keys()
+    )
+    assert rep.n_validation == 40
+
+
+def test_compare_rejects_training_row_under_new_id(direct_fit, summed_fit, splits):
+    train, held = splits
+    leaked = train.subset(np.arange(3))
+    validation = Dataset(
+        held.catalog,
+        np.vstack([held.inputs, leaked.inputs]),
+        np.vstack([held.energies, leaked.energies]),
+        provenance="toy_model",
+        row_ids=np.arange(10_000, 10_000 + len(held) + 3),
+    )
+    assert not set(validation.row_ids.tolist()) & set(train.row_ids.tolist())
+    with pytest.raises(ValueError, match="3 validation rows were used for training"):
+        compare_approaches(
+            direct_fit.rdsm, summed_fit.summed, validation, train_keys=train.row_keys()
         )
 
 
@@ -703,23 +742,3 @@ def test_split_holdout_partitions(base_ds):
         split_holdout(base_ds, len(base_ds), seed=0)
     with pytest.raises(ValueError, match="hold out"):
         split_holdout(base_ds, 0, seed=0)
-
-
-def test_merge_datasets_reassigns_colliding_ids(base_ds):
-    a = base_ds.subset(np.arange(10))
-    b = base_ds.subset(np.arange(5))  # ids collide with a
-    merged = merge_datasets(a, b)
-    assert len(merged) == 15
-    assert len(set(merged.row_ids.tolist())) == 15
-    assert merged.provenance == "toy_model"
-    # disjoint ids survive unchanged
-    c = base_ds.subset(np.arange(20, 25))
-    kept = merge_datasets(a, c)
-    assert kept.row_ids.tolist() == a.row_ids.tolist() + c.row_ids.tolist()
-
-
-def test_merge_datasets_downgrades_provenance(cat, box, base_ds):
-    x = box.transform(sample_lhs(10, len(cat), seed=5).values, cat)
-    external = _synthetic_dataset(cat, x, 100.0 + x[:, 0])
-    merged = merge_datasets(base_ds.subset(np.arange(10)), external)
-    assert merged.provenance == "external_csv"
