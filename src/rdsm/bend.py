@@ -32,7 +32,6 @@ is reported as the exact five-term sum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
@@ -47,7 +46,7 @@ from .constitutive import (
     jc_stress,
 )
 from .dataset import Dataset
-from .errors import AdmissibilityError, NumericalFailureError, SchemaError
+from .errors import AdmissibilityError, NumericalFailureError, SchemaError, read_document
 
 __all__ = [
     "FABRICS",
@@ -69,29 +68,25 @@ FABRICS = {
 _PSI_PER_MSI = 1.0e6
 _PSI_PER_KSI = 1.0e3
 
-_CONFIG_KEYS = {
-    "format",
-    "version",
-    "stacking",
-    "ply_thickness_in",
-    "metal_thickness_in",
-    "width_in",
-    "gauge_length_in",
-    "metal_sublayers",
-    "curvature_max_per_in",
-    "curvature_steps",
-    "shear_fraction",
-    "characteristic_length_in",
-    "lc_safety_factor",
-    "cohesive_shear_coupling",
-    "cohesive_peel_coupling",
-    "damage_slip_amplification",
-    "interface_shear_coupling",
-    "interface_slip_coupling",
-    "interface_peel_coupling",
-    "interface_damage_feedback",
-    "cohesive_process_length_in",
-    "interface_process_length_in",
+# specimen config key -> (BendSpecimen field, conversion); the config's other
+# keys are read by name in load_specimen_config
+_CONFIG_FIELDS = {
+    "ply_thickness_in": ("ply_thickness", float),
+    "metal_thickness_in": ("metal_thickness", float),
+    "width_in": ("width", float),
+    "gauge_length_in": ("gauge_length", float),
+    "metal_sublayers": ("metal_sublayers", int),
+    "curvature_max_per_in": ("kappa_max", float),
+    "curvature_steps": ("n_steps", int),
+    "cohesive_shear_coupling": ("cohesive_shear_coupling", float),
+    "cohesive_peel_coupling": ("cohesive_peel_coupling", float),
+    "damage_slip_amplification": ("damage_slip_amplification", float),
+    "interface_shear_coupling": ("interface_shear_coupling", float),
+    "interface_slip_coupling": ("interface_slip_coupling", float),
+    "interface_peel_coupling": ("interface_peel_coupling", float),
+    "interface_damage_feedback": ("interface_damage_feedback", float),
+    "cohesive_process_length_in": ("cohesive_process_length", float),
+    "interface_process_length_in": ("interface_process_length", float),
 }
 
 
@@ -191,28 +186,24 @@ def load_specimen_config(source, catalog: ParameterCatalog) -> BendSpecimen:
     characteristic length resolves to the largest admissible value with the
     configured safety factor.
     """
-    try:
-        if isinstance(source, dict):
-            cfg = dict(source)
-        elif hasattr(source, "read"):
-            cfg = json.load(source)
-        else:
-            with open(source) as fh:
-                cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed specimen config: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise SchemaError("specimen config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise SchemaError(f"unknown specimen config keys {sorted(unknown)!r}")
-    missing = _CONFIG_KEYS - set(cfg)
-    if missing:
-        raise SchemaError(f"missing specimen config keys {sorted(missing)!r}")
-    if cfg["format"] != "rdsm-specimen" or cfg["version"] != 1:
-        raise SchemaError(
-            f"unsupported specimen config format {cfg['format']!r} v{cfg['version']!r}"
-        )
+    if hasattr(source, "read"):
+        source = source.read()
+    elif not isinstance(source, dict):
+        with open(source) as fh:
+            source = fh.read()
+    cfg = read_document(
+        source,
+        "specimen config",
+        {
+            "stacking",
+            "shear_fraction",
+            "characteristic_length_in",
+            "lc_safety_factor",
+            *_CONFIG_FIELDS,
+        },
+        "rdsm-specimen",
+        1,
+    )
     stacking = tuple(cfg["stacking"])
     sf_map = cfg["shear_fraction"]
     if not isinstance(sf_map, dict) or set(sf_map) - set(FABRICS):
@@ -224,27 +215,13 @@ def load_specimen_config(source, catalog: ParameterCatalog) -> BendSpecimen:
     lc = cfg["characteristic_length_in"]
     if lc is None:
         lc = _resolve_lc(catalog, stacking, float(cfg["lc_safety_factor"]))
+    values = {field: kind(cfg[key]) for key, (field, kind) in _CONFIG_FIELDS.items()}
     return BendSpecimen(
         catalog=catalog,
         stacking=stacking,
-        ply_thickness=float(cfg["ply_thickness_in"]),
-        metal_thickness=float(cfg["metal_thickness_in"]),
-        width=float(cfg["width_in"]),
-        gauge_length=float(cfg["gauge_length_in"]),
-        metal_sublayers=int(cfg["metal_sublayers"]),
-        kappa_max=float(cfg["curvature_max_per_in"]),
-        n_steps=int(cfg["curvature_steps"]),
         shear_fraction=shear_fraction,
         characteristic_length=float(lc),
-        cohesive_shear_coupling=float(cfg["cohesive_shear_coupling"]),
-        cohesive_peel_coupling=float(cfg["cohesive_peel_coupling"]),
-        damage_slip_amplification=float(cfg["damage_slip_amplification"]),
-        interface_shear_coupling=float(cfg["interface_shear_coupling"]),
-        interface_slip_coupling=float(cfg["interface_slip_coupling"]),
-        interface_peel_coupling=float(cfg["interface_peel_coupling"]),
-        interface_damage_feedback=float(cfg["interface_damage_feedback"]),
-        cohesive_process_length=float(cfg["cohesive_process_length_in"]),
-        interface_process_length=float(cfg["interface_process_length_in"]),
+        **values,
     )
 
 

@@ -11,7 +11,6 @@ outputs on one platform.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -24,8 +23,8 @@ import numpy as np
 from . import __version__
 from .bend import default_specimen, load_specimen_config, simulate_dataset
 from .catalog import SamplingDistribution, build_catalog
-from .dataset import ENERGY_COLUMNS, Dataset
-from .errors import NumericalFailureError, SchemaError
+from .dataset import ENERGY_COLUMNS, Dataset, read_csv, write_csv
+from .errors import NumericalFailureError, SchemaError, parse_json
 from .sampling import sample_lhs, sample_lss, sample_mc
 from .sensitivity import screen_fdr_logworth, sobol_indices
 from .surrogate import NetworkSpec, serialize_model
@@ -209,7 +208,7 @@ def _flag(name) -> str:
 
 
 class _UsageError(Exception):
-    """Missing or inconsistent required options, detected after parsing."""
+    """A command line or config the parser or the resolver rejects."""
 
 
 # -- option resolution ---------------------------------------------------------
@@ -219,10 +218,7 @@ def _load_config_file(path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"config file {p} not found")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed config file {p}: {exc}") from None
+    doc = parse_json(p.read_text(encoding="utf-8"), f"config file {p}")
     if not isinstance(doc, dict):
         raise SchemaError(f"config file {p} must hold a JSON object")
     return doc
@@ -253,11 +249,15 @@ def _resolve(args) -> dict:
         flag = getattr(args, name)
         value = flag if flag is not None else config.get(name, default)
         if flag is None and config.get(name) is not None and "type" in kwargs:
-            # argparse typed the flags; a config value gets the same type
+            # argparse typed the flags; a config value must be a JSON number
+            # of the same type: an integer for int, any number for float
             kind = kwargs["type"]
+            number = int if kind is int else (int, float)
             try:
+                if isinstance(value, bool) or not isinstance(value, number):
+                    raise TypeError
                 value = kind(value)
-            except (ValueError, OverflowError, TypeError):
+            except (OverflowError, TypeError):
                 raise _UsageError(
                     f"{_flag(name)}: invalid {kind.__name__} value {value!r}"
                 ) from None
@@ -358,37 +358,9 @@ def _parse_subsets(value):
 # -- output helpers --------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def _num(value):
     v = float(value)
     return None if math.isnan(v) else v
-
-
-def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def _write_snapshot(resolved, anchor: Path) -> None:
@@ -397,9 +369,7 @@ def _write_snapshot(resolved, anchor: Path) -> None:
         "tool": "rdsm",
         "version": __version__,
         "command": resolved["command"],
-        "options": {
-            k: _jsonable(v) for k, v in resolved.items() if k != "command"
-        },
+        "options": {k: v for k, v in resolved.items() if k != "command"},
     }
     if anchor.is_dir():
         target = anchor / "run_config.json"
@@ -420,7 +390,7 @@ def _write_screening_csv(path, result) -> None:
         )
         for e in result.entries
     ]
-    _write_csv(
+    write_csv(
         path,
         ("parameter", "fdr_logworth", "fdr_p", "raw_p", "zero_variance", "retained"),
         rows,
@@ -432,7 +402,7 @@ def _write_telemetry(path, report) -> None:
         (i + 1, loss, mae)
         for i, (loss, mae) in enumerate(zip(report.loss_history, report.mae_history))
     ]
-    _write_csv(path, ("epoch", "train_loss", "holdout_mae_pct"), rows)
+    write_csv(path, ("epoch", "train_loss", "holdout_mae_pct"), rows)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -454,7 +424,7 @@ def _cmd_catalog(resolved) -> None:
         for i, name in enumerate(catalog.names)
     ]
     out = _out_path(resolved, "catalog.csv")
-    _write_csv(out, ("parameter", "mean", "lo", "hi"), rows)
+    write_csv(out, ("parameter", "mean", "lo", "hi"), rows)
     _write_snapshot(resolved, out)
 
 
@@ -479,41 +449,15 @@ def _cmd_sample(resolved) -> None:
     if not resolved["unit"]:
         values = _distribution(resolved["distribution"]).transform(values, catalog)
     out = _out_path(resolved, "design.csv")
-    _write_csv(out, catalog.names, values)
+    write_csv(out, catalog.names, values)
     _write_snapshot(resolved, out)
-
-
-def _read_design_csv(path, catalog) -> np.ndarray:
-    p = _require_file(path, "design file")
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"design file {p} is empty")
-        if tuple(header) != catalog.names:
-            raise SchemaError(
-                f"design file {p} columns must match the catalog order exactly"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(catalog):
-                raise SchemaError(f"design file {p} line {lineno}: wrong column count")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise SchemaError(
-                    f"design file {p} line {lineno}: non-numeric cell"
-                ) from None
-    if not rows:
-        raise ValueError(f"design file {p} has no rows")
-    return np.array(rows, dtype=float)
 
 
 def _cmd_simulate(resolved) -> None:
     catalog = build_catalog()
     specimen = _load_specimen(resolved, catalog)
     if resolved["design"] is not None:
-        x = _read_design_csv(resolved["design"], catalog)
+        x = read_csv(_require_file(resolved["design"], "design file"), catalog.names)
     else:
         unit = sample_lhs(int(resolved["n"]), len(catalog), int(resolved["seed"])).values
         x = _distribution(resolved["distribution"]).transform(unit, catalog)
@@ -567,6 +511,7 @@ def _fit_direct_cmd(resolved, dataset, catalog, outdir, seed) -> dict:
         query_mode=resolved["query_mode"],
         seed=seed,
     )
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "full_model.json").write_bytes(serialize_model(fit.full_model))
     fit.rdsm.save(outdir / "direct_rdsm.json")
     _write_screening_csv(outdir / "screening_TS.csv", fit.screening)
@@ -593,6 +538,7 @@ def _fit_summed_cmd(resolved, dataset, catalog, outdir, seed) -> dict:
         threshold_mode=resolved["threshold_mode"],
         threads=int(resolved["threads"]),
     )
+    outdir.mkdir(parents=True, exist_ok=True)
     fit.summed.save(outdir / "model")
     mechanisms = {}
     for name, mfit in fit.fits.items():
@@ -629,13 +575,12 @@ def _cmd_fit(resolved) -> None:
     data = _require_file(_require_opt(resolved, "data"), "data file")
     dataset = Dataset.load_csv(data, catalog)
     outdir = _outdir(resolved)
-    outdir.mkdir(parents=True, exist_ok=True)
     seed = int(resolved["seed"])
     holdout = int(resolved["holdout"])
     validation = None
     if holdout > 0:
         dataset, validation = split_holdout(dataset, holdout, seed)
-        validation.save_csv(outdir / "validation.csv")
+    # each route writes its artifacts only once its fit has succeeded
     route = resolved["route"]
     if route == "direct":
         report = _fit_direct_cmd(resolved, dataset, catalog, outdir, seed)
@@ -644,6 +589,7 @@ def _cmd_fit(resolved) -> None:
     else:
         raise ValueError(f"unknown route {route!r}")
     if validation is not None:
+        validation.save_csv(outdir / "validation.csv")
         report["validation_file"] = "validation.csv"
         report["holdout_row_ids"] = [int(i) for i in validation.row_ids]
     report["train_row_ids"] = [int(i) for i in dataset.row_ids]
@@ -682,7 +628,7 @@ def _cmd_sobol(resolved) -> None:
         for i in order
     ]
     out = _out_path(resolved, "sobol.csv")
-    _write_csv(
+    write_csv(
         out,
         (
             "parameter",
@@ -724,7 +670,7 @@ def _cmd_uq(resolved) -> None:
             dm, dstd = report.diffs[i]
             rows.append(("% difference", dm, dstd))
     out = _out_path(resolved, "uq.csv")
-    _write_csv(out, ("parameters", "mean", "std"), rows)
+    write_csv(out, ("parameters", "mean", "std"), rows)
     _write_snapshot(resolved, out)
 
 
@@ -746,7 +692,7 @@ def _cmd_gate_check(resolved) -> None:
                     for j in range(k)
                 )
         out = _out_path(resolved, "gate_grid.csv")
-        _write_csv(out, ("p", "xis", "giii", "margin", "engaged"), rows)
+        write_csv(out, ("p", "xis", "giii", "margin", "engaged"), rows)
         _write_snapshot(resolved, out)
         return
     for key in ("p", "xis", "giii"):
@@ -759,25 +705,11 @@ def _cmd_gate_check(resolved) -> None:
     print(f"engaged={engaged} margin={margin!r}")
 
 
-def _load_validation(path, catalog) -> Dataset:
-    # a zero-row validation file should read as an empty validation set, not
-    # as a generic dataset schema failure
-    try:
-        return Dataset.load_csv(path, catalog)
-    except SchemaError as exc:
-        if "no data rows" in str(exc):
-            raise ValueError("empty validation set") from None
-        raise
-
-
 def _load_train_keys(path):
     if path is None:
         return None
     p = _require_file(path, "train-rows file")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed train-rows file {p}: {exc}") from None
+    doc = parse_json(p.read_text(encoding="utf-8"), f"train-rows file {p}")
     if isinstance(doc, dict):
         if "train_row_keys" not in doc:
             raise SchemaError(f"train-rows file {p} lacks a train_row_keys entry")
@@ -813,7 +745,7 @@ def _write_comparison_csv(path, report) -> None:
             ("mae_pct_std", "mae_std"),
         )
     ]
-    _write_csv(
+    write_csv(
         path,
         (
             "metric",
@@ -836,7 +768,7 @@ def _cmd_compare(resolved) -> None:
         raise FileNotFoundError(f"summed model directory {summed_path} not found")
     summed = SummedRDSM.load(summed_path, catalog)
     data = _require_file(_require_opt(resolved, "validation"), "validation file")
-    validation = _load_validation(data, catalog)
+    validation = Dataset.load_csv(data, catalog)
     train_keys = _load_train_keys(resolved["train_rows"])
     report = compare_approaches(direct, summed, validation, train_keys=train_keys)
     out = _out_path(resolved, "comparison.csv")
@@ -850,19 +782,19 @@ def _cmd_plot_data(resolved) -> None:
     if kind == "parity":
         model = _load_model(_require_opt(resolved, "model"), catalog)
         data = _require_file(_require_opt(resolved, "validation"), "validation file")
-        dataset = _load_validation(data, catalog)
+        dataset = Dataset.load_csv(data, catalog)
         actual = dataset.energy("TS")
         predicted = model.predict(dataset.inputs)
         out = _out_path(resolved, "parity.csv")
         if isinstance(model, SummedRDSM):
             engaged = model.engaged(dataset.inputs)
-            _write_csv(
+            write_csv(
                 out,
                 ("row_id", "actual", "predicted", "engaged"),
                 zip(dataset.row_ids, actual, predicted, engaged),
             )
         else:
-            _write_csv(
+            write_csv(
                 out,
                 ("row_id", "actual", "predicted"),
                 zip(dataset.row_ids, actual, predicted),
@@ -873,7 +805,7 @@ def _cmd_plot_data(resolved) -> None:
         order = np.argsort(dataset.energy("TS"), kind="stable")
         rows = [(dataset.row_ids[i], *dataset.energies[i]) for i in order]
         out = _out_path(resolved, "energy_stack.csv")
-        _write_csv(out, ("row_id", *ENERGY_COLUMNS), rows)
+        write_csv(out, ("row_id", *ENERGY_COLUMNS), rows)
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     _write_snapshot(resolved, out)
@@ -902,8 +834,15 @@ def _add_option(parser, name, default, bounds, kwargs) -> None:
     parser.add_argument(_flag(name), default=None, **kwargs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line on the one-line error channel."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdsm",
         description=(
             "Reduced-dimension surrogate modeling pipeline: simulate the bend "
@@ -938,14 +877,12 @@ def _fail(code, kind, exc) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         _HANDLERS[args.command](_resolve(args))
         return EXIT_OK
+    except SystemExit as exc:  # --help and --version
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except _UsageError as exc:
         return _fail(EXIT_USAGE, "usage", exc)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:

@@ -7,8 +7,9 @@ plasticity (PM), and their total (TS).  TS is defined as the exact sum of the
 five mechanisms; rows produced by the source model are checked against that
 definition at 1e-9 relative, while externally supplied CSVs are loaded as-is.
 
-CSV serialization writes shortest round-trip float text, so save followed by
-load reproduces every value bit-exactly.
+Every CSV the package reads or writes goes through read_csv and write_csv.
+Floats are written as shortest round-trip text, so save followed by load
+reproduces every value bit-exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,78 @@ MECHANISMS = ("PL", "DL", "DC", "DI", "PM")
 ENERGY_COLUMNS = MECHANISMS + ("TS",)
 
 _SUM_RTOL = 1e-9
+
+
+def _fmt(value) -> str:
+    # floats first: they are nearly every cell, and no other case is a float
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line and one line per row; floats in shortest round-trip
+    text, bools as true/false, None as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def read_csv(path, columns) -> np.ndarray:
+    """Numeric (n, len(columns)) table, C-ordered, from a CSV whose header
+    holds exactly these columns in any order.
+
+    Extra, missing, or duplicate columns and malformed rows are schema
+    errors that name the 1-based row and the column; a header with no rows
+    under it is empty data (a plain ValueError).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError("empty file, expected a header row") from None
+        seen = set()
+        for h in header:
+            if h in seen:
+                raise SchemaError(f"duplicate column {h!r}")
+            seen.add(h)
+        extra = seen - set(columns)
+        if extra:
+            raise SchemaError(f"unexpected columns {sorted(extra)!r}")
+        missing = set(columns) - seen
+        if missing:
+            raise SchemaError(f"missing columns {sorted(missing)!r}")
+        order = [header.index(c) for c in columns]
+        table = []
+        for rownum, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"expected {len(header)} cells, found {len(row)}", row=rownum
+                )
+            try:
+                vals = [float(c) for c in row]
+            except ValueError:
+                for c, cell in enumerate(row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise SchemaError(
+                            f"non-numeric cell {cell!r}", row=rownum, column=header[c]
+                        ) from None
+                raise
+            table.append([vals[p] for p in order])
+    if not table:
+        raise ValueError("no data rows")
+    return np.array(table, dtype=float)
 
 
 class Dataset:
@@ -115,62 +188,16 @@ class Dataset:
         )
 
     def save_csv(self, path) -> None:
-        header = list(self.catalog.names) + list(ENERGY_COLUMNS)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for xi, yi in zip(self.inputs, self.energies):
-                writer.writerow([repr(float(v)) for v in xi] + [repr(float(v)) for v in yi])
+        write_csv(
+            path,
+            self.catalog.names + ENERGY_COLUMNS,
+            np.hstack([self.inputs, self.energies]),
+        )
 
     @classmethod
     def load_csv(cls, path, catalog: ParameterCatalog, provenance: str = "external_csv") -> "Dataset":
-        """Load a CSV whose columns are exactly the 41 inputs plus 6 energies.
-
-        Column order is free; extra, missing, or duplicate columns are
-        rejected.  Cell-level failures report 1-based row and column name.
-        """
-        expected = set(catalog.names) | set(ENERGY_COLUMNS)
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError("empty file, expected a header row") from None
-            header = [h.strip() for h in header]
-            seen = set()
-            for h in header:
-                if h in seen:
-                    raise SchemaError(f"duplicate column {h!r}")
-                seen.add(h)
-            extra = seen - expected
-            if extra:
-                raise SchemaError(f"unexpected columns {sorted(extra)!r}")
-            missing = expected - seen
-            if missing:
-                raise SchemaError(f"missing columns {sorted(missing)!r}")
-            in_pos = [header.index(n) for n in catalog.names]
-            en_pos = [header.index(n) for n in ENERGY_COLUMNS]
-            xs, ys = [], []
-            for rownum, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise SchemaError(
-                        f"expected {len(header)} cells, found {len(row)}", row=rownum
-                    )
-                try:
-                    vals = [float(c) for c in row]
-                except ValueError:
-                    for c, cell in enumerate(row):
-                        try:
-                            float(cell)
-                        except ValueError:
-                            raise SchemaError(
-                                f"non-numeric cell {cell!r}",
-                                row=rownum,
-                                column=header[c],
-                            ) from None
-                    raise
-                xs.append([vals[p] for p in in_pos])
-                ys.append([vals[p] for p in en_pos])
-        if not xs:
-            raise SchemaError("no data rows")
-        return cls(catalog, np.array(xs), np.array(ys), provenance)
+        """Load a CSV whose columns are exactly the 41 inputs plus 6 energies
+        (read_csv rules: any column order, located cell errors)."""
+        table = read_csv(path, catalog.names + ENERGY_COLUMNS)
+        d = len(catalog)
+        return cls(catalog, table[:, :d], table[:, d:], provenance)

@@ -1,11 +1,18 @@
-"""Shared exception types.
+"""Shared exception types and the JSON document reader.
 
 Every error raised on a contract boundary carries enough location detail to
 act on (parameter name, CSV row/column, layer index) so CLI wrappers can emit
-a single machine-parseable line.
+a single machine-parseable line.  Every JSON file is read through parse_json,
+so malformed text, unknown or missing keys, and a wrong format or version
+are all SchemaError.  A dataclass is its own schema: fields_doc writes its
+fields, with tuples as lists and nan as null, and fields_from reads them.
 """
 
 from __future__ import annotations
+
+import json
+import math
+from dataclasses import fields
 
 
 class RdsmError(Exception):
@@ -40,3 +47,65 @@ class NumericalFailureError(RdsmError, RuntimeError):
     def __init__(self, where: str):
         self.where = where
         super().__init__(f"non-finite intermediate at {where}")
+
+
+def parse_json(text, what: str):
+    """Parsed JSON text; malformed text is a SchemaError naming what."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"malformed {what}: {exc}") from None
+
+
+def require_keys(mapping, wanted, where: str) -> None:
+    """Require a JSON object holding exactly the wanted keys."""
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    unknown = set(mapping) - wanted
+    if unknown:
+        raise SchemaError(f"unknown field {sorted(unknown)[0]!r} in {where}")
+    missing = wanted - set(mapping)
+    if missing:
+        raise SchemaError(f"missing field {sorted(missing)[0]!r} in {where}")
+
+
+def read_document(source, what: str, keys, fmt: str, version: int) -> dict:
+    """A versioned document (JSON text or an already parsed object) holding
+    exactly keys plus the format and version it must declare."""
+    doc = parse_json(source, what) if isinstance(source, (str, bytes)) else source
+    require_keys(doc, {"format", "version", *keys}, what)
+    if doc["format"] != fmt:
+        raise SchemaError(f"unsupported {what} format {doc['format']!r}")
+    if doc["version"] != version:
+        raise SchemaError(f"unsupported {what} version v{doc['version']!r}")
+    return doc
+
+
+def _to_json(value):
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
+def _from_json(value):
+    if isinstance(value, list):
+        return tuple(_from_json(v) for v in value)
+    return math.nan if value is None else value
+
+
+def fields_doc(obj) -> dict:
+    """A dataclass instance's fields in declaration order, JSON-ready."""
+    return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def fields_from(cls, mapping, what: str):
+    """The dataclass instance a fields_doc mapping describes; the mapping
+    must hold exactly the class's fields."""
+    names = [f.name for f in fields(cls)]
+    require_keys(mapping, set(names), what)
+    try:
+        return cls(**{name: _from_json(mapping[name]) for name in names})
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"invalid {what}: {exc}") from None

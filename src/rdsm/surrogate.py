@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, fields_doc, fields_from, read_document
 
 __all__ = [
     "NetworkSpec",
@@ -256,10 +256,10 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         mae_scale = float(np.max(np.abs(y_train)))
 
     weights, biases = _init_parameters(spec, rng)
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    n_layers = len(weights)
+    params = weights + biases  # every weight matrix, then every bias vector
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     t = 0
 
     xs_test = (x_test - in_lo) / in_span if n_test else x_test
@@ -269,8 +269,7 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         return _mae_pct(y_raw, pred, mae_scale)
 
     best_mae = math.inf
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
+    best = [p.copy() for p in params]
     patience_anchor = math.inf
     patience = 0
     loss_history = []
@@ -284,7 +283,8 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         for start in range(0, n_train, spec.batch_size):
             batch = order[start : start + spec.batch_size]
             xb, yb = xs_train[batch], ys_train[batch]
-            pred, acts, pre = _forward_train(weights, biases, xb)
+            weights = params[:n_layers]
+            pred, acts, pre = _forward_train(weights, params[n_layers:], xb)
             err = pred - yb
             epoch_loss += float(np.sum(err * err))
             delta = 2.0 * err / len(batch)
@@ -292,27 +292,21 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
             t += 1
             corr1 = 1.0 - _ADAM_BETA1**t
             corr2 = 1.0 - _ADAM_BETA2**t
-            for l in range(len(weights)):
-                m_w[l] = _ADAM_BETA1 * m_w[l] + (1.0 - _ADAM_BETA1) * gw[l]
-                v_w[l] = _ADAM_BETA2 * v_w[l] + (1.0 - _ADAM_BETA2) * gw[l] ** 2
-                weights[l] = weights[l] - spec.learning_rate * (m_w[l] / corr1) / (
-                    np.sqrt(v_w[l] / corr2) + _ADAM_EPS
-                )
-                m_b[l] = _ADAM_BETA1 * m_b[l] + (1.0 - _ADAM_BETA1) * gb[l]
-                v_b[l] = _ADAM_BETA2 * v_b[l] + (1.0 - _ADAM_BETA2) * gb[l] ** 2
-                biases[l] = biases[l] - spec.learning_rate * (m_b[l] / corr1) / (
-                    np.sqrt(v_b[l] / corr2) + _ADAM_EPS
+            for i, g in enumerate(gw + gb):
+                m[i] = _ADAM_BETA1 * m[i] + (1.0 - _ADAM_BETA1) * g
+                v[i] = _ADAM_BETA2 * v[i] + (1.0 - _ADAM_BETA2) * g**2
+                params[i] = params[i] - spec.learning_rate * (m[i] / corr1) / (
+                    np.sqrt(v[i] / corr2) + _ADAM_EPS
                 )
         loss_history.append(epoch_loss / n_train)
         epochs_run = epoch + 1
 
         if n_test > 0:
-            mae = eval_mae(weights, biases, xs_test, y_test)[0]
+            mae = eval_mae(params[:n_layers], params[n_layers:], xs_test, y_test)[0]
             mae_history.append(mae)
             if mae < best_mae:
                 best_mae = mae
-                best_weights = [w.copy() for w in weights]
-                best_biases = [b.copy() for b in biases]
+                best = [p.copy() for p in params]
             if mae < patience_anchor - _EARLY_STOP_DELTA:
                 patience_anchor = mae
                 patience = 0
@@ -324,7 +318,8 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
             mae_history.append(math.nan)
 
     if n_test > 0:
-        weights, biases = best_weights, best_biases
+        params = best
+    weights, biases = params[:n_layers], params[n_layers:]
 
     train_mae, exc_train = eval_mae(weights, biases, xs_train, y_train)
     if n_test > 0:
@@ -416,33 +411,7 @@ def gradient_check(
 _FORMAT = "rdsm-surrogate"
 _VERSION = 1
 
-_SPEC_KEYS = {
-    "input_dim",
-    "hidden_layers",
-    "learning_rate",
-    "epochs",
-    "batch_size",
-    "seed",
-    "split",
-    "loss",
-    "init_std",
-    "scaling",
-}
-_REPORT_KEYS = {
-    "train_mae_pct",
-    "test_mae_pct",
-    "n_train",
-    "n_test",
-    "n_excluded_train",
-    "n_excluded_test",
-    "zero_variance",
-    "epochs_run",
-    "loss_history",
-    "mae_history",
-}
 _TOP_KEYS = {
-    "format",
-    "version",
     "spec",
     "layer_dims",
     "weights",
@@ -455,133 +424,48 @@ _TOP_KEYS = {
 }
 
 
-def _nan_to_none(v):
-    return None if isinstance(v, float) and math.isnan(v) else v
-
-
-def _none_to_nan(v):
-    return math.nan if v is None else float(v)
-
-
 def serialize_model(model: SurrogateModel) -> bytes:
     """Versioned JSON document; floats round-trip bit-exactly."""
-    spec = model.spec
-    rep = model.report
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
-        "spec": {
-            "input_dim": spec.input_dim,
-            "hidden_layers": list(spec.hidden_layers),
-            "learning_rate": spec.learning_rate,
-            "epochs": spec.epochs,
-            "batch_size": spec.batch_size,
-            "seed": spec.seed,
-            "split": list(spec.split),
-            "loss": spec.loss,
-            "init_std": spec.init_std,
-            "scaling": spec.scaling,
-        },
-        "layer_dims": list(spec.layer_dims),
+        "spec": fields_doc(model.spec),
+        "layer_dims": list(model.spec.layer_dims),
         "weights": [w.reshape(-1).tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "input_lo": model.input_lo.tolist(),
         "input_hi": model.input_hi.tolist(),
         "output_lo": model.output_lo,
         "output_hi": model.output_hi,
-        "report": {
-            "train_mae_pct": rep.train_mae_pct,
-            "test_mae_pct": _nan_to_none(rep.test_mae_pct),
-            "n_train": rep.n_train,
-            "n_test": rep.n_test,
-            "n_excluded_train": rep.n_excluded_train,
-            "n_excluded_test": rep.n_excluded_test,
-            "zero_variance": rep.zero_variance,
-            "epochs_run": rep.epochs_run,
-            "loss_history": list(rep.loss_history),
-            "mae_history": [_nan_to_none(v) for v in rep.mae_history],
-        },
+        "report": fields_doc(model.report),
     }
     return json.dumps(doc, allow_nan=False).encode("utf-8")
 
 
-def _require_keys(mapping, wanted, where):
-    if not isinstance(mapping, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    unknown = set(mapping) - wanted
-    if unknown:
-        raise SchemaError(f"unknown field {sorted(unknown)[0]!r} in {where}")
-    missing = wanted - set(mapping)
-    if missing:
-        raise SchemaError(f"missing field {sorted(missing)[0]!r} in {where}")
-
-
-def deserialize_model(data: bytes | str) -> SurrogateModel:
-    """Parse a serialized model, rejecting version or field mismatches."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed surrogate document: {exc}") from None
-    _require_keys(doc, _TOP_KEYS, "surrogate document")
-    if doc["format"] != _FORMAT:
-        raise SchemaError(f"unsupported format {doc['format']!r}")
-    if doc["version"] != _VERSION:
-        raise SchemaError(f"unsupported version {doc['version']!r}")
-    _require_keys(doc["spec"], _SPEC_KEYS, "spec")
-    _require_keys(doc["report"], _REPORT_KEYS, "report")
-    s = doc["spec"]
-    try:
-        spec = NetworkSpec(
-            input_dim=int(s["input_dim"]),
-            hidden_layers=tuple(s["hidden_layers"]),
-            learning_rate=float(s["learning_rate"]),
-            epochs=int(s["epochs"]),
-            batch_size=int(s["batch_size"]),
-            seed=int(s["seed"]),
-            split=tuple(s["split"]),
-            loss=s["loss"],
-            init_std=float(s["init_std"]),
-            scaling=s["scaling"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid spec: {exc}") from None
+def deserialize_model(data: bytes | str | dict) -> SurrogateModel:
+    """Parse a serialized model (bytes, text, or the parsed document),
+    rejecting version or field mismatches."""
+    doc = read_document(data, "surrogate document", _TOP_KEYS, _FORMAT, _VERSION)
+    spec = fields_from(NetworkSpec, doc["spec"], "spec")
+    report = fields_from(TrainReport, doc["report"], "report")
     dims = list(spec.layer_dims)
     if doc["layer_dims"] != dims:
         raise SchemaError("layer_dims disagree with the spec")
     try:
+        if len(doc["weights"]) != len(dims) - 1 or len(doc["biases"]) != len(dims) - 1:
+            raise SchemaError("wrong number of layers in weights or biases")
         weights = [
-            np.array(flat, dtype=float).reshape(dims[l], dims[l + 1])
-            for l, flat in enumerate(doc["weights"])
+            np.array(flat, dtype=float).reshape(rows, cols)
+            for flat, rows, cols in zip(doc["weights"], dims, dims[1:])
         ]
-        biases = [np.array(b, dtype=float) for b in doc["biases"]]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid weight arrays: {exc}") from None
-    if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
-        raise SchemaError("wrong number of layers in weights or biases")
-    r = doc["report"]
-    report = TrainReport(
-        train_mae_pct=float(r["train_mae_pct"]),
-        test_mae_pct=_none_to_nan(r["test_mae_pct"]),
-        n_train=int(r["n_train"]),
-        n_test=int(r["n_test"]),
-        n_excluded_train=int(r["n_excluded_train"]),
-        n_excluded_test=int(r["n_excluded_test"]),
-        zero_variance=bool(r["zero_variance"]),
-        epochs_run=int(r["epochs_run"]),
-        loss_history=tuple(float(v) for v in r["loss_history"]),
-        mae_history=tuple(_none_to_nan(v) for v in r["mae_history"]),
-    )
-    try:
         return SurrogateModel(
             spec,
             weights,
-            biases,
+            doc["biases"],
             doc["input_lo"],
             doc["input_hi"],
-            float(doc["output_lo"]),
-            float(doc["output_hi"]),
+            doc["output_lo"],
+            doc["output_hi"],
             report,
         )
     except (TypeError, ValueError) as exc:

@@ -30,7 +30,7 @@ import numpy as np
 from .bend import BendSpecimen, simulate_dataset
 from .catalog import ParameterCatalog, SamplingDistribution
 from .dataset import ENERGY_COLUMNS, MECHANISMS, Dataset
-from .errors import SchemaError
+from .errors import SchemaError, fields_doc, fields_from, read_document, require_keys
 from .sampling import sample_lhs, sample_lss
 from .sensitivity import ScreeningResult, screen_fdr_logworth
 from .surrogate import (
@@ -38,7 +38,6 @@ from .surrogate import (
     SurrogateModel,
     TrainReport,
     _NEAR_ZERO_FRACTION,
-    _require_keys,
     deserialize_model,
     serialize_model,
     train_surrogate,
@@ -170,33 +169,15 @@ class MechanismRDSM:
 
     @classmethod
     def load(cls, path, catalog: ParameterCatalog) -> "MechanismRDSM":
-        path = Path(path)
-        if not path.is_file():
-            raise SchemaError(f"no model file at {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"malformed model file: {exc}") from None
-        _require_keys(
-            doc,
-            {
-                "format",
-                "version",
-                "mechanism",
-                "retained_params",
-                "catalog_names",
-                "baseline",
-                "model",
-            },
-            "mechanism model",
+        doc = _read_artifact(
+            Path(path),
+            "model file",
+            {"mechanism", "retained_params", "baseline", "model"},
+            _MECHANISM_FORMAT,
+            _MECHANISM_VERSION,
+            catalog,
         )
-        if doc["format"] != _MECHANISM_FORMAT:
-            raise SchemaError(f"unsupported format {doc['format']!r}")
-        if doc["version"] != _MECHANISM_VERSION:
-            raise SchemaError(f"unsupported version {doc['version']!r}")
-        if tuple(doc["catalog_names"]) != catalog.names:
-            raise SchemaError("model catalog does not match the given catalog")
-        model = deserialize_model(json.dumps(doc["model"]))
+        model = deserialize_model(doc["model"])
         try:
             return cls(
                 doc["mechanism"],
@@ -205,8 +186,20 @@ class MechanismRDSM:
                 doc["baseline"],
                 catalog,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"invalid mechanism model: {exc}") from None
+
+
+def _read_artifact(path: Path, what, keys, fmt, version, catalog) -> dict:
+    """A saved model document: keys plus format, version, and the names of
+    the catalog it was fitted over, which must be the given catalog's."""
+    if not path.is_file():
+        raise SchemaError(f"no {what} at {path}")
+    text = path.read_text(encoding="utf-8")
+    doc = read_document(text, what, {"catalog_names", *keys}, fmt, version)
+    if doc["catalog_names"] != list(catalog.names):
+        raise SchemaError(f"{what} catalog does not match the given catalog")
+    return doc
 
 
 # edge endpoints of the engagement boundary at the two extreme heights,
@@ -352,13 +345,7 @@ class SummedRDSM:
             "format": _SUMMED_FORMAT,
             "version": _SUMMED_VERSION,
             "catalog_names": list(self.catalog.names),
-            "distribution": {
-                "kind": self.dist.kind,
-                "lo_frac": self.dist.lo_frac,
-                "hi_frac": self.dist.hi_frac,
-                "mean_frac": self.dist.mean_frac,
-                "std_frac": self.dist.std_frac,
-            },
+            "distribution": fields_doc(self.dist),
             "gate": {
                 "axes": list(self.gate.axes),
                 "vertices": [list(v) for v in self.gate.vertices],
@@ -381,57 +368,28 @@ class SummedRDSM:
     @classmethod
     def load(cls, directory, catalog: ParameterCatalog) -> "SummedRDSM":
         directory = Path(directory)
-        path = directory / _MANIFEST_NAME
-        if not path.is_file():
-            raise SchemaError(f"no {_MANIFEST_NAME} in {directory}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"malformed manifest: {exc}") from None
-        _require_keys(
-            doc,
-            {
-                "format",
-                "version",
-                "catalog_names",
-                "distribution",
-                "gate",
-                "baseline",
-                "mechanisms",
-            },
+        doc = _read_artifact(
+            directory / _MANIFEST_NAME,
             "manifest",
+            {"distribution", "gate", "baseline", "mechanisms"},
+            _SUMMED_FORMAT,
+            _SUMMED_VERSION,
+            catalog,
         )
-        if doc["format"] != _SUMMED_FORMAT:
-            raise SchemaError(f"unsupported format {doc['format']!r}")
-        if doc["version"] != _SUMMED_VERSION:
-            raise SchemaError(f"unsupported version {doc['version']!r}")
-        if tuple(doc["catalog_names"]) != catalog.names:
-            raise SchemaError("manifest catalog does not match the given catalog")
-        _require_keys(
-            doc["distribution"],
-            {"kind", "lo_frac", "hi_frac", "mean_frac", "std_frac"},
-            "distribution",
-        )
-        try:
-            dist = SamplingDistribution(**doc["distribution"])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"invalid distribution: {exc}") from None
-        _require_keys(doc["gate"], {"axes", "vertices"}, "gate")
+        dist = fields_from(SamplingDistribution, doc["distribution"], "distribution")
+        require_keys(doc["gate"], {"axes", "vertices"}, "gate")
         try:
             gate = EngagementGate(axes=tuple(doc["gate"]["axes"]))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"invalid gate: {exc}") from None
-        if tuple(tuple(v) for v in doc["gate"]["vertices"]) != _GATE_VERTICES:
+        if doc["gate"]["vertices"] != [list(v) for v in _GATE_VERTICES]:
             raise SchemaError("manifest gate vertices do not match the fixed geometry")
-        if set(doc["mechanisms"]) != set(MECHANISMS):
-            raise SchemaError(
-                f"manifest mechanisms must cover exactly {sorted(MECHANISMS)}"
-            )
+        require_keys(doc["mechanisms"], set(MECHANISMS), "manifest mechanisms")
         members = {}
         for name in MECHANISMS:
             entry = doc["mechanisms"][name]
-            _require_keys(entry, {"file", "retained_params"}, f"mechanism {name}")
-            model_path = directory / entry["file"]
+            require_keys(entry, {"file", "retained_params"}, f"mechanism {name}")
+            model_path = directory / str(entry["file"])
             if not model_path.is_file():
                 raise SchemaError(f"missing model file {entry['file']!r} for {name}")
             model = deserialize_model(model_path.read_bytes())
@@ -439,7 +397,7 @@ class SummedRDSM:
                 members[name] = MechanismRDSM(
                     name, tuple(entry["retained_params"]), model, doc["baseline"], catalog
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"invalid mechanism {name}: {exc}") from None
         try:
             return cls(members, gate, catalog, dist)
@@ -608,6 +566,15 @@ class SubspaceSample:
         return len(self.fitting) == 0
 
 
+def _check_engagement(mechanism: str, threshold: float, threshold_mode: str) -> None:
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    if threshold_mode not in ("relative", "absolute"):
+        raise ValueError(f"unknown threshold_mode {threshold_mode!r}")
+    if not threshold > 0.0:
+        raise ValueError("threshold must be positive")
+
+
 def engagement_mask(
     dataset: Dataset,
     mechanism: str,
@@ -620,12 +587,7 @@ def engagement_mask(
     fraction of the row's total; "absolute" compares the energy itself
     against the threshold.  Equality counts as engaged.
     """
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    if threshold_mode not in ("relative", "absolute"):
-        raise ValueError(f"unknown threshold_mode {threshold_mode!r}")
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
+    _check_engagement(mechanism, threshold, threshold_mode)
     y = dataset.energy(mechanism)
     if threshold_mode == "relative":
         ts = dataset.energy("TS")
@@ -662,12 +624,7 @@ def resample_subspace(
     the row's total energy; "absolute" compares the raw energy against the
     threshold instead) are tagged and left out of the fitting subset.
     """
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    if threshold_mode not in ("relative", "absolute"):
-        raise ValueError(f"unknown threshold_mode {threshold_mode!r}")
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
+    _check_engagement(mechanism, threshold, threshold_mode)
     varied = tuple(varied_params)
     if not varied:
         raise ValueError("need at least one varied parameter")
@@ -728,6 +685,7 @@ def fit_summed(
     """
     if len(dataset) < 100:
         raise ValueError(f"need at least 100 rows, got {len(dataset)}")
+    _check_engagement("DI", threshold, threshold_mode)
     catalog = dataset.catalog
     if specimen.catalog.names != catalog.names:
         raise ValueError("specimen and dataset use different catalogs")

@@ -1,16 +1,21 @@
 """End-to-end command-line tests: artifact layout, config precedence,
 snapshots, determinism, and the documented exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rdsm import cli
+from rdsm import cli, workflow
 from rdsm.catalog import build_catalog
 from rdsm.cli import (
     EXIT_DATA,
@@ -20,7 +25,7 @@ from rdsm.cli import (
     EXIT_USAGE,
     main,
 )
-from rdsm.dataset import Dataset
+from rdsm.dataset import ENERGY_COLUMNS, Dataset
 from rdsm.workflow import MechanismRDSM, SummedRDSM
 
 
@@ -85,13 +90,19 @@ def test_version_and_help_exit_clean(capsys):
 
 def test_usage_errors(capsys):
     assert main([]) == EXIT_USAGE
-    assert run("--no-such-flag") == EXIT_USAGE
-    assert run("nonsense") == EXIT_USAGE
     capsys.readouterr()
     assert run("screen") == EXIT_USAGE  # missing required --data
     err = capsys.readouterr().err
     assert err.startswith("rdsm: error: usage:")
     assert "--data" in err
+    # parser rejections share the one-line channel
+    for argv in (["--no-such-flag"], ["sample", "--bogus"], ["sample", "--n", "x"],
+                 ["sample", "--method", "zz"], ["nonsense"]):
+        assert run(*argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        err = captured.err
+        assert err.startswith("rdsm: error: usage:") and err.count("\n") == 1, err
 
 
 def test_exit_codes_documented_in_help(capsys):
@@ -168,6 +179,13 @@ def test_simulate_from_design(work):
     bad = work / "bad_design.csv"
     bad.write_text("a,b\n1,2\n")
     assert run("simulate", "--design", bad, "--out", work / "x.csv") == EXIT_SCHEMA
+    # design columns may come in any order, as data columns may
+    rows = [line.split(",")[::-1] for line in design.read_text().splitlines()]
+    reversed_design = work / "design6_reversed.csv"
+    reversed_design.write_text("".join(",".join(r) + "\n" for r in rows))
+    out2 = work / "design6_reversed_data.csv"
+    assert run("simulate", "--design", reversed_design, "--out", out2) == EXIT_OK
+    assert out2.read_bytes() == out.read_bytes()
 
 
 def test_simulate_deterministic(work):
@@ -281,9 +299,14 @@ def test_config_schema_errors(work, capsys):
 def test_config_values_take_option_type(work, capsys):
     config = work / "typed.json"
     out = work / "typed" / "design.csv"
-    for value in ("Infinity", "NaN", '"abc"'):
-        config.write_text('{"n": %s}' % value)
-        assert run("sample", "--config", config, "--out", out) == EXIT_USAGE, value
+    # an int option takes a JSON integer, a float option any JSON number;
+    # neither takes a bool, as neither flag would
+    cases = [("sample", '{"n": %s}' % v)
+             for v in ("Infinity", "NaN", '"abc"', '"12"', "12.7", "12.0", "true")]
+    cases.append(("gate-check", '{"p": true, "xis": 0.5, "giii": 0.5}'))
+    for command, text in cases:
+        config.write_text(text)
+        assert run(command, "--config", config, "--out", out) == EXIT_USAGE, text
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("rdsm: error: usage:"), captured.err
@@ -538,6 +561,37 @@ def test_compare_rejects_training_rows(work, direct_dir, summed_dir, data_csv, c
     assert "used for training" in capsys.readouterr().err
 
 
+def test_header_only_input_is_empty_data(work, data_csv, capsys):
+    header_only = work / "header_only.csv"
+    header_only.write_text(data_csv.read_text().splitlines()[0] + "\n")
+    design = work / "header_only_design.csv"
+    design.write_text(",".join(build_catalog().names) + "\n")
+    outdir = work / "header_only"
+    for argv in (
+        ["fit", "--data", header_only, "--outdir", outdir],
+        ["screen", "--data", header_only, "--outdir", outdir],
+        ["plot-data", "--kind", "energy-stack", "--data", header_only, "--outdir", outdir],
+        ["simulate", "--design", design, "--outdir", outdir],
+    ):
+        assert run(*argv) == EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert err == "rdsm: error: invalid-data: no data rows\n", err
+    assert not outdir.exists()
+
+
+def test_failed_fit_writes_nothing(work, data_csv, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("training started before the arguments were checked")
+
+    monkeypatch.setattr(workflow, "train_surrogate", never)
+    outdir = work / "bad_threshold"
+    code = run("fit", "--data", data_csv, "--route", "summed", "--threshold", -1,
+               "--holdout", 5, "--outdir", outdir)
+    assert code == EXIT_DATA
+    assert "threshold must be positive" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_compare_empty_validation(work, direct_dir, summed_dir, data_csv, capsys):
     empty = work / "empty.csv"
     empty.write_text(data_csv.read_text().splitlines()[0] + "\n")
@@ -546,7 +600,7 @@ def test_compare_empty_validation(work, direct_dir, summed_dir, data_csv, capsys
         "--summed", summed_dir / "model", "--validation", empty,
     )
     assert code == EXIT_DATA
-    assert "empty validation set" in capsys.readouterr().err
+    assert "no data rows" in capsys.readouterr().err
 
 
 def test_plot_data_parity(work, direct_dir, summed_dir, cat):
@@ -584,3 +638,179 @@ def test_plot_data_energy_stack(work, data_csv):
     assert ts == sorted(ts)
     parts = np.array([[float(v) for v in r[1:6]] for r in rows])
     assert np.allclose(parts.sum(axis=1), ts, rtol=1e-12, atol=1e-9)
+
+
+# -- readers under generated input ----------------------------------------------------
+
+_PROPERTY = settings(
+    max_examples=50, deadline=None, database=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+_DATA_COLUMNS = build_catalog().names + ENERGY_COLUMNS
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_JSON_LISTS = st.lists(_JSON, max_size=2)
+_JSON_OBJECTS = st.dictionaries(st.text(max_size=4), _JSON, max_size=2)
+
+
+def _run_quiet(*args):
+    """Exit code and stderr of one in-process run; a traceback propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(*args)
+    return code, err.getvalue()
+
+
+def _assert_one_line(err):
+    assert err.startswith("rdsm: error: ") and err.count("\n") == 1, err
+
+
+def _is_float(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parsed(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
+@st.composite
+def _bad_data_csv(draw):
+    """(CSV text, exit code): free text, a header with no rows, or rows
+    under a shuffled header with one cell that is not a finite number."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=200)), EXIT_SCHEMA
+    header = draw(st.permutations(_DATA_COLUMNS))
+    values = st.floats(0.0, 1e3).map(repr)
+    rows = draw(st.lists(st.lists(values, min_size=47, max_size=47), max_size=3))
+    code = EXIT_DATA
+    if rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        col = draw(st.integers(0, 46))
+        poison = draw(st.sampled_from(("non-number", "missing", "non-finite")))
+        if poison == "non-number":
+            alphabet = st.characters(blacklist_characters='",\r\n')
+            row[col] = draw(st.text(alphabet, max_size=6).filter(lambda c: not _is_float(c)))
+            code = EXIT_SCHEMA
+        elif poison == "missing":
+            del row[col]
+            code = EXIT_SCHEMA
+        else:
+            row[col] = draw(st.sampled_from(("nan", "inf", "-inf")))
+    text = "".join(",".join(line) + "\n" for line in [list(header), *rows])
+    return text, code
+
+
+@_PROPERTY
+@given(case=_bad_data_csv())
+def test_data_reader_fails_on_one_line(work, case):
+    text, expected = case
+    path = work / "prop_data.csv"
+    path.write_text(text, encoding="utf-8")
+    code, err = _run_quiet("screen", "--data", path, "--out", work / "prop_screen.csv")
+    assert code == expected, err
+    _assert_one_line(err)
+
+
+def _json_class(value) -> str:
+    # True == 1 in Python, so bools and numbers count as one class
+    if isinstance(value, (bool, int, float)):
+        return "number"
+    return type(value).__name__
+
+
+# values of another JSON class that can never stand in for the original:
+# no string in place of a number ("1.5" would convert) or of a list
+_REPLACEMENTS = {
+    "number": st.none() | _JSON_LISTS | _JSON_OBJECTS,
+    "str": st.none() | st.integers() | _JSON_LISTS | _JSON_OBJECTS,
+    "list": st.none() | st.booleans() | st.floats(allow_nan=False),
+    "dict": st.none() | st.integers() | st.text(max_size=4) | _JSON_LISTS,
+}
+
+
+@st.composite
+def _bad_model_text(draw, model_doc):
+    """A model file that must not load: free text, a JSON value, or the
+    saved model with one field of it or of its network dropped, added, or
+    given a value of another JSON class."""
+    kind = draw(st.sampled_from(("text", "json") + ("mutated",) * 4))
+    if kind == "text":
+        return draw(st.text(max_size=80).filter(lambda t: not isinstance(_parsed(t), dict)))
+    if kind == "json":
+        return json.dumps(draw(_JSON))
+    doc = json.loads(json.dumps(model_doc))
+    target = draw(st.sampled_from((doc, doc["model"])))
+    key = draw(st.sampled_from(sorted(target)))
+    action = draw(st.sampled_from(("drop", "add", "replace", "replace")))
+    if action == "drop":
+        del target[key]
+    elif action == "add":
+        target[key + "_extra"] = draw(_JSON)
+    else:
+        target[key] = draw(_REPLACEMENTS[_json_class(target[key])])
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def model_doc(direct_dir):
+    return json.loads((direct_dir / "direct_rdsm.json").read_text())
+
+
+def test_model_reader_fails_on_one_line(work, model_doc):
+    @_PROPERTY
+    @given(text=_bad_model_text(model_doc))
+    def check(text):
+        path = work / "prop_model.json"
+        path.write_text(text, encoding="utf-8")
+        code, err = _run_quiet("uq", "--model", path, "--n", 50,
+                               "--out", work / "prop_uq.csv")
+        assert code == EXIT_SCHEMA, (text, err)
+        _assert_one_line(err)
+
+    check()
+    assert not (work / "prop_uq.csv").exists()
+
+
+_SAMPLE_KEYS = {name for name, *_ in cli._options("sample")}
+
+
+@st.composite
+def _bad_sample_config(draw):
+    """(config text, exit code): text that is not a JSON object, an object
+    with an unknown key, or an int option given a non-integer value."""
+    kind = draw(st.sampled_from(("text", "unknown_key", "not_integer")))
+    if kind == "text":
+        text = draw(st.text(max_size=40).filter(lambda t: not isinstance(_parsed(t), dict)))
+        return text, EXIT_SCHEMA
+    if kind == "unknown_key":
+        unknown = draw(st.text(max_size=8).filter(lambda k: k not in _SAMPLE_KEYS))
+        doc = draw(st.dictionaries(st.sampled_from(sorted(_SAMPLE_KEYS)), _JSON, max_size=3))
+        return json.dumps({**doc, unknown: draw(_JSON)}), EXIT_SCHEMA
+    not_integer = (st.booleans() | st.text(max_size=4) | _JSON_LISTS
+                   | st.floats(-1e3, 1e3).filter(lambda f: f != math.floor(f)))
+    key = draw(st.sampled_from(("n", "seed", "strata")))
+    return json.dumps({key: draw(not_integer)}), EXIT_USAGE
+
+
+@_PROPERTY
+@given(case=_bad_sample_config())
+def test_config_reader_fails_on_one_line(work, case):
+    text, expected = case
+    path = work / "prop_config.json"
+    path.write_text(text, encoding="utf-8")
+    out = work / "prop_sample" / "design.csv"
+    code, err = _run_quiet("sample", "--config", path, "--out", out)
+    assert code == expected, (text, err)
+    _assert_one_line(err)
+    assert not out.parent.exists()
