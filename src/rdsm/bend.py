@@ -46,7 +46,8 @@ from .constitutive import (
     jc_stress,
 )
 from .dataset import Dataset
-from .errors import AdmissibilityError, NumericalFailureError, SchemaError, read_document
+from .errors import AdmissibilityError, NumericalFailureError, SchemaError
+from .errors import json_value, read_document
 
 __all__ = [
     "FABRICS",
@@ -204,23 +205,32 @@ def load_specimen_config(source, catalog: ParameterCatalog) -> BendSpecimen:
         "rdsm-specimen",
         1,
     )
-    stacking = tuple(cfg["stacking"])
     sf_map = cfg["shear_fraction"]
     if not isinstance(sf_map, dict) or set(sf_map) - set(FABRICS):
         raise SchemaError("shear_fraction must map fabric kinds to fractions")
     try:
-        shear_fraction = tuple(float(sf_map[kind]) for kind in stacking)
+        stacking = json_value(cfg["stacking"], list, "stacking")
+        stacking = tuple(json_value(k, str, "stacking") for k in stacking)
+        shear_fraction = tuple(json_value(sf_map[k], float, "shear_fraction") for k in stacking)
+        lc = cfg["characteristic_length_in"]
+        if lc is None:
+            safety = json_value(cfg["lc_safety_factor"], float, "lc_safety_factor")
+            if not safety > 0.0:
+                raise ValueError("lc_safety_factor must be positive")
+            lc = _resolve_lc(catalog, stacking, safety)
+        lc = json_value(lc, float, "characteristic_length_in")
+        values = {
+            field: json_value(cfg[key], kind, key) for key, (field, kind) in _CONFIG_FIELDS.items()
+        }
     except KeyError as exc:
         raise SchemaError(f"shear_fraction missing fabric {exc.args[0]!r}") from None
-    lc = cfg["characteristic_length_in"]
-    if lc is None:
-        lc = _resolve_lc(catalog, stacking, float(cfg["lc_safety_factor"]))
-    values = {field: kind(cfg[key]) for key, (field, kind) in _CONFIG_FIELDS.items()}
+    except (OverflowError, TypeError) as exc:
+        raise SchemaError(f"invalid specimen config: {exc}") from None
     return BendSpecimen(
         catalog=catalog,
         stacking=stacking,
         shear_fraction=shear_fraction,
-        characteristic_length=float(lc),
+        characteristic_length=lc,
         **values,
     )
 

@@ -24,7 +24,7 @@ from . import __version__
 from .bend import default_specimen, load_specimen_config, simulate_dataset
 from .catalog import SamplingDistribution, build_catalog
 from .dataset import ENERGY_COLUMNS, Dataset, read_csv, write_csv
-from .errors import NumericalFailureError, SchemaError, parse_json
+from .errors import NumericalFailureError, SchemaError, json_value, parse_json
 from .sampling import sample_lhs, sample_lss, sample_mc
 from .sensitivity import screen_fdr_logworth, sobol_indices
 from .surrogate import NetworkSpec, serialize_model
@@ -249,14 +249,10 @@ def _resolve(args) -> dict:
         flag = getattr(args, name)
         value = flag if flag is not None else config.get(name, default)
         if flag is None and config.get(name) is not None and "type" in kwargs:
-            # argparse typed the flags; a config value must be a JSON number
-            # of the same type: an integer for int, any number for float
+            # argparse typed the flags; a config value must have the same type
             kind = kwargs["type"]
-            number = int if kind is int else (int, float)
             try:
-                if isinstance(value, bool) or not isinstance(value, number):
-                    raise TypeError
-                value = kind(value)
+                value = json_value(value, kind)
             except (OverflowError, TypeError):
                 raise _UsageError(
                     f"{_flag(name)}: invalid {kind.__name__} value {value!r}"
@@ -320,26 +316,14 @@ def _load_model(path, catalog):
     return MechanismRDSM.load(p, catalog)
 
 
-def _parse_int_list(value, what) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+def _parse_numbers(value, kind, what) -> tuple:
+    """A comma-separated flag value, or a config list, as a tuple of kind."""
     try:
-        return tuple(int(tok) for tok in str(value).split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"{what} must be comma-separated integers") from None
-
-
-def _parse_float_pair(value, what) -> tuple:
-    if isinstance(value, (list, tuple)):
-        parts = [float(v) for v in value]
-    else:
-        try:
-            parts = [float(tok) for tok in str(value).split(",") if tok.strip()]
-        except ValueError:
-            raise ValueError(f"{what} must be comma-separated numbers") from None
-    if len(parts) != 2:
-        raise ValueError(f"{what} needs exactly two values")
-    return tuple(parts)
+        if isinstance(value, (list, tuple)):
+            return tuple(json_value(v, kind) for v in value)
+        return tuple(kind(tok) for tok in str(value).split(",") if tok.strip())
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(f"{what} must be comma-separated {kind.__name__} values") from None
 
 
 def _parse_subsets(value):
@@ -490,7 +474,7 @@ def _network_override(resolved, input_dim, seed):
         return None
     kwargs = {}
     if resolved["hidden"] is not None:
-        kwargs["hidden_layers"] = _parse_int_list(resolved["hidden"], "hidden")
+        kwargs["hidden_layers"] = _parse_numbers(resolved["hidden"], int, "hidden")
     if resolved["learning_rate"] is not None:
         kwargs["learning_rate"] = float(resolved["learning_rate"])
     if resolved["epochs"] is not None:
@@ -498,20 +482,11 @@ def _network_override(resolved, input_dim, seed):
     if resolved["batch_size"] is not None:
         kwargs["batch_size"] = int(resolved["batch_size"])
     if resolved["split"] is not None:
-        kwargs["split"] = _parse_float_pair(resolved["split"], "split")
+        kwargs["split"] = _parse_numbers(resolved["split"], float, "split")
     return replace(NetworkSpec(input_dim=input_dim, seed=seed), **kwargs)
 
 
-def _fit_direct_cmd(resolved, dataset, catalog, outdir, seed) -> dict:
-    network = _network_override(resolved, len(catalog), seed)
-    fit = fit_direct(
-        dataset,
-        network=network,
-        max_retained=int(resolved["max_retained"]),
-        query_mode=resolved["query_mode"],
-        seed=seed,
-    )
-    outdir.mkdir(parents=True, exist_ok=True)
+def _write_direct_fit(fit, outdir) -> dict:
     (outdir / "full_model.json").write_bytes(serialize_model(fit.full_model))
     fit.rdsm.save(outdir / "direct_rdsm.json")
     _write_screening_csv(outdir / "screening_TS.csv", fit.screening)
@@ -527,18 +502,7 @@ def _fit_direct_cmd(resolved, dataset, catalog, outdir, seed) -> dict:
     }
 
 
-def _fit_summed_cmd(resolved, dataset, catalog, outdir, seed) -> dict:
-    specimen = _load_specimen(resolved, catalog)
-    fit = fit_summed(
-        dataset,
-        specimen,
-        seed=seed,
-        resample_n=int(resolved["resample_n"]),
-        threshold=float(resolved["threshold"]),
-        threshold_mode=resolved["threshold_mode"],
-        threads=int(resolved["threads"]),
-    )
-    outdir.mkdir(parents=True, exist_ok=True)
+def _write_summed_fit(fit, outdir) -> dict:
     fit.summed.save(outdir / "model")
     mechanisms = {}
     for name, mfit in fit.fits.items():
@@ -580,14 +544,29 @@ def _cmd_fit(resolved) -> None:
     validation = None
     if holdout > 0:
         dataset, validation = split_holdout(dataset, holdout, seed)
-    # each route writes its artifacts only once its fit has succeeded
     route = resolved["route"]
     if route == "direct":
-        report = _fit_direct_cmd(resolved, dataset, catalog, outdir, seed)
+        fit = fit_direct(
+            dataset,
+            network=_network_override(resolved, len(catalog), seed),
+            max_retained=int(resolved["max_retained"]),
+            query_mode=resolved["query_mode"],
+            seed=seed,
+        )
     elif route == "summed":
-        report = _fit_summed_cmd(resolved, dataset, catalog, outdir, seed)
+        fit = fit_summed(
+            dataset,
+            _load_specimen(resolved, catalog),
+            seed=seed,
+            resample_n=int(resolved["resample_n"]),
+            threshold=float(resolved["threshold"]),
+            threshold_mode=resolved["threshold_mode"],
+            threads=int(resolved["threads"]),
+        )
     else:
         raise ValueError(f"unknown route {route!r}")
+    outdir.mkdir(parents=True, exist_ok=True)
+    report = (_write_direct_fit if route == "direct" else _write_summed_fit)(fit, outdir)
     if validation is not None:
         validation.save_csv(outdir / "validation.csv")
         report["validation_file"] = "validation.csv"

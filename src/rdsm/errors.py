@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from typing import get_args, get_origin, get_type_hints
 
 
 class RdsmError(Exception):
@@ -76,7 +77,7 @@ def read_document(source, what: str, keys, fmt: str, version: int) -> dict:
     require_keys(doc, {"format", "version", *keys}, what)
     if doc["format"] != fmt:
         raise SchemaError(f"unsupported {what} format {doc['format']!r}")
-    if doc["version"] != version:
+    if type(doc["version"]) is not int or doc["version"] != version:
         raise SchemaError(f"unsupported {what} version v{doc['version']!r}")
     return doc
 
@@ -89,10 +90,25 @@ def _to_json(value):
     return value
 
 
-def _from_json(value):
-    if isinstance(value, list):
-        return tuple(_from_json(v) for v in value)
-    return math.nan if value is None else value
+# the JSON values each type takes; bools are not numbers
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), list: (list,)}
+
+
+def json_value(value, kind, name: str = "value"):
+    """A parsed JSON value as kind (int, float, bool, str or list), where a
+    float takes any number.  A value of another type is a TypeError, and an
+    int too large for a float an OverflowError."""
+    if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) is not (kind is bool):
+        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {type(value).__name__}")
+    return kind(value)
+
+
+def _from_json(value, kind, name: str):
+    """value read as kind (a JSON scalar type or a tuple of one), with
+    lists as tuples and null as nan in a float."""
+    if get_origin(kind) is tuple:
+        return tuple(_from_json(v, get_args(kind)[0], name) for v in json_value(value, list, name))
+    return math.nan if kind is float and value is None else json_value(value, kind, name)
 
 
 def fields_doc(obj) -> dict:
@@ -102,10 +118,10 @@ def fields_doc(obj) -> dict:
 
 def fields_from(cls, mapping, what: str):
     """The dataclass instance a fields_doc mapping describes; the mapping
-    must hold exactly the class's fields."""
-    names = [f.name for f in fields(cls)]
-    require_keys(mapping, set(names), what)
+    must hold exactly the class's fields, each a JSON value of its type."""
+    kinds = get_type_hints(cls)  # every field, in declaration order
+    require_keys(mapping, set(kinds), what)
     try:
-        return cls(**{name: _from_json(mapping[name]) for name in names})
-    except (TypeError, ValueError) as exc:
+        return cls(**{name: _from_json(mapping[name], kind, name) for name, kind in kinds.items()})
+    except (OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"invalid {what}: {exc}") from None

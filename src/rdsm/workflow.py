@@ -347,7 +347,7 @@ class SummedRDSM:
             "catalog_names": list(self.catalog.names),
             "distribution": fields_doc(self.dist),
             "gate": {
-                "axes": list(self.gate.axes),
+                **fields_doc(self.gate),
                 "vertices": [list(v) for v in self.gate.vertices],
             },
             "baseline": self.baseline.tolist(),
@@ -378,10 +378,7 @@ class SummedRDSM:
         )
         dist = fields_from(SamplingDistribution, doc["distribution"], "distribution")
         require_keys(doc["gate"], {"axes", "vertices"}, "gate")
-        try:
-            gate = EngagementGate(axes=tuple(doc["gate"]["axes"]))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"invalid gate: {exc}") from None
+        gate = fields_from(EngagementGate, {"axes": doc["gate"]["axes"]}, "gate")
         if doc["gate"]["vertices"] != [list(v) for v in _GATE_VERTICES]:
             raise SchemaError("manifest gate vertices do not match the fixed geometry")
         require_keys(doc["mechanisms"], set(MECHANISMS), "manifest mechanisms")

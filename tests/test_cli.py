@@ -722,35 +722,49 @@ def test_data_reader_fails_on_one_line(work, case):
     _assert_one_line(err)
 
 
-def _json_class(value) -> str:
-    # True == 1 in Python, so bools and numbers count as one class
-    if isinstance(value, (bool, int, float)):
-        return "number"
-    return type(value).__name__
+_NOT_NUMBER = st.none() | _JSON_LISTS | _JSON_OBJECTS
+_NOT_JSON_NUMBER = st.text(max_size=4) | _JSON_LISTS | _JSON_OBJECTS
+_FRACTIONS = st.floats(-1e3, 1e3).filter(lambda f: f != math.floor(f))
 
-
-# values of another JSON class that can never stand in for the original:
-# no string in place of a number ("1.5" would convert) or of a list
+# The file's own fields and the network's arrays and output bounds are
+# read through numpy and float(), which take numeric strings and bools as
+# numbers: replace each with a value of another JSON class that can never
+# stand in for the original.
 _REPLACEMENTS = {
-    "number": st.none() | _JSON_LISTS | _JSON_OBJECTS,
+    "bool": _NOT_NUMBER,
+    "int": _NOT_NUMBER,
+    "float": _NOT_NUMBER,
     "str": st.none() | st.integers() | _JSON_LISTS | _JSON_OBJECTS,
     "list": st.none() | st.booleans() | st.floats(allow_nan=False),
     "dict": st.none() | st.integers() | st.text(max_size=4) | _JSON_LISTS,
 }
+# A typed field (a network's spec or report, a specimen config) must hold
+# a JSON value of its declared type: bools are not numbers, an int takes no
+# fraction, and only null (nan) stands in for a float.
+_FIELD_REPLACEMENTS = {
+    "bool": st.none() | st.integers() | st.floats(allow_nan=False) | _NOT_JSON_NUMBER,
+    "int": st.none() | st.booleans() | _FRACTIONS | _NOT_JSON_NUMBER,
+    "float": st.booleans() | _NOT_JSON_NUMBER,
+    "NoneType": st.booleans() | _NOT_JSON_NUMBER,
+    "str": _REPLACEMENTS["str"],
+    "list": st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=4)
+    | _JSON_OBJECTS,
+    "dict": _REPLACEMENTS["dict"],
+}
 
 
-@st.composite
-def _bad_model_text(draw, model_doc):
-    """A model file that must not load: free text, a JSON value, or the
-    saved model with one field of it or of its network dropped, added, or
-    given a value of another JSON class."""
-    kind = draw(st.sampled_from(("text", "json") + ("mutated",) * 4))
-    if kind == "text":
-        return draw(st.text(max_size=80).filter(lambda t: not isinstance(_parsed(t), dict)))
-    if kind == "json":
-        return json.dumps(draw(_JSON))
-    doc = json.loads(json.dumps(model_doc))
-    target = draw(st.sampled_from((doc, doc["model"])))
+def _bad_field_value(draw, value):
+    """A value a typed field must reject in place of value; a list may
+    instead keep its shape and get elements of another type."""
+    if isinstance(value, list) and value and draw(st.booleans()):
+        bad = _FIELD_REPLACEMENTS[type(value[0]).__name__]
+        return draw(st.lists(bad, min_size=1, max_size=len(value)))
+    return draw(_FIELD_REPLACEMENTS[type(value).__name__])
+
+
+def _mutate(draw, targets, bad_value) -> None:
+    """Drop, add, or give a bad value to one key of one of the targets."""
+    target = draw(st.sampled_from(targets))
     key = draw(st.sampled_from(sorted(target)))
     action = draw(st.sampled_from(("drop", "add", "replace", "replace")))
     if action == "drop":
@@ -758,7 +772,29 @@ def _bad_model_text(draw, model_doc):
     elif action == "add":
         target[key + "_extra"] = draw(_JSON)
     else:
-        target[key] = draw(_REPLACEMENTS[_json_class(target[key])])
+        target[key] = bad_value(target, target[key])
+
+
+@st.composite
+def _bad_model_text(draw, model_doc):
+    """A model file that must not load: free text, a JSON value, or the
+    saved model with one field of it, of its network, or of the network's
+    spec or report dropped, added, or given a value of another type."""
+    kind = draw(st.sampled_from(("text", "json") + ("mutated",) * 4))
+    if kind == "text":
+        return draw(st.text(max_size=80).filter(lambda t: not isinstance(_parsed(t), dict)))
+    if kind == "json":
+        return json.dumps(draw(_JSON))
+    doc = json.loads(json.dumps(model_doc))
+    network = doc["model"]
+    typed = (network["spec"], network["report"])
+
+    def bad_value(target, value):
+        if any(target is t for t in typed):
+            return _bad_field_value(draw, value)
+        return draw(_REPLACEMENTS[type(value).__name__])
+
+    _mutate(draw, (doc, network, *typed), bad_value)
     return json.dumps(doc)
 
 
@@ -797,8 +833,7 @@ def _bad_sample_config(draw):
         unknown = draw(st.text(max_size=8).filter(lambda k: k not in _SAMPLE_KEYS))
         doc = draw(st.dictionaries(st.sampled_from(sorted(_SAMPLE_KEYS)), _JSON, max_size=3))
         return json.dumps({**doc, unknown: draw(_JSON)}), EXIT_SCHEMA
-    not_integer = (st.booleans() | st.text(max_size=4) | _JSON_LISTS
-                   | st.floats(-1e3, 1e3).filter(lambda f: f != math.floor(f)))
+    not_integer = st.booleans() | st.text(max_size=4) | _JSON_LISTS | _FRACTIONS
     key = draw(st.sampled_from(("n", "seed", "strata")))
     return json.dumps({key: draw(not_integer)}), EXIT_USAGE
 
@@ -812,5 +847,31 @@ def test_config_reader_fails_on_one_line(work, case):
     out = work / "prop_sample" / "design.csv"
     code, err = _run_quiet("sample", "--config", path, "--out", out)
     assert code == expected, (text, err)
+    _assert_one_line(err)
+    assert not out.parent.exists()
+
+
+_SPECIMEN = json.loads(
+    (Path(cli.__file__).parent / "data" / "default_specimen.json").read_text(encoding="utf-8")
+)
+
+
+@st.composite
+def _bad_specimen_config(draw):
+    """The shipped specimen config with one key of it or of its
+    shear_fraction map dropped, added, or given a value of another type."""
+    doc = json.loads(json.dumps(_SPECIMEN))
+    _mutate(draw, (doc, doc["shear_fraction"]), lambda _, value: _bad_field_value(draw, value))
+    return json.dumps(doc)
+
+
+@_PROPERTY
+@given(text=_bad_specimen_config())
+def test_specimen_reader_fails_on_one_line(work, text):
+    path = work / "prop_specimen.json"
+    path.write_text(text, encoding="utf-8")
+    out = work / "prop_simulate" / "data.csv"
+    code, err = _run_quiet("simulate", "--n", 2, "--specimen", path, "--out", out)
+    assert code == EXIT_SCHEMA, (text, err)
     _assert_one_line(err)
     assert not out.parent.exists()
