@@ -20,8 +20,6 @@ from .catalog import ParameterCatalog, SamplingDistribution, build_catalog
 from .dataset import ENERGY_COLUMNS, MECHANISMS, Dataset
 from .errors import AdmissibilityError, NumericalFailureError, RdsmError, SchemaError
 from .sampling import (
-    DesignMatrix,
-    SaltelliDesign,
     default_strata,
     sample_lhs,
     sample_lss,
@@ -76,8 +74,6 @@ __all__ = [
     "ParameterCatalog",
     "SamplingDistribution",
     "build_catalog",
-    "DesignMatrix",
-    "SaltelliDesign",
     "default_strata",
     "sample_lhs",
     "sample_lss",

@@ -58,7 +58,10 @@ exit codes:
   6  numerical failure during simulation or training
 """
 
+# each names the SamplingDistribution constructor it selects
 _DISTRIBUTIONS = ("uniform_pm20", "normal_10std")
+# untyped options whose config value may also be a JSON list
+_LIST_OPTIONS = ("hidden", "split", "subsets")
 
 # the most worker processes --threads may start, and the largest --grid, whose
 # N x N x N rows are built in memory before they are written
@@ -171,9 +174,9 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         _opt("xis", type=float, help="second gate coordinate in [0, 1]"),
         _opt("giii", type=float, help="third gate coordinate in [0, 1]"),
         _opt(
-            "grid", bounds=(None, _MAX_GRID), type=int,
+            "grid", bounds=(2, _MAX_GRID), type=int,
             help=f"write margins over an N x N x N grid instead of one point; "
-            f"N is at most {_MAX_GRID} ({_MAX_GRID**3:,} rows)",
+            f"N is in [2, {_MAX_GRID}] (at most {_MAX_GRID**3:,} rows)",
         ),
         _opt("out", help="grid CSV path (default: gate_grid.csv)"),
     )),
@@ -234,6 +237,26 @@ def _check_bounds(name, value, bounds) -> None:
         raise _UsageError(f"{_flag(name)} must be at most {hi}, got {value!r}")
 
 
+def _config_value(name, value, kwargs):
+    """A config entry held to the rule argparse applies to its flag: one of
+    the choices, a JSON bool for a switch, else a JSON value of the option's
+    type (a string when it has none)."""
+    choices = kwargs.get("choices")
+    if choices is not None:
+        if value not in choices:
+            raise _UsageError(
+                f"{_flag(name)}: invalid choice {value!r} (choose from {', '.join(choices)})"
+            )
+        return value
+    if name in _LIST_OPTIONS and isinstance(value, list):
+        return value  # parsed like the flag's comma-separated form
+    kind = bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)
+    try:
+        return json_value(value, kind)
+    except (OverflowError, TypeError):
+        raise _UsageError(f"{_flag(name)}: invalid {kind.__name__} value {value!r}") from None
+
+
 def _resolve(args) -> dict:
     options = _options(args.command)
     config = {}
@@ -246,17 +269,11 @@ def _resolve(args) -> dict:
             )
     resolved = {"command": args.command}
     for name, default, bounds, kwargs in options:
-        flag = getattr(args, name)
-        value = flag if flag is not None else config.get(name, default)
-        if flag is None and config.get(name) is not None and "type" in kwargs:
-            # argparse typed the flags; a config value must have the same type
-            kind = kwargs["type"]
-            try:
-                value = json_value(value, kind)
-            except (OverflowError, TypeError):
-                raise _UsageError(
-                    f"{_flag(name)}: invalid {kind.__name__} value {value!r}"
-                ) from None
+        value = getattr(args, name)  # argparse checked every flag
+        if value is None and config.get(name) is not None:
+            value = _config_value(name, config[name], kwargs)
+        if value is None:
+            value = default
         if bounds is not None:
             _check_bounds(name, value, bounds)
         resolved[name] = value
@@ -286,11 +303,7 @@ def _out_path(resolved, default_name) -> Path:
 
 
 def _distribution(name) -> SamplingDistribution:
-    if name == "uniform_pm20":
-        return SamplingDistribution.uniform_pm20()
-    if name == "normal_10std":
-        return SamplingDistribution.normal_10std()
-    raise ValueError(f"unknown distribution {name!r}")
+    return getattr(SamplingDistribution, name)()
 
 
 def _require_file(path, what) -> Path:
@@ -417,19 +430,10 @@ def _cmd_sample(resolved) -> None:
     n = int(resolved["n"])
     seed = int(resolved["seed"])
     method = resolved["method"]
-    if method == "lhs":
-        design = sample_lhs(n, len(catalog), seed)
-    elif method == "mc":
-        design = sample_mc(n, len(catalog), seed)
-    elif method == "lss":
-        strata = resolved["strata"]
-        design = sample_lss(
-            n, len(catalog), seed,
-            strata_per_dim=None if strata is None else int(strata),
-        )
+    if method == "lss":
+        values = sample_lss(n, len(catalog), seed, strata_per_dim=resolved["strata"])
     else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    values = design.values
+        values = (sample_lhs if method == "lhs" else sample_mc)(n, len(catalog), seed)
     if not resolved["unit"]:
         values = _distribution(resolved["distribution"]).transform(values, catalog)
     out = _out_path(resolved, "design.csv")
@@ -443,7 +447,7 @@ def _cmd_simulate(resolved) -> None:
     if resolved["design"] is not None:
         x = read_csv(_require_file(resolved["design"], "design file"), catalog.names)
     else:
-        unit = sample_lhs(int(resolved["n"]), len(catalog), int(resolved["seed"])).values
+        unit = sample_lhs(int(resolved["n"]), len(catalog), int(resolved["seed"]))
         x = _distribution(resolved["distribution"]).transform(unit, catalog)
     dataset = simulate_dataset(x, specimen, threads=int(resolved["threads"]))
     out = _out_path(resolved, "data.csv")
@@ -553,7 +557,7 @@ def _cmd_fit(resolved) -> None:
             query_mode=resolved["query_mode"],
             seed=seed,
         )
-    elif route == "summed":
+    else:
         fit = fit_summed(
             dataset,
             _load_specimen(resolved, catalog),
@@ -563,8 +567,6 @@ def _cmd_fit(resolved) -> None:
             threshold_mode=resolved["threshold_mode"],
             threads=int(resolved["threads"]),
         )
-    else:
-        raise ValueError(f"unknown route {route!r}")
     outdir.mkdir(parents=True, exist_ok=True)
     report = (_write_direct_fit if route == "direct" else _write_summed_fit)(fit, outdir)
     if validation is not None:
@@ -632,14 +634,13 @@ def _cmd_uq(resolved) -> None:
             )
         retained = model.retained_params
         subsets = [retained[:k] for k in range(1, len(retained) + 1)]
-    strata = resolved["strata"]
     report = uq_sweep(
         model,
         subsets,
         n=int(resolved["n"]),
         seed=int(resolved["seed"]),
         dist=_distribution(resolved["distribution"]),
-        strata_per_dim=None if strata is None else int(strata),
+        strata_per_dim=resolved["strata"],
     )
     rows = []
     for i, row in enumerate(report.rows):
@@ -656,20 +657,10 @@ def _cmd_uq(resolved) -> None:
 def _cmd_gate_check(resolved) -> None:
     gate = EngagementGate()
     if resolved["grid"] is not None:
-        k = int(resolved["grid"])
-        if k < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        axis = np.linspace(0.0, 1.0, k)
-        rows = []
-        for p in axis:
-            for xs in axis:
-                margins = gate.boundary_margin(
-                    np.full(k, p), np.full(k, xs), axis
-                )
-                rows.extend(
-                    (p, xs, axis[j], margins[j], margins[j] >= 0.0)
-                    for j in range(k)
-                )
+        axis = np.linspace(0.0, 1.0, int(resolved["grid"]))
+        # rows run over giii fastest, then xis, then p
+        points = [c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij")]
+        rows = zip(*points, gate.boundary_margin(*points), gate.engaged(*points))
         out = _out_path(resolved, "gate_grid.csv")
         write_csv(out, ("p", "xis", "giii", "margin", "engaged"), rows)
         _write_snapshot(resolved, out)
@@ -677,11 +668,9 @@ def _cmd_gate_check(resolved) -> None:
     for key in ("p", "xis", "giii"):
         if resolved[key] is None:
             raise _UsageError("gate-check needs --p, --xis, and --giii (or --grid)")
-    margin = gate.boundary_margin(
-        float(resolved["p"]), float(resolved["xis"]), float(resolved["giii"])
-    )
-    engaged = "true" if margin >= 0.0 else "false"
-    print(f"engaged={engaged} margin={margin!r}")
+    point = (float(resolved["p"]), float(resolved["xis"]), float(resolved["giii"]))
+    engaged = "true" if gate.engaged(*point) else "false"
+    print(f"engaged={engaged} margin={gate.boundary_margin(*point)!r}")
 
 
 def _load_train_keys(path):
@@ -778,15 +767,13 @@ def _cmd_plot_data(resolved) -> None:
                 ("row_id", "actual", "predicted"),
                 zip(dataset.row_ids, actual, predicted),
             )
-    elif kind == "energy-stack":
+    else:
         data = _require_file(_require_opt(resolved, "data"), "data file")
         dataset = Dataset.load_csv(data, catalog)
         order = np.argsort(dataset.energy("TS"), kind="stable")
         rows = [(dataset.row_ids[i], *dataset.energies[i]) for i in order]
         out = _out_path(resolved, "energy_stack.csv")
         write_csv(out, ("row_id", *ENERGY_COLUMNS), rows)
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
     _write_snapshot(resolved, out)
 
 

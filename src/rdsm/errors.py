@@ -51,10 +51,11 @@ class NumericalFailureError(RdsmError, RuntimeError):
 
 
 def parse_json(text, what: str):
-    """Parsed JSON text; malformed text is a SchemaError naming what."""
+    """Parsed JSON text; malformed text, or a number beyond what the parser
+    converts, is a SchemaError naming what."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"malformed {what}: {exc}") from None
 
 
@@ -101,6 +102,11 @@ def json_value(value, kind, name: str = "value"):
     if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) is not (kind is bool):
         raise TypeError(f"{name} must be a JSON {kind.__name__}, got {type(value).__name__}")
     return kind(value)
+
+
+def json_numbers(values, name: str = "value") -> list[float]:
+    """A JSON list of numbers as floats, each checked as json_value does."""
+    return [json_value(v, float, name) for v in json_value(values, list, name)]
 
 
 def _from_json(value, kind, name: str):

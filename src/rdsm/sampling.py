@@ -12,47 +12,17 @@ equal to n recovers a plain Latin hypercube.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 __all__ = [
-    "DesignMatrix",
-    "SaltelliDesign",
     "sample_mc",
     "sample_lhs",
     "sample_lss",
     "saltelli_matrices",
     "default_strata",
 ]
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Unit-cube sample block with the metadata that reproduces it."""
-
-    values: np.ndarray
-    scheme: str
-    seed: int
-    strata_per_dim: int | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("design values must be a 2-d array")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("design values must lie in [0, 1]")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 def _check_nd(n: int, dim: int) -> None:
@@ -66,10 +36,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def sample_mc(n: int, dim: int, seed: int) -> DesignMatrix:
-    """Independent uniform draws on [0, 1)^dim."""
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def sample_mc(n: int, dim: int, seed: int) -> np.ndarray:
+    """Independent uniform draws on [0, 1)^dim, as a read-only (n, dim) array."""
     _check_nd(n, dim)
-    return DesignMatrix(_rng(seed).random((n, dim)), "mc", seed)
+    return _frozen(_rng(seed).random((n, dim)))
 
 
 def _lhs_values(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -80,13 +55,14 @@ def _lhs_values(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return cols
 
 
-def sample_lhs(n: int, dim: int, seed: int) -> DesignMatrix:
+def sample_lhs(n: int, dim: int, seed: int) -> np.ndarray:
     """Latin hypercube: one point per stratum [k/n, (k+1)/n) in every dimension.
 
-    Per-dimension stratum permutations are drawn independently.
+    Per-dimension stratum permutations are drawn independently.  Returns a
+    read-only (n, dim) array.
     """
     _check_nd(n, dim)
-    return DesignMatrix(_lhs_values(_rng(seed), n, dim), "lhs", seed)
+    return _frozen(_lhs_values(_rng(seed), n, dim))
 
 
 def default_strata(n: int) -> int:
@@ -99,7 +75,7 @@ def default_strata(n: int) -> int:
 
 def sample_lss(
     n: int, dim: int, seed: int, strata_per_dim: int | None = None
-) -> DesignMatrix:
+) -> np.ndarray:
     """Latin stratified design: coarse stratification with Latin marginals.
 
     Each dimension is split into strata_per_dim coarse cells holding exactly
@@ -108,7 +84,8 @@ def sample_lss(
     per cell when strata_per_dim**dim == n); otherwise the per-dimension
     coarse assignments are balanced independently.  Points are then placed in
     distinct fine strata inside their coarse cell, giving an exact Latin
-    hypercube marginal in every dimension.
+    hypercube marginal in every dimension.  Returns a read-only (n, dim)
+    array.
     """
     _check_nd(n, dim)
     if strata_per_dim is None:
@@ -142,45 +119,19 @@ def sample_lss(
             rows = np.flatnonzero(coarse[:, j] == k)
             fine[rows] = k * m + rng.permutation(m)
         values[:, j] = (fine + rng.random(n)) / n
-    return DesignMatrix(values, "lss", seed, strata_per_dim=s)
+    return _frozen(values)
 
 
-@dataclass(frozen=True)
-class SaltelliDesign:
-    """Pick-freeze matrices for first/total-order index estimation.
+def saltelli_matrices(n: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (n, dim) base pair (a, b) of a pick-freeze design.
 
-    a and b are independent (n, dim) designs; ab[i] equals a with column i
-    taken from b.  Evaluating a model on all blocks costs n * (dim + 2) runs.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    ab: np.ndarray = field(repr=False)  # (dim, n, dim)
-    seed: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[1]
-
-
-def saltelli_matrices(n: int, dim: int, seed: int) -> SaltelliDesign:
-    """Draw the A/B pair and the dim column-spliced AB blocks.
-
-    The base designs are independent Latin hypercubes, the sampling scheme
-    used for the sensitivity sweeps.
+    The bases are independent Latin hypercubes, the sampling scheme used for
+    the sensitivity sweeps.  Block i of the design is a with column i taken
+    from b; evaluating a model on a, b and every block costs n * (dim + 2)
+    runs.
     """
     _check_nd(n, dim)
     rng = _rng(seed)
     a = _lhs_values(rng, n, dim)
     b = _lhs_values(rng, n, dim)
-    ab = np.empty((dim, n, dim))
-    for i in range(dim):
-        ab[i] = a
-        ab[i][:, i] = b[:, i]
-    for arr in (a, b, ab):
-        arr.setflags(write=False)
-    return SaltelliDesign(a=a, b=b, ab=ab, seed=seed)
+    return _frozen(a), _frozen(b)

@@ -234,12 +234,14 @@ def sobol_indices(
 ) -> SobolResult:
     """First- and total-order Sobol' indices of a deterministic model.
 
-    model_eval takes an (n, dim) batch and returns n outputs.  Designs are
-    Saltelli pick-freeze blocks with LHS base matrices on the unit cube,
-    mapped through (dist, catalog) into parameter space when given.  The
-    pooled A and B evaluations estimate the output variance; a constant
-    output yields an explicit degenerate result.  Bootstrap standard errors
-    resample rows with replacement.
+    model_eval takes an (n, dim) batch and returns n outputs; it must not
+    keep the batch, whose buffer is reused.  Designs are Saltelli
+    pick-freeze blocks with LHS base matrices A and B on the unit cube,
+    mapped through (dist, catalog) into parameter space when given.  Block
+    i is A with column i taken from B, built in one buffer just before it
+    is evaluated.  The pooled A and B evaluations estimate the output
+    variance; a constant output yields an explicit degenerate result.
+    Bootstrap standard errors resample rows with replacement.
     """
     if n_base < 128:
         raise ValueError(f"need n_base >= 128, got {n_base}")
@@ -251,7 +253,7 @@ def sobol_indices(
     if len(names) != dim:
         raise ValueError(f"got {len(names)} names for dim {dim}")
 
-    design = saltelli_matrices(n_base, dim, seed)
+    a, b = saltelli_matrices(n_base, dim, seed)
 
     def run(u):
         if dist is not None:
@@ -263,11 +265,14 @@ def sobol_indices(
             raise ValueError("model_eval must return one output per row")
         return out
 
-    f_a = run(design.a)
-    f_b = run(design.b)
+    f_a = run(a)
+    f_b = run(b)
     f_ab = np.empty((dim, n_base))
+    block = a.copy()
     for i in range(dim):
-        f_ab[i] = run(design.ab[i])
+        block[:, i] = b[:, i]
+        f_ab[i] = run(block)
+        block[:, i] = a[:, i]
 
     evals = n_base * (dim + 2)
     s1, st, v = _jansen(f_a, f_b, f_ab)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError, fields_doc, fields_from, read_document
+from .errors import SchemaError, fields_doc, fields_from, json_numbers, json_value, read_document
 
 __all__ = [
     "NetworkSpec",
@@ -189,13 +189,21 @@ def _backprop(weights, activations, pre, delta_out):
     return grads_w, grads_b
 
 
-def _mae_pct(y_true, y_pred, scale):
-    """Relative MAE in percent, excluding rows with |y| below the near-zero cut.
+def percent_error_rows(y, reference) -> np.ndarray:
+    """Mask of the rows of y that carry a percent error: nonzero, and at
+    least the near-zero fraction of the reference values' range (of their
+    largest magnitude when the range is zero)."""
+    scale = float(np.ptp(reference))
+    if scale == 0.0:
+        scale = float(np.max(np.abs(reference)))
+    return (np.abs(y) >= _NEAR_ZERO_FRACTION * scale) & (y != 0.0)
+
+
+def _mae_pct(y_true, y_pred, keep):
+    """Relative MAE in percent over the keep rows.
 
     Returns (mae_pct, n_excluded); an all-excluded set reports 0.0.
     """
-    thresh = _NEAR_ZERO_FRACTION * scale
-    keep = np.abs(y_true) >= max(thresh, 0.0) if scale > 0.0 else np.abs(y_true) > 0.0
     n_exc = int(np.size(y_true) - np.count_nonzero(keep))
     if not np.any(keep):
         return 0.0, n_exc
@@ -249,11 +257,9 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     xs_train = (x_train - in_lo) / in_span
     ys_train = (y_train - out_lo) / out_span
     zero_variance = bool(np.ptp(y_train) == 0.0)
-    # near-zero cut uses the raw training range; a constant nonzero target
-    # falls back to its magnitude so no rows are spuriously excluded
-    mae_scale = float(np.ptp(y_train))
-    if mae_scale == 0.0:
-        mae_scale = float(np.max(np.abs(y_train)))
+    # the near-zero cut scales with the raw training targets
+    keep_train = percent_error_rows(y_train, y_train)
+    keep_test = percent_error_rows(y_test, y_train)
 
     weights, biases = _init_parameters(spec, rng)
     n_layers = len(weights)
@@ -264,9 +270,9 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
 
     xs_test = (x_test - in_lo) / in_span if n_test else x_test
 
-    def eval_mae(ws, bs, xs, y_raw):
+    def eval_mae(ws, bs, xs, y_raw, keep):
         pred = out_lo + _forward_train(ws, bs, xs)[0] * out_span
-        return _mae_pct(y_raw, pred, mae_scale)
+        return _mae_pct(y_raw, pred, keep)
 
     best_mae = math.inf
     best = [p.copy() for p in params]
@@ -302,7 +308,7 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         epochs_run = epoch + 1
 
         if n_test > 0:
-            mae = eval_mae(params[:n_layers], params[n_layers:], xs_test, y_test)[0]
+            mae = eval_mae(params[:n_layers], params[n_layers:], xs_test, y_test, keep_test)[0]
             mae_history.append(mae)
             if mae < best_mae:
                 best_mae = mae
@@ -321,9 +327,9 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         params = best
     weights, biases = params[:n_layers], params[n_layers:]
 
-    train_mae, exc_train = eval_mae(weights, biases, xs_train, y_train)
+    train_mae, exc_train = eval_mae(weights, biases, xs_train, y_train, keep_train)
     if n_test > 0:
-        test_mae_v, exc_test = eval_mae(weights, biases, xs_test, y_test)
+        test_mae_v, exc_test = eval_mae(weights, biases, xs_test, y_test, keep_test)
     else:
         test_mae_v, exc_test = math.nan, 0
     report = TrainReport(
@@ -455,18 +461,18 @@ def deserialize_model(data: bytes | str | dict) -> SurrogateModel:
         if len(doc["weights"]) != len(dims) - 1 or len(doc["biases"]) != len(dims) - 1:
             raise SchemaError("wrong number of layers in weights or biases")
         weights = [
-            np.array(flat, dtype=float).reshape(rows, cols)
+            np.array(json_numbers(flat, "weights")).reshape(rows, cols)
             for flat, rows, cols in zip(doc["weights"], dims, dims[1:])
         ]
         return SurrogateModel(
             spec,
             weights,
-            doc["biases"],
-            doc["input_lo"],
-            doc["input_hi"],
-            doc["output_lo"],
-            doc["output_hi"],
+            [json_numbers(b, "biases") for b in doc["biases"]],
+            json_numbers(doc["input_lo"], "input_lo"),
+            json_numbers(doc["input_hi"], "input_hi"),
+            json_value(doc["output_lo"], float, "output_lo"),
+            json_value(doc["output_hi"], float, "output_hi"),
             report,
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"invalid model arrays: {exc}") from None

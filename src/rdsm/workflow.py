@@ -30,15 +30,15 @@ import numpy as np
 from .bend import BendSpecimen, simulate_dataset
 from .catalog import ParameterCatalog, SamplingDistribution
 from .dataset import ENERGY_COLUMNS, MECHANISMS, Dataset
-from .errors import SchemaError, fields_doc, fields_from, read_document, require_keys
+from .errors import SchemaError, fields_doc, fields_from, json_numbers, read_document, require_keys
 from .sampling import sample_lhs, sample_lss
 from .sensitivity import ScreeningResult, screen_fdr_logworth
 from .surrogate import (
     NetworkSpec,
     SurrogateModel,
     TrainReport,
-    _NEAR_ZERO_FRACTION,
     deserialize_model,
+    percent_error_rows,
     serialize_model,
     train_surrogate,
 )
@@ -183,7 +183,7 @@ class MechanismRDSM:
                 doc["mechanism"],
                 tuple(doc["retained_params"]),
                 model,
-                doc["baseline"],
+                json_numbers(doc["baseline"], "baseline"),
                 catalog,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -630,7 +630,7 @@ def resample_subspace(
     catalog = specimen.catalog
     if dist is None:
         dist = SamplingDistribution.uniform_pm20()
-    design = sample_lhs(n, len(varied), seed).values
+    design = sample_lhs(n, len(varied), seed)
     x = _subspace_design(design, varied, catalog, dist, catalog.means)
     ds = simulate_dataset(x, specimen, threads=threads)
     mask = engagement_mask(ds, mechanism, threshold, threshold_mode)
@@ -828,7 +828,7 @@ def uq_sweep(
             mean = float(rdsm.predict(baseline[None, :])[0])
             rows.append(UQRow(params=(), mean=mean, std=0.0))
             continue
-        design = sample_lss(n, len(subset), seed + i, strata_per_dim).values
+        design = sample_lss(n, len(subset), seed + i, strata_per_dim)
         x = _subspace_design(design, subset, catalog, dist, baseline)
         preds = np.asarray(rdsm.predict(x), dtype=float)
         rows.append(
@@ -856,7 +856,8 @@ def uq_sweep(
 
 @dataclass(frozen=True)
 class ApproachStats:
-    """Error and prediction statistics for one predictor on one row set."""
+    """Error and prediction statistics for one predictor on one row set;
+    the percent errors are nan when no row carries one."""
 
     mae_pct: float
     mae_pct_std: float
@@ -892,10 +893,7 @@ def _std1(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) if values.size > 1 else math.nan
 
 
-def _approach_stats(truth: np.ndarray, preds: np.ndarray, scale: float) -> ApproachStats:
-    # the trainer's near-zero cut: rows whose truth is below that fraction of
-    # the truth range are excluded from percent errors
-    include = np.abs(truth) >= _NEAR_ZERO_FRACTION * scale
+def _approach_stats(truth: np.ndarray, preds: np.ndarray, include) -> ApproachStats:
     errors = (
         100.0 * np.abs(preds[include] - truth[include]) / np.abs(truth[include])
     )
@@ -908,13 +906,13 @@ def _approach_stats(truth: np.ndarray, preds: np.ndarray, scale: float) -> Appro
     )
 
 
-def _section(truth, preds_direct, preds_summed, scale) -> ComparisonSection:
+def _section(truth, preds_direct, preds_summed, include) -> ComparisonSection:
     return ComparisonSection(
         n_rows=int(truth.size),
         truth_mean=float(np.mean(truth)),
         truth_std=_std1(truth),
-        direct=_approach_stats(truth, preds_direct, scale),
-        summed=_approach_stats(truth, preds_summed, scale),
+        direct=_approach_stats(truth, preds_direct, include),
+        summed=_approach_stats(truth, preds_summed, include),
     )
 
 
@@ -941,14 +939,13 @@ def compare_approaches(
     truth = validation.energy("TS")
     preds_direct = np.asarray(direct.predict(validation.inputs), dtype=float)
     preds_summed = np.asarray(summed.predict(validation.inputs), dtype=float)
-    scale = float(np.ptp(truth))
-    if scale == 0.0:
-        scale = float(np.max(np.abs(truth)))
-    all_rows = _section(truth, preds_direct, preds_summed, scale)
+    # the trainer's near-zero rule, scaled by all validation truths
+    include = percent_error_rows(truth, truth)
+    all_rows = _section(truth, preds_direct, preds_summed, include)
     mask = summed.engaged(validation.inputs)
     engaged = None
     if np.any(mask):
-        engaged = _section(truth[mask], preds_direct[mask], preds_summed[mask], scale)
+        engaged = _section(truth[mask], preds_direct[mask], preds_summed[mask], include[mask])
     return ComparisonReport(
         all_rows=all_rows,
         engaged=engaged,

@@ -177,7 +177,7 @@ def test_lhs_stratification_exhaustive():
     started = time.perf_counter()
     for n in (1, 2, 4, 10, 100, 1000):
         for dim in (1, 2, 41):
-            values = sample_lhs(n, dim, seed=n + dim).values
+            values = sample_lhs(n, dim, seed=n + dim)
             strata = np.floor(values * n).astype(int)
             for col in range(dim):
                 assert sorted(strata[:, col]) == list(range(n)), (n, dim, col)
@@ -189,7 +189,7 @@ def test_end_to_end_toy_pipeline(cat):
     specimen = default_specimen(cat)
     box = SamplingDistribution.uniform_pm20()
 
-    x = box.transform(sample_lhs(1555, len(cat), seed=11).values, cat)
+    x = box.transform(sample_lhs(1555, len(cat), seed=11), cat)
     dataset = simulate_dataset(x, specimen)
     train, held = split_holdout(dataset, 25, seed=0)
 
@@ -197,7 +197,7 @@ def test_end_to_end_toy_pipeline(cat):
     summed = fit_summed(train, specimen, seed=0)
 
     fresh = simulate_dataset(
-        box.transform(sample_lhs(200, len(cat), seed=12).values, cat), specimen
+        box.transform(sample_lhs(200, len(cat), seed=12), cat), specimen
     )
     validation = Dataset(
         cat,

@@ -5,9 +5,8 @@ import rdsm
 PUBLIC = {
     "__version__",
     # catalog and sampling
-    "ParameterCatalog", "SamplingDistribution", "build_catalog", "DesignMatrix",
-    "SaltelliDesign", "default_strata", "sample_lhs", "sample_lss", "sample_mc",
-    "saltelli_matrices",
+    "ParameterCatalog", "SamplingDistribution", "build_catalog", "default_strata",
+    "sample_lhs", "sample_lss", "sample_mc", "saltelli_matrices",
     # datasets and the source model
     "ENERGY_COLUMNS", "MECHANISMS", "Dataset", "FABRICS", "BendSpecimen",
     "default_specimen", "load_specimen_config", "simulate_batch", "simulate_dataset",

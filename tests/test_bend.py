@@ -121,7 +121,7 @@ def test_small_curvature_stays_elastic(cat, sp):
 
 
 def test_batch_matches_single_rows(cat, sp):
-    u = sample_lhs(6, len(cat), seed=42).values
+    u = sample_lhs(6, len(cat), seed=42)
     X = SamplingDistribution.uniform_pm20().transform(u, cat)
     batch = simulate_batch(X, sp)
     for i in range(X.shape[0]):
@@ -129,7 +129,7 @@ def test_batch_matches_single_rows(cat, sp):
 
 
 def test_batch_deterministic_and_thread_invariant(cat, sp):
-    u = sample_lhs(8, len(cat), seed=7).values
+    u = sample_lhs(8, len(cat), seed=7)
     X = SamplingDistribution.uniform_pm20().transform(u, cat)
     a = simulate_batch(X, sp)
     b = simulate_batch(X, sp)
@@ -140,7 +140,7 @@ def test_batch_deterministic_and_thread_invariant(cat, sp):
 
 def test_monotone_damage_and_dissipation(cat, sp):
     # push a harsh sample so several mechanisms are active
-    u = sample_lhs(16, len(cat), seed=3).values
+    u = sample_lhs(16, len(cat), seed=3)
     X = SamplingDistribution.uniform_pm20().transform(u, cat)
     state = BendState(sp, X)
     prev = state.energies()
@@ -171,7 +171,7 @@ def test_schedule_convergence_at_means(cat, sp):
 def test_schedule_convergence_sampled(cat, sp):
     # random rows may race the interface feedback across a step boundary,
     # so the sampled bound is looser than the means bound
-    u = sample_lhs(12, len(cat), seed=11).values
+    u = sample_lhs(12, len(cat), seed=11)
     X = SamplingDistribution.uniform_pm20().transform(u, cat)
     coarse = simulate_batch(X, sp, n_steps=sp.n_steps)
     fine = simulate_batch(X, sp, n_steps=2 * sp.n_steps)
@@ -180,7 +180,7 @@ def test_schedule_convergence_sampled(cat, sp):
 
 
 def test_disbond_engages_sparsely(cat, sp):
-    u = sample_lhs(400, len(cat), seed=2024).values
+    u = sample_lhs(400, len(cat), seed=2024)
     X = SamplingDistribution.uniform_pm20().transform(u, cat)
     out = simulate_batch(X, sp)
     di, ts = out[:, 3], out[:, 5]
@@ -194,7 +194,7 @@ def test_disbond_engages_sparsely(cat, sp):
 
 
 def test_dataset_wrapper(cat, sp):
-    u = sample_lhs(5, len(cat), seed=5).values
+    u = sample_lhs(5, len(cat), seed=5)
     X = SamplingDistribution.uniform_pm20().transform(u, cat)
     ds = simulate_dataset(X, sp)
     assert ds.provenance == "toy_model"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rdsm import cli, workflow
@@ -255,6 +255,7 @@ def test_resource_flags_are_bounded(work, data_csv, monkeypatch, capsys):
         ["fit", "--data", data_csv, "--route", "summed", "--threads", too_many,
          "--outdir", outdir],
         ["gate-check", "--grid", too_fine, "--out", out],
+        ["gate-check", "--grid", 1, "--out", out],
     ]
     for argv in cases:
         assert run(*argv) == EXIT_USAGE, argv
@@ -284,6 +285,14 @@ def test_flags_override_config_overrides_defaults(work):
     assert run("sample", "--n", 12, "--seed", 3, "--out", expected) == EXIT_OK
     assert config_wins.read_bytes() == expected.read_bytes()
 
+    # a null entry leaves its option unset, so the default applies
+    config.write_text(json.dumps({"n": 12, "seed": None, "method": None}))
+    null_entries = work / "null_entries.csv"
+    assert run("sample", "--config", config, "--out", null_entries) == EXIT_OK
+    defaults = work / "defaults.csv"
+    assert run("sample", "--n", 12, "--out", defaults) == EXIT_OK
+    assert null_entries.read_bytes() == defaults.read_bytes()
+
 
 def test_config_schema_errors(work, capsys):
     bad_key = work / "bad_key.json"
@@ -294,6 +303,14 @@ def test_config_schema_errors(work, capsys):
     malformed.write_text("{ nope")
     assert run("sample", "--config", malformed, "--out", work / "y.csv") == EXIT_SCHEMA
     assert run("sample", "--config", work / "nowhere.json") == EXIT_MISSING_FILE
+    # an integer literal past the parser's digit limit is malformed JSON too
+    capsys.readouterr()
+    huge = work / "huge.json"
+    huge.write_text('{"n": %s}' % ("1" * 5000))
+    assert run("sample", "--config", huge, "--out", work / "y.csv") == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("rdsm: error: schema:") and err.count("\n") == 1, err
+    assert not (work / "y.csv").exists()
 
 
 def test_config_values_take_option_type(work, capsys):
@@ -301,12 +318,26 @@ def test_config_values_take_option_type(work, capsys):
     out = work / "typed" / "design.csv"
     # an int option takes a JSON integer, a float option any JSON number;
     # neither takes a bool, as neither flag would
-    cases = [("sample", '{"n": %s}' % v)
+    cases = [("sample", '{"n": %s}' % v, "--out")
              for v in ("Infinity", "NaN", '"abc"', '"12"', "12.7", "12.0", "true")]
-    cases.append(("gate-check", '{"p": true, "xis": 0.5, "giii": 0.5}'))
-    for command, text in cases:
+    cases.append(("gate-check", '{"p": true, "xis": 0.5, "giii": 0.5}', "--out"))
+    # a choice option takes one of its choices, a switch a JSON bool, and
+    # any other option a JSON string
+    cases += [
+        ("sample", '{"method": "foo"}', "--out"),
+        ("sample", '{"distribution": "bogus"}', "--out"),
+        ("sample", '{"unit": "yes"}', "--out"),
+        ("screen", '{"output": "XX"}', "--out"),
+        ("plot-data", '{"kind": "pie"}', "--out"),
+        ("fit", '{"route": "both"}', "--outdir"),
+        ("sample", '{"out": 5}', "--outdir"),
+        ("screen", '{"data": 7}', "--out"),
+        ("sample", '{"outdir": ["a"]}', "--out"),
+    ]
+    for command, text, where in cases:
         config.write_text(text)
-        assert run(command, "--config", config, "--out", out) == EXIT_USAGE, text
+        target = out if where == "--out" else out.parent
+        assert run(command, "--config", config, where, target) == EXIT_USAGE, text
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("rdsm: error: usage:"), captured.err
@@ -420,8 +451,10 @@ def test_fit_rejects_unknown_route(work, data_csv, capsys):
     config.write_text(json.dumps({"route": "sideways"}))
     code = run("fit", "--data", data_csv, "--config", config,
                "--outdir", work / "r")
-    assert code == EXIT_DATA
-    assert "sideways" in capsys.readouterr().err
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "sideways" in err and err.count("\n") == 1, err
+    assert not (work / "r").exists()
 
 
 # -- model-query commands ---------------------------------------------------------
@@ -726,10 +759,8 @@ _NOT_NUMBER = st.none() | _JSON_LISTS | _JSON_OBJECTS
 _NOT_JSON_NUMBER = st.text(max_size=4) | _JSON_LISTS | _JSON_OBJECTS
 _FRACTIONS = st.floats(-1e3, 1e3).filter(lambda f: f != math.floor(f))
 
-# The file's own fields and the network's arrays and output bounds are
-# read through numpy and float(), which take numeric strings and bools as
-# numbers: replace each with a value of another JSON class that can never
-# stand in for the original.
+# Any field of the file or of its network: replace it with a value of
+# another JSON class that can never stand in for the original.
 _REPLACEMENTS = {
     "bool": _NOT_NUMBER,
     "int": _NOT_NUMBER,
@@ -751,6 +782,19 @@ _FIELD_REPLACEMENTS = {
     | _JSON_OBJECTS,
     "dict": _REPLACEMENTS["dict"],
 }
+
+
+def _bad_number_entry(draw, value):
+    """value, a number or a nested list of them, with one number replaced by
+    something that is not a JSON number: a bool, a numeric string, null, or
+    another string, list or object."""
+    if not isinstance(value, list):
+        numeric_text = st.floats(allow_nan=False).map(repr)
+        return draw(st.one_of(st.booleans(), numeric_text, st.none(), _NOT_JSON_NUMBER))
+    out = list(value)
+    i = draw(st.integers(0, len(out) - 1))
+    out[i] = _bad_number_entry(draw, out[i])
+    return out
 
 
 def _bad_field_value(draw, value):
@@ -777,10 +821,11 @@ def _mutate(draw, targets, bad_value) -> None:
 
 @st.composite
 def _bad_model_text(draw, model_doc):
-    """A model file that must not load: free text, a JSON value, or the
-    saved model with one field of it, of its network, or of the network's
-    spec or report dropped, added, or given a value of another type."""
-    kind = draw(st.sampled_from(("text", "json") + ("mutated",) * 4))
+    """A model file that must not load: free text, a JSON value, the saved
+    model with one field of it, of its network, or of the network's spec or
+    report dropped, added, or given a value of another type, or with one
+    entry of its number arrays or bounds no JSON number."""
+    kind = draw(st.sampled_from(("text", "json") + ("mutated", "number") * 4))
     if kind == "text":
         return draw(st.text(max_size=80).filter(lambda t: not isinstance(_parsed(t), dict)))
     if kind == "json":
@@ -788,6 +833,14 @@ def _bad_model_text(draw, model_doc):
     doc = json.loads(json.dumps(model_doc))
     network = doc["model"]
     typed = (network["spec"], network["report"])
+    if kind == "number":
+        target, key = draw(st.sampled_from(
+            [(doc, "baseline")]
+            + [(network, k) for k in ("weights", "biases", "input_lo", "input_hi",
+                                      "output_lo", "output_hi")]
+        ))
+        target[key] = _bad_number_entry(draw, target[key])
+        return json.dumps(doc)
 
     def bad_value(target, value):
         if any(target is t for t in typed):
@@ -803,9 +856,20 @@ def model_doc(direct_dir):
     return json.loads((direct_dir / "direct_rdsm.json").read_text())
 
 
+def _edited(model_doc, key, edit) -> str:
+    """The model file with edit applied to one field of its network."""
+    doc = json.loads(json.dumps(model_doc))
+    doc["model"][key] = edit(doc["model"][key])
+    return json.dumps(doc)
+
+
 def test_model_reader_fails_on_one_line(work, model_doc):
     @_PROPERTY
     @given(text=_bad_model_text(model_doc))
+    @example(text=_edited(model_doc, "output_lo", repr))
+    @example(text=_edited(model_doc, "input_lo", lambda v: [repr(x) for x in v]))
+    @example(text=_edited(model_doc, "weights", lambda v: [[repr(v[0][0]), *v[0][1:]], *v[1:]]))
+    @example(text=_edited(model_doc, "biases", lambda v: [[True, *v[0][1:]], *v[1:]]))
     def check(text):
         path = work / "prop_model.json"
         path.write_text(text, encoding="utf-8")

@@ -8,6 +8,7 @@ from rdsm.sampling import (
     sample_mc,
     saltelli_matrices,
 )
+from rdsm.sensitivity import sobol_indices
 
 
 def _stratum_counts(col, strata):
@@ -17,20 +18,21 @@ def _stratum_counts(col, strata):
 
 def test_mc_basics():
     d = sample_mc(200, 7, seed=1)
-    assert d.values.shape == (200, 7)
-    assert d.scheme == "mc"
-    assert np.all(d.values >= 0.0) and np.all(d.values < 1.0)
+    assert d.shape == (200, 7)
+    assert np.all(d >= 0.0) and np.all(d < 1.0)
+    for fn in (sample_mc, sample_lhs, sample_lss):
+        assert not fn(16, 3, seed=1).flags.writeable
 
 
 def test_determinism_and_seed_sensitivity():
     for fn in (sample_mc, sample_lhs):
-        a = fn(64, 5, seed=9).values
-        b = fn(64, 5, seed=9).values
-        c = fn(64, 5, seed=10).values
+        a = fn(64, 5, seed=9)
+        b = fn(64, 5, seed=9)
+        c = fn(64, 5, seed=10)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
-    a = sample_lss(64, 5, seed=9, strata_per_dim=8).values
-    b = sample_lss(64, 5, seed=9, strata_per_dim=8).values
+    a = sample_lss(64, 5, seed=9, strata_per_dim=8)
+    b = sample_lss(64, 5, seed=9, strata_per_dim=8)
     np.testing.assert_array_equal(a, b)
 
 
@@ -39,7 +41,7 @@ def test_determinism_and_seed_sensitivity():
 def test_lhs_stratification_exhaustive(n, dim):
     d = sample_lhs(n, dim, seed=n * 100 + dim)
     for j in range(dim):
-        counts = _stratum_counts(d.values[:, j], n)
+        counts = _stratum_counts(d[:, j], n)
         assert np.all(counts == 1)
 
 
@@ -66,7 +68,7 @@ def test_default_strata():
 def test_lss_one_point_per_coarse_cell():
     d = sample_lss(4, 2, seed=3, strata_per_dim=2)
     cells = np.zeros((2, 2), dtype=int)
-    for x, y in d.values:
+    for x, y in d:
         cells[int(x * 2), int(y * 2)] += 1
     assert np.all(cells == 1)
 
@@ -75,7 +77,7 @@ def test_lss_joint_balance_when_divisible():
     # 2^3 cells, 16 points -> exactly 2 per cell
     d = sample_lss(16, 3, seed=5, strata_per_dim=2)
     cells = {}
-    for row in d.values:
+    for row in d:
         key = tuple((row * 2).astype(int))
         cells[key] = cells.get(key, 0) + 1
     assert len(cells) == 8
@@ -86,28 +88,39 @@ def test_lss_joint_balance_when_divisible():
 def test_lss_marginals_are_latin(n, s, dim):
     d = sample_lss(n, dim, seed=n + s + dim, strata_per_dim=s)
     for j in range(dim):
-        assert np.all(_stratum_counts(d.values[:, j], n) == 1)
+        assert np.all(_stratum_counts(d[:, j], n) == 1)
         # coarse strata balanced to exactly n/s each
-        assert np.all(_stratum_counts(d.values[:, j], s) == n // s)
+        assert np.all(_stratum_counts(d[:, j], s) == n // s)
 
 
 def test_lss_default_strata_path():
     d = sample_lss(100, 4, seed=2)
-    assert d.strata_per_dim == 10
+    explicit = sample_lss(100, 4, seed=2, strata_per_dim=default_strata(100))
+    assert d.tobytes() == explicit.tobytes()
     for j in range(4):
-        assert np.all(_stratum_counts(d.values[:, j], 100) == 1)
+        assert np.all(_stratum_counts(d[:, j], 100) == 1)
 
 
 def test_saltelli_structure():
-    n, dim = 32, 6
-    des = saltelli_matrices(n, dim, seed=11)
-    assert des.a.shape == (n, dim) and des.b.shape == (n, dim)
-    assert des.ab.shape == (dim, n, dim)
-    assert not np.array_equal(des.a, des.b)
-    for i in range(dim):
-        np.testing.assert_array_equal(des.ab[i][:, i], des.b[:, i])
+    n, dim = 128, 6
+    a, b = saltelli_matrices(n, dim, seed=11)
+    assert a.shape == (n, dim) and b.shape == (n, dim)
+    assert not a.flags.writeable and not b.flags.writeable
+    assert not np.array_equal(a, b)
+    batches = []
+
+    def record(x):
+        batches.append(np.array(x))  # the block buffer is reused
+        return x.sum(axis=1)
+
+    result = sobol_indices(record, dim, n, seed=11, n_bootstrap=2)
+    # A, then B, then for each i the block that is A with column i from B
+    assert len(batches) == dim + 2
+    np.testing.assert_array_equal(batches[0], a)
+    np.testing.assert_array_equal(batches[1], b)
+    for i, block in enumerate(batches[2:]):
+        np.testing.assert_array_equal(block[:, i], b[:, i])
         mask = np.arange(dim) != i
-        np.testing.assert_array_equal(des.ab[i][:, mask], des.a[:, mask])
+        np.testing.assert_array_equal(block[:, mask], a[:, mask])
     # total evaluation budget is n * (dim + 2) rows
-    total = des.a.shape[0] + des.b.shape[0] + des.ab.shape[0] * des.ab.shape[1]
-    assert total == n * (dim + 2)
+    assert sum(len(x) for x in batches) == n * (dim + 2) == result.evaluations_used

@@ -52,7 +52,7 @@ def box():
 
 @pytest.fixture(scope="module")
 def base_ds(cat, sp, box):
-    x = box.transform(sample_lhs(320, len(cat), seed=3).values, cat)
+    x = box.transform(sample_lhs(320, len(cat), seed=3), cat)
     return simulate_dataset(x, sp)
 
 
@@ -343,7 +343,7 @@ def test_summed_load_rejects_bad_manifests(tmp_path, summed_fit, cat):
 
 
 def test_fit_direct_requires_rows(cat, sp, box):
-    x = box.transform(sample_lhs(40, len(cat), seed=0).values, cat)
+    x = box.transform(sample_lhs(40, len(cat), seed=0), cat)
     ds = simulate_dataset(x, sp)
     with pytest.raises(ValueError, match="100"):
         fit_direct(ds)
@@ -370,7 +370,7 @@ def test_fit_direct_reduced_model_tracks_truth(direct_fit, splits):
 
 
 def test_fit_direct_single_dominant_input(cat, box):
-    x = box.transform(sample_lhs(150, len(cat), seed=21).values, cat)
+    x = box.transform(sample_lhs(150, len(cat), seed=21), cat)
     ts = 10.0 * x[:, cat.index("Aln")]
     ds = _synthetic_dataset(cat, x, ts)
     small = NetworkSpec(input_dim=len(cat), hidden_layers=(8,), epochs=120, seed=0)
@@ -407,7 +407,7 @@ def test_fit_mechanism_caps_and_recipes(summed_fit):
 
 
 def test_fit_mechanism_zero_variance_needs_resampling(cat, box):
-    x = box.transform(sample_lhs(60, len(cat), seed=2).values, cat)
+    x = box.transform(sample_lhs(60, len(cat), seed=2), cat)
     ds = _synthetic_dataset(cat, x, 5.0 + x[:, 0])
     fit = fit_mechanism(ds, "DC")
     assert fit.rdsm is None
@@ -693,7 +693,7 @@ def test_compare_accepts_fresh_rows_with_training_ids(
     direct_fit, summed_fit, splits, cat, sp, box
 ):
     train, _ = splits
-    x = box.transform(sample_lhs(40, len(cat), seed=21).values, cat)
+    x = box.transform(sample_lhs(40, len(cat), seed=21), cat)
     fresh = simulate_dataset(x, sp)
     # a fresh design numbers its rows 0..n-1, the same ids the training rows carry
     assert set(fresh.row_ids.tolist()) & set(train.row_ids.tolist())
@@ -727,6 +727,18 @@ def test_compare_engaged_section_not_applicable(direct_fit, summed_fit, splits):
     rep = compare_approaches(direct_fit.rdsm, summed_fit.summed, nonengaged)
     assert rep.engaged is None
     assert rep.all_rows.n_rows == len(nonengaged)
+
+
+def test_compare_all_zero_truth_excludes_every_row(direct_fit, summed_fit, splits):
+    # every truth is zero, so no row carries a percent error (and numpy must
+    # not warn: RuntimeWarnings are errors under pytest here)
+    _, held = splits
+    zero = Dataset(held.catalog, held.inputs, np.zeros_like(held.energies))
+    rep = compare_approaches(direct_fit.rdsm, summed_fit.summed, zero)
+    for section in (rep.all_rows, rep.engaged):
+        for stats in (section.direct, section.summed):
+            assert math.isnan(stats.mae_pct) and math.isnan(stats.mae_pct_std)
+            assert stats.n_excluded == section.n_rows
 
 
 # -- dataset plumbing ----------------------------------------------------------------
