@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -181,17 +182,15 @@ def _resolve_lc(catalog: ParameterCatalog, stacking: tuple[str, ...], safety: fl
 
 
 def load_specimen_config(source, catalog: ParameterCatalog) -> BendSpecimen:
-    """Build a specimen from a JSON config (path, file object, or dict).
+    """Build a specimen from a JSON config (a path, the file's bytes, or
+    the parsed dict).
 
-    Unknown keys and malformed JSON are schema errors.  A null
-    characteristic length resolves to the largest admissible value with the
-    configured safety factor.
+    Unknown keys and malformed JSON, undecodable bytes included, are schema
+    errors.  A null characteristic length resolves to the largest admissible
+    value with the configured safety factor.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    elif not isinstance(source, dict):
-        with open(source) as fh:
-            source = fh.read()
+    if not isinstance(source, (bytes, dict)):
+        source = Path(source).read_bytes()
     cfg = read_document(
         source,
         "specimen config",
@@ -237,8 +236,8 @@ def load_specimen_config(source, catalog: ParameterCatalog) -> BendSpecimen:
 
 def default_specimen(catalog: ParameterCatalog) -> BendSpecimen:
     """The shipped calibrated specimen config."""
-    with resources.files("rdsm.data").joinpath("default_specimen.json").open() as fh:
-        return load_specimen_config(fh, catalog)
+    config = resources.files("rdsm.data").joinpath("default_specimen.json").read_bytes()
+    return load_specimen_config(config, catalog)
 
 
 def _solve_power_hardening(total, stiffness, y0, coef, expo, lo):
@@ -393,7 +392,7 @@ class BendState:
     dissipation; simulate_batch drives it to kappa_max.
     """
 
-    def __init__(self, specimen: BendSpecimen, x: np.ndarray, n_steps: int | None = None):
+    def __init__(self, specimen: BendSpecimen, x: np.ndarray):
         cat = specimen.catalog
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != len(cat):
@@ -402,9 +401,6 @@ class BendState:
             raise ValueError("inputs contain non-finite values")
         self.specimen = specimen
         self.n = x.shape[0]
-        self.n_steps = specimen.n_steps if n_steps is None else int(n_steps)
-        if self.n_steps < 1:
-            raise ValueError("curvature steps must be >= 1")
         col = lambda name: x[:, cat.index(name)]
 
         # substrate (psi)
@@ -502,11 +498,11 @@ class BendState:
 
     def advance_step(self) -> None:
         """Advance the ramp by one curvature increment."""
-        if self.step >= self.n_steps:
-            raise RuntimeError("ramp already complete")
         sp = self.specimen
-        kappa_new = sp.kappa_max * (self.step + 1) / self.n_steps
-        kappa_mid = sp.kappa_max * (self.step + 0.5) / self.n_steps
+        if self.step >= sp.n_steps:
+            raise RuntimeError("ramp already complete")
+        kappa_new = sp.kappa_max * (self.step + 1) / sp.n_steps
+        kappa_mid = sp.kappa_max * (self.step + 0.5) / sp.n_steps
 
         eps = self._ply_strain(kappa_new)
         eps_mid = self._ply_strain(kappa_mid)
@@ -615,7 +611,7 @@ class BendState:
 
     def run(self) -> np.ndarray:
         """Drive the ramp to completion; returns (n, 6) energies."""
-        while self.step < self.n_steps:
+        while self.step < self.specimen.n_steps:
             self.advance_step()
         return self.energies()
 
@@ -630,29 +626,25 @@ class BendState:
         return out
 
 
-def simulate_batch(
-    X: np.ndarray, specimen: BendSpecimen, n_steps: int | None = None, threads: int = 1
-) -> np.ndarray:
+def simulate_batch(X: np.ndarray, specimen: BendSpecimen, threads: int = 1) -> np.ndarray:
     """Run a batch of samples; rows are independent, so chunked execution
     under `threads` workers returns identical values to the serial path."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if threads <= 1 or X.shape[0] < 2 * threads:
-        return BendState(specimen, X, n_steps).run()
+        return BendState(specimen, X).run()
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = np.array_split(np.arange(X.shape[0]), threads)
     out = np.empty((X.shape[0], 6))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_simulate_chunk, specimen, X[c], n_steps) for c in chunks if len(c)
-        ]
+        futures = [pool.submit(_simulate_chunk, specimen, X[c]) for c in chunks if len(c)]
         for c, fut in zip([c for c in chunks if len(c)], futures):
             out[c] = fut.result()
     return out
 
 
-def _simulate_chunk(specimen, X, n_steps):
-    return BendState(specimen, X, n_steps).run()
+def _simulate_chunk(specimen, X):
+    return BendState(specimen, X).run()
 
 
 def simulate_dataset(

@@ -122,11 +122,6 @@ class ParameterCatalog:
         """Catalog means in column order (read-only view)."""
         return self._means
 
-    def group(self, group: str) -> tuple[ParameterSpec, ...]:
-        if group not in GROUPS:
-            raise ValueError(f"unknown group {group!r}")
-        return tuple(s for s in self._specs if s.group == group)
-
 
 # (name, group, mean, units) rows in canonical column order.
 _TABLE = [
@@ -187,15 +182,15 @@ def build_catalog() -> ParameterCatalog:
     return ParameterCatalog(ParameterSpec(*row) for row in _TABLE)
 
 
-_KINDS = ("uniform_pm20", "normal_10std", "uniform_custom", "normal_custom")
+_KINDS = ("uniform_pm20", "normal_10std")
 
 
 @dataclass(frozen=True)
 class SamplingDistribution:
     """Per-parameter marginal distribution family around catalog means.
 
-    Fractions are multipliers of the mean: uniform kinds span
-    [lo_frac * mean, hi_frac * mean]; normal kinds are
+    Fractions are multipliers of the mean: the uniform kind spans
+    [lo_frac * mean, hi_frac * mean]; the normal kind is
     N(mean_frac * mean, (std_frac * mean)^2).  Unit designs map through
     the inverse CDF, so stratified designs stay stratified in probability.
     """
@@ -222,17 +217,9 @@ class SamplingDistribution:
     def normal_10std(cls) -> "SamplingDistribution":
         return cls("normal_10std", std_frac=0.1)
 
-    @classmethod
-    def uniform_custom(cls, lo_frac: float, hi_frac: float) -> "SamplingDistribution":
-        return cls("uniform_custom", lo_frac=lo_frac, hi_frac=hi_frac)
-
-    @classmethod
-    def normal_custom(cls, mean_frac: float, std_frac: float) -> "SamplingDistribution":
-        return cls("normal_custom", mean_frac=mean_frac, std_frac=std_frac)
-
     @property
     def is_bounded(self) -> bool:
-        return self.kind in ("uniform_pm20", "uniform_custom")
+        return self.kind == "uniform_pm20"
 
     def bounds(self, catalog: ParameterCatalog) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) support arrays in catalog order; bounded kinds only."""

@@ -221,7 +221,7 @@ def _load_config_file(path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"config file {p} not found")
-    doc = parse_json(p.read_text(encoding="utf-8"), f"config file {p}")
+    doc = parse_json(p.read_bytes(), f"config file {p}")
     if not isinstance(doc, dict):
         raise SchemaError(f"config file {p} must hold a JSON object")
     return doc
@@ -311,6 +311,11 @@ def _require_file(path, what) -> Path:
     if not p.is_file():
         raise FileNotFoundError(f"{what} {p} not found")
     return p
+
+
+def _load_dataset(resolved, key, catalog) -> Dataset:
+    """The dataset CSV that a required option names."""
+    return Dataset.load_csv(_require_file(_require_opt(resolved, key), f"{key} file"), catalog)
 
 
 def _load_specimen(resolved, catalog):
@@ -427,9 +432,7 @@ def _cmd_catalog(resolved) -> None:
 
 def _cmd_sample(resolved) -> None:
     catalog = build_catalog()
-    n = int(resolved["n"])
-    seed = int(resolved["seed"])
-    method = resolved["method"]
+    n, seed, method = resolved["n"], resolved["seed"], resolved["method"]
     if method == "lss":
         values = sample_lss(n, len(catalog), seed, strata_per_dim=resolved["strata"])
     else:
@@ -447,9 +450,9 @@ def _cmd_simulate(resolved) -> None:
     if resolved["design"] is not None:
         x = read_csv(_require_file(resolved["design"], "design file"), catalog.names)
     else:
-        unit = sample_lhs(int(resolved["n"]), len(catalog), int(resolved["seed"]))
+        unit = sample_lhs(resolved["n"], len(catalog), resolved["seed"])
         x = _distribution(resolved["distribution"]).transform(unit, catalog)
-    dataset = simulate_dataset(x, specimen, threads=int(resolved["threads"]))
+    dataset = simulate_dataset(x, specimen, threads=resolved["threads"])
     out = _out_path(resolved, "data.csv")
     dataset.save_csv(out)
     _write_snapshot(resolved, out)
@@ -457,15 +460,13 @@ def _cmd_simulate(resolved) -> None:
 
 def _cmd_screen(resolved) -> None:
     catalog = build_catalog()
-    data = _require_file(_require_opt(resolved, "data"), "data file")
-    dataset = Dataset.load_csv(data, catalog)
+    dataset = _load_dataset(resolved, "data", catalog)
     output = resolved["output"]
     max_k = resolved["max_k"]
     if max_k is None:
         max_k = 4 if output == "TS" else 3  # route-specific retention caps
     result = screen_fdr_logworth(
-        dataset.inputs, dataset.energy(output), catalog.names, output,
-        max_k=int(max_k),
+        dataset.inputs, dataset.energy(output), catalog.names, output, max_k=max_k
     )
     out = _out_path(resolved, f"screening_{output}.csv")
     _write_screening_csv(out, result)
@@ -476,15 +477,11 @@ def _network_override(resolved, input_dim, seed):
     keys = ("hidden", "learning_rate", "epochs", "batch_size", "split")
     if all(resolved[k] is None for k in keys):
         return None
-    kwargs = {}
+    kwargs = {
+        k: resolved[k] for k in ("learning_rate", "epochs", "batch_size") if resolved[k] is not None
+    }
     if resolved["hidden"] is not None:
         kwargs["hidden_layers"] = _parse_numbers(resolved["hidden"], int, "hidden")
-    if resolved["learning_rate"] is not None:
-        kwargs["learning_rate"] = float(resolved["learning_rate"])
-    if resolved["epochs"] is not None:
-        kwargs["epochs"] = int(resolved["epochs"])
-    if resolved["batch_size"] is not None:
-        kwargs["batch_size"] = int(resolved["batch_size"])
     if resolved["split"] is not None:
         kwargs["split"] = _parse_numbers(resolved["split"], float, "split")
     return replace(NetworkSpec(input_dim=input_dim, seed=seed), **kwargs)
@@ -510,7 +507,7 @@ def _write_summed_fit(fit, outdir) -> dict:
     fit.summed.save(outdir / "model")
     mechanisms = {}
     for name, mfit in fit.fits.items():
-        entry = {"needs_resampling": mfit.needs_resampling, "note": mfit.note}
+        entry = {"needs_resampling": mfit.rdsm is None, "note": mfit.note}
         if mfit.rdsm is not None:
             entry["retained_params"] = list(mfit.rdsm.retained_params)
             entry["test_mae_pct"] = _num(mfit.rdsm.surrogate.report.test_mae_pct)
@@ -540,11 +537,9 @@ def _write_summed_fit(fit, outdir) -> dict:
 
 def _cmd_fit(resolved) -> None:
     catalog = build_catalog()
-    data = _require_file(_require_opt(resolved, "data"), "data file")
-    dataset = Dataset.load_csv(data, catalog)
+    dataset = _load_dataset(resolved, "data", catalog)
     outdir = _outdir(resolved)
-    seed = int(resolved["seed"])
-    holdout = int(resolved["holdout"])
+    seed, holdout = resolved["seed"], resolved["holdout"]
     validation = None
     if holdout > 0:
         dataset, validation = split_holdout(dataset, holdout, seed)
@@ -553,7 +548,7 @@ def _cmd_fit(resolved) -> None:
         fit = fit_direct(
             dataset,
             network=_network_override(resolved, len(catalog), seed),
-            max_retained=int(resolved["max_retained"]),
+            max_retained=resolved["max_retained"],
             query_mode=resolved["query_mode"],
             seed=seed,
         )
@@ -562,10 +557,10 @@ def _cmd_fit(resolved) -> None:
             dataset,
             _load_specimen(resolved, catalog),
             seed=seed,
-            resample_n=int(resolved["resample_n"]),
-            threshold=float(resolved["threshold"]),
+            resample_n=resolved["resample_n"],
+            threshold=resolved["threshold"],
             threshold_mode=resolved["threshold_mode"],
-            threads=int(resolved["threads"]),
+            threads=resolved["threads"],
         )
     outdir.mkdir(parents=True, exist_ok=True)
     report = (_write_direct_fit if route == "direct" else _write_summed_fit)(fit, outdir)
@@ -588,11 +583,11 @@ def _cmd_sobol(resolved) -> None:
     result = sobol_indices(
         model.predict,
         len(catalog),
-        int(resolved["n_base"]),
-        seed=int(resolved["seed"]),
+        resolved["n_base"],
+        seed=resolved["seed"],
         dist=dist,
         catalog=catalog,
-        n_bootstrap=int(resolved["n_bootstrap"]),
+        n_bootstrap=resolved["n_bootstrap"],
     )
     if result.degenerate:
         order = range(len(result.names))
@@ -637,8 +632,8 @@ def _cmd_uq(resolved) -> None:
     report = uq_sweep(
         model,
         subsets,
-        n=int(resolved["n"]),
-        seed=int(resolved["seed"]),
+        n=resolved["n"],
+        seed=resolved["seed"],
         dist=_distribution(resolved["distribution"]),
         strata_per_dim=resolved["strata"],
     )
@@ -657,7 +652,7 @@ def _cmd_uq(resolved) -> None:
 def _cmd_gate_check(resolved) -> None:
     gate = EngagementGate()
     if resolved["grid"] is not None:
-        axis = np.linspace(0.0, 1.0, int(resolved["grid"]))
+        axis = np.linspace(0.0, 1.0, resolved["grid"])
         # rows run over giii fastest, then xis, then p
         points = [c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij")]
         rows = zip(*points, gate.boundary_margin(*points), gate.engaged(*points))
@@ -668,7 +663,7 @@ def _cmd_gate_check(resolved) -> None:
     for key in ("p", "xis", "giii"):
         if resolved[key] is None:
             raise _UsageError("gate-check needs --p, --xis, and --giii (or --grid)")
-    point = (float(resolved["p"]), float(resolved["xis"]), float(resolved["giii"]))
+    point = (resolved["p"], resolved["xis"], resolved["giii"])
     engaged = "true" if gate.engaged(*point) else "false"
     print(f"engaged={engaged} margin={gate.boundary_margin(*point)!r}")
 
@@ -677,7 +672,7 @@ def _load_train_keys(path):
     if path is None:
         return None
     p = _require_file(path, "train-rows file")
-    doc = parse_json(p.read_text(encoding="utf-8"), f"train-rows file {p}")
+    doc = parse_json(p.read_bytes(), f"train-rows file {p}")
     if isinstance(doc, dict):
         if "train_row_keys" not in doc:
             raise SchemaError(f"train-rows file {p} lacks a train_row_keys entry")
@@ -735,8 +730,7 @@ def _cmd_compare(resolved) -> None:
     if not summed_path.is_dir():
         raise FileNotFoundError(f"summed model directory {summed_path} not found")
     summed = SummedRDSM.load(summed_path, catalog)
-    data = _require_file(_require_opt(resolved, "validation"), "validation file")
-    validation = Dataset.load_csv(data, catalog)
+    validation = _load_dataset(resolved, "validation", catalog)
     train_keys = _load_train_keys(resolved["train_rows"])
     report = compare_approaches(direct, summed, validation, train_keys=train_keys)
     out = _out_path(resolved, "comparison.csv")
@@ -749,8 +743,7 @@ def _cmd_plot_data(resolved) -> None:
     kind = resolved["kind"]
     if kind == "parity":
         model = _load_model(_require_opt(resolved, "model"), catalog)
-        data = _require_file(_require_opt(resolved, "validation"), "validation file")
-        dataset = Dataset.load_csv(data, catalog)
+        dataset = _load_dataset(resolved, "validation", catalog)
         actual = dataset.energy("TS")
         predicted = model.predict(dataset.inputs)
         out = _out_path(resolved, "parity.csv")
@@ -768,8 +761,7 @@ def _cmd_plot_data(resolved) -> None:
                 zip(dataset.row_ids, actual, predicted),
             )
     else:
-        data = _require_file(_require_opt(resolved, "data"), "data file")
-        dataset = Dataset.load_csv(data, catalog)
+        dataset = _load_dataset(resolved, "data", catalog)
         order = np.argsort(dataset.energy("TS"), kind="stable")
         rows = [(dataset.row_ids[i], *dataset.energies[i]) for i in order]
         out = _out_path(resolved, "energy_stack.csv")

@@ -195,9 +195,10 @@ class Dataset:
         )
 
     @classmethod
-    def load_csv(cls, path, catalog: ParameterCatalog, provenance: str = "external_csv") -> "Dataset":
+    def load_csv(cls, path, catalog: ParameterCatalog) -> "Dataset":
         """Load a CSV whose columns are exactly the 41 inputs plus 6 energies
-        (read_csv rules: any column order, located cell errors)."""
+        (read_csv rules: any column order, located cell errors) as an
+        external_csv dataset."""
         table = read_csv(path, catalog.names + ENERGY_COLUMNS)
         d = len(catalog)
-        return cls(catalog, table[:, :d], table[:, d:], provenance)
+        return cls(catalog, table[:, :d], table[:, d:])

@@ -105,15 +105,24 @@ def json_value(value, kind, name: str = "value"):
 
 
 def json_numbers(values, name: str = "value") -> list[float]:
-    """A JSON list of numbers as floats, each checked as json_value does."""
-    return [json_value(v, float, name) for v in json_value(values, list, name)]
+    """A JSON list of numbers as floats; an entry of another type raises
+    what json_value raises for it."""
+    values = json_value(values, list, name)
+    for v in values:
+        if not (type(v) is float or type(v) is int):  # bools are not numbers
+            json_value(v, float, name)
+    return [float(v) for v in values]
 
 
 def _from_json(value, kind, name: str):
     """value read as kind (a JSON scalar type or a tuple of one), with
     lists as tuples and null as nan in a float."""
     if get_origin(kind) is tuple:
-        return tuple(_from_json(v, get_args(kind)[0], name) for v in json_value(value, list, name))
+        item = get_args(kind)[0]
+        values = json_value(value, list, name)
+        if item is float:
+            return tuple(json_numbers([math.nan if v is None else v for v in values], name))
+        return tuple(json_value(v, item, name) for v in values)
     return math.nan if kind is float and value is None else json_value(value, kind, name)
 
 

@@ -62,12 +62,6 @@ class ScreeningResult:
     entries: tuple[ParameterScreen, ...]
     retained: tuple[str, ...]
 
-    def entry(self, name: str) -> ParameterScreen:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(f"unknown parameter {name!r}")
-
 
 def benjamini_hochberg(p_values) -> np.ndarray:
     """Step-up FDR adjustment with enforced monotonicity, clipped at 1.
@@ -229,7 +223,6 @@ def sobol_indices(
     seed: int = 0,
     dist: SamplingDistribution | None = None,
     catalog: ParameterCatalog | None = None,
-    names=None,
     n_bootstrap: int = 100,
 ) -> SobolResult:
     """First- and total-order Sobol' indices of a deterministic model.
@@ -241,17 +234,18 @@ def sobol_indices(
     i is A with column i taken from B, built in one buffer just before it
     is evaluated.  The pooled A and B evaluations estimate the output
     variance; a constant output yields an explicit degenerate result.
-    Bootstrap standard errors resample rows with replacement.
+    Bootstrap standard errors resample rows with replacement.  Indices are
+    named after the catalog's parameters when a catalog is given, else
+    x0, x1, ...
     """
     if n_base < 128:
         raise ValueError(f"need n_base >= 128, got {n_base}")
-    if catalog is not None and names is None:
-        names = catalog.names
-    if names is None:
+    if catalog is None:
         names = tuple(f"x{i}" for i in range(dim))
-    names = tuple(names)
-    if len(names) != dim:
-        raise ValueError(f"got {len(names)} names for dim {dim}")
+    elif len(catalog) == dim:
+        names = catalog.names
+    else:
+        raise ValueError(f"catalog has {len(catalog)} parameters, dim is {dim}")
 
     a, b = saltelli_matrices(n_base, dim, seed)
 

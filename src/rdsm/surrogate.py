@@ -28,7 +28,6 @@ __all__ = [
     "TrainReport",
     "SurrogateModel",
     "train_surrogate",
-    "gradient_check",
     "serialize_model",
     "deserialize_model",
 ]
@@ -39,7 +38,6 @@ _ADAM_EPS = 1e-8
 _EARLY_STOP_DELTA = 0.05  # MAE percentage points
 _EARLY_STOP_PATIENCE = 200  # epochs
 _NEAR_ZERO_FRACTION = 1e-9  # of the training output range
-_KINK_TOLERANCE = 1e-4  # pre-activation magnitude treated as a ReLU kink
 
 _LOSSES = ("mse",)
 _SCALINGS = ("minmax", "identity")
@@ -345,71 +343,6 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         mae_history=tuple(mae_history),
     )
     return SurrogateModel(spec, weights, biases, in_lo, in_hi, out_lo, out_hi, report)
-
-
-@dataclass(frozen=True)
-class GradientSample:
-    """One sampled weight coordinate compared against central differences."""
-
-    layer: int
-    row: int
-    col: int
-    analytic: float
-    numeric: float
-    rel_deviation: float
-    passed: bool
-    skipped: bool
-
-
-def gradient_check(
-    model: SurrogateModel,
-    x,
-    tolerance: float = 1e-4,
-    n_samples: int = 20,
-    seed: int = 0,
-    h: float = 1e-5,
-):
-    """Compare backprop weight gradients with central finite differences.
-
-    The checked scalar is the scaled network output at the scaled input, so
-    step size h acts on scaled quantities as the training loop sees them.
-    Coordinates whose perturbation could cross a ReLU kink (any pre-activation
-    with magnitude below 1e-4 at or after the weight's layer) are reported
-    as skipped rather than compared.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.spec.input_dim:
-        raise ValueError("gradient check takes a single input vector")
-    xs = model._scale_in(x)[None, :]
-    weights = [w.copy() for w in model.weights]
-    biases = list(model.biases)
-
-    out, acts, pre = _forward_train(weights, biases, xs)
-    gw, _ = _backprop(weights, acts, pre, np.ones(1))
-    kink_layer = [bool(np.any(np.abs(z) < _KINK_TOLERANCE)) for z in pre]
-
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n_samples):
-        l = int(rng.integers(len(weights)))
-        i = int(rng.integers(weights[l].shape[0]))
-        j = int(rng.integers(weights[l].shape[1]))
-        analytic = float(gw[l][i, j])
-        skipped = any(kink_layer[l:])
-        if skipped:
-            samples.append(GradientSample(l, i, j, analytic, math.nan, math.nan, False, True))
-            continue
-        orig = weights[l][i, j]
-        weights[l][i, j] = orig + h
-        f_plus = float(_forward_train(weights, biases, xs)[0][0])
-        weights[l][i, j] = orig - h
-        f_minus = float(_forward_train(weights, biases, xs)[0][0])
-        weights[l][i, j] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        denom = max(abs(analytic) + abs(numeric), 1e-10)
-        rel = abs(analytic - numeric) / denom
-        samples.append(GradientSample(l, i, j, analytic, numeric, rel, rel <= tolerance, False))
-    return samples
 
 
 # -- serialization ---------------------------------------------------------

@@ -195,8 +195,7 @@ def _read_artifact(path: Path, what, keys, fmt, version, catalog) -> dict:
     the catalog it was fitted over, which must be the given catalog's."""
     if not path.is_file():
         raise SchemaError(f"no {what} at {path}")
-    text = path.read_text(encoding="utf-8")
-    doc = read_document(text, what, {"catalog_names", *keys}, fmt, version)
+    doc = read_document(path.read_bytes(), what, {"catalog_names", *keys}, fmt, version)
     if doc["catalog_names"] != list(catalog.names):
         raise SchemaError(f"{what} catalog does not match the given catalog")
     return doc
@@ -422,7 +421,6 @@ class MechanismFit:
     mechanism: str
     rdsm: MechanismRDSM | None
     screening: ScreeningResult | None
-    needs_resampling: bool
     note: str = ""
 
 
@@ -437,17 +435,6 @@ class SummedFit:
 
     def __post_init__(self):
         object.__setattr__(self, "fits", MappingProxyType(dict(self.fits)))
-
-
-def _default_network(mechanism: str, input_dim: int, seed: int) -> NetworkSpec:
-    hidden, rate, split = _MECHANISM_NETWORKS.get(mechanism, ((60, 80), 0.001, (0.9, 0.1)))
-    return NetworkSpec(
-        input_dim=input_dim,
-        hidden_layers=hidden,
-        learning_rate=rate,
-        split=split,
-        seed=seed,
-    )
 
 
 def _nonempty_retained(screening: ScreeningResult) -> tuple[tuple[str, ...], str]:
@@ -502,7 +489,6 @@ def fit_direct(
 def fit_mechanism(
     dataset: Dataset,
     mechanism: str,
-    network: NetworkSpec | None = None,
     max_retained: int = 3,
     seed: int = 0,
 ) -> MechanismFit:
@@ -520,7 +506,6 @@ def fit_mechanism(
             mechanism=mechanism,
             rdsm=None,
             screening=None,
-            needs_resampling=True,
             note=f"{mechanism} is constant over the dataset",
         )
     catalog = dataset.catalog
@@ -528,20 +513,16 @@ def fit_mechanism(
         dataset.inputs, y, catalog.names, mechanism, max_k=max_retained
     )
     retained, note = _nonempty_retained(screening)
-    if network is None:
-        network = _default_network(mechanism, len(retained), seed)
-    elif network.input_dim != len(retained):
-        raise ValueError(
-            f"network takes {network.input_dim} inputs but {len(retained)} "
-            "parameters were retained"
-        )
+    hidden, rate, split = _MECHANISM_NETWORKS[mechanism]
+    network = NetworkSpec(
+        input_dim=len(retained), hidden_layers=hidden, learning_rate=rate, split=split, seed=seed
+    )
     model = train_surrogate(network, dataset.input_columns(retained), y)
     rdsm = MechanismRDSM(mechanism, retained, model, catalog.means, catalog)
     return MechanismFit(
         mechanism=mechanism,
         rdsm=rdsm,
         screening=screening,
-        needs_resampling=False,
         note=note,
     )
 
@@ -608,32 +589,30 @@ def resample_subspace(
     varied_params,
     n: int,
     seed: int,
-    dist: SamplingDistribution | None = None,
-    mechanism: str = "DI",
     threshold: float = ENGAGEMENT_FRACTION,
     threshold_mode: str = "relative",
     threads: int = 1,
 ) -> SubspaceSample:
     """Simulate a design that varies only the named parameters.
 
-    Every other column is held exactly at its catalog mean.  Rows where the
-    mechanism falls below the engagement threshold (by default, under 3% of
-    the row's total energy; "absolute" compares the raw energy against the
-    threshold instead) are tagged and left out of the fitting subset.
+    The named parameters span the +/-20% uniform box and every other column
+    is held exactly at its catalog mean.  Rows where the disbond falls below
+    the engagement threshold (by default, under 3% of the row's total
+    energy; "absolute" compares the raw energy against the threshold
+    instead) are tagged and left out of the fitting subset.
     """
-    _check_engagement(mechanism, threshold, threshold_mode)
+    _check_engagement("DI", threshold, threshold_mode)
     varied = tuple(varied_params)
     if not varied:
         raise ValueError("need at least one varied parameter")
     if len(set(varied)) != len(varied):
         raise ValueError("varied parameters contain duplicates")
     catalog = specimen.catalog
-    if dist is None:
-        dist = SamplingDistribution.uniform_pm20()
     design = sample_lhs(n, len(varied), seed)
-    x = _subspace_design(design, varied, catalog, dist, catalog.means)
+    box = SamplingDistribution.uniform_pm20()
+    x = _subspace_design(design, varied, catalog, box, catalog.means)
     ds = simulate_dataset(x, specimen, threads=threads)
-    mask = engagement_mask(ds, mechanism, threshold, threshold_mode)
+    mask = engagement_mask(ds, "DI", threshold, threshold_mode)
     mask.setflags(write=False)
     return SubspaceSample(
         dataset=ds,
@@ -662,7 +641,6 @@ def _constant_member(
 def fit_summed(
     dataset: Dataset,
     specimen: BendSpecimen,
-    dist: SamplingDistribution | None = None,
     gate: EngagementGate | None = None,
     seed: int = 0,
     resample_n: int = 3277,
@@ -686,8 +664,6 @@ def fit_summed(
     catalog = dataset.catalog
     if specimen.catalog.names != catalog.names:
         raise ValueError("specimen and dataset use different catalogs")
-    if dist is None:
-        dist = SamplingDistribution.uniform_pm20()
     if gate is None:
         gate = EngagementGate()
     catalog.indices(gate.axes)  # unknown axis names fail here
@@ -726,8 +702,6 @@ def fit_summed(
         varied,
         resample_n,
         seed,
-        dist=dist,
-        mechanism="DI",
         threshold=threshold,
         threshold_mode=threshold_mode,
         threads=threads,
@@ -741,11 +715,11 @@ def fit_summed(
             if subspace.empty
             else f"only {len(subspace.fitting)} engaged rows; need 30 to screen"
         )
-        fits["DI"] = MechanismFit("DI", None, base_screen, True, note)
+        fits["DI"] = MechanismFit("DI", None, base_screen, note)
         level = 0.0
     members["DI"] = fits["DI"].rdsm or _constant_member("DI", level, catalog, gate.axes[0])
 
-    summed = SummedRDSM(members, gate, catalog, dist)
+    summed = SummedRDSM(members, gate, catalog, SamplingDistribution.uniform_pm20())
     return SummedFit(
         summed=summed,
         fits=fits,

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradcheck import gradient_check
 from rdsm.bend import default_specimen, simulate_dataset
 from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.constitutive import (
@@ -26,7 +27,7 @@ from rdsm.constitutive import (
 from rdsm.dataset import Dataset, MECHANISMS
 from rdsm.sampling import sample_lhs
 from rdsm.sensitivity import benjamini_hochberg, screen_fdr_logworth, sobol_indices
-from rdsm.surrogate import NetworkSpec, gradient_check, train_surrogate
+from rdsm.surrogate import NetworkSpec, train_surrogate
 from rdsm.workflow import (
     EngagementGate,
     compare_approaches,

@@ -1,6 +1,13 @@
 """The package's public surface: what the CLI, the README and the benchmark use."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import rdsm
+from rdsm import bend, catalog, dataset, sampling, surrogate, workflow
+
+_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 PUBLIC = {
     "__version__",
@@ -33,3 +40,33 @@ def test_public_api_is_pinned():
     assert set(rdsm.__all__) == PUBLIC
     for name in rdsm.__all__:
         assert hasattr(rdsm, name), name
+
+
+def _rdsm_namespaces():
+    """Every rdsm module and every class the bench tracer patches, by id,
+    with a copy of its namespace."""
+    mods = [m for n, m in sys.modules.items() if n.split(".")[0] == "rdsm"]
+    classes = [bend.BendState, surrogate.SurrogateModel, catalog.SamplingDistribution,
+               dataset.Dataset]
+    return {id(o): dict(vars(o)) for o in mods + classes}
+
+
+def test_bench_tracer_installs_and_restores():
+    # bench/tracing.py wraps rdsm functions and methods by name from outside
+    # the package, so renaming one of them breaks the traced benchmark
+    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = _rdsm_namespaces()
+    tracer = tracing.Tracer("test")
+    patches = tracing.Patches(tracer)
+    try:
+        assert workflow.fit_summed is not before[id(workflow)]["fit_summed"]
+        assert vars(dataset.Dataset)["load_csv"] is not before[id(dataset.Dataset)]["load_csv"]
+        with tracer.span("pass"):
+            design = sampling.sample_lhs(8, 2, 0)
+        assert [s.name for s in tracer.spans] == ["pass", "sampling.sample_lhs"]
+    finally:
+        patches.restore()
+    assert _rdsm_namespaces() == before
+    assert (design == sampling.sample_lhs(8, 2, 0)).all()

@@ -146,7 +146,7 @@ def test_monotone_damage_and_dissipation(cat, sp):
     prev = state.energies()
     prev_d11 = state.d11.copy()
     prev_d12 = state.d12.copy()
-    for _ in range(state.n_steps):
+    for _ in range(sp.n_steps):
         state.advance_step()
         cur = state.energies()
         assert np.all(cur[:, :5] >= prev[:, :5] - 1e-12)
@@ -158,8 +158,8 @@ def test_monotone_damage_and_dissipation(cat, sp):
 
 
 def test_schedule_convergence_at_means(cat, sp):
-    coarse = simulate_batch(cat.means, sp, n_steps=sp.n_steps)[0]
-    fine = simulate_batch(cat.means, sp, n_steps=2 * sp.n_steps)[0]
+    coarse = simulate_batch(cat.means, sp)[0]
+    fine = simulate_batch(cat.means, dataclasses.replace(sp, n_steps=2 * sp.n_steps))[0]
     # doubling the step count moves every energy by less than 1%
     for c, f in zip(coarse, fine):
         if f == 0.0:
@@ -173,8 +173,8 @@ def test_schedule_convergence_sampled(cat, sp):
     # so the sampled bound is looser than the means bound
     u = sample_lhs(12, len(cat), seed=11)
     X = SamplingDistribution.uniform_pm20().transform(u, cat)
-    coarse = simulate_batch(X, sp, n_steps=sp.n_steps)
-    fine = simulate_batch(X, sp, n_steps=2 * sp.n_steps)
+    coarse = simulate_batch(X, sp)
+    fine = simulate_batch(X, dataclasses.replace(sp, n_steps=2 * sp.n_steps))
     rel = np.abs(coarse[:, 5] - fine[:, 5]) / np.maximum(np.abs(fine[:, 5]), 1e-12)
     assert np.max(rel) < 0.03
 

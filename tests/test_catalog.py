@@ -18,7 +18,7 @@ def catalog():
 def test_catalog_cardinality(catalog):
     assert len(catalog) == 41
     for group, want in GROUPS.items():
-        assert len(catalog.group(group)) == want
+        assert sum(spec.group == group for spec in catalog) == want
 
 
 def test_catalog_lookup_means(catalog):
@@ -86,10 +86,10 @@ def test_normal_bounds_unavailable(catalog):
 def test_distribution_validation():
     with pytest.raises(ValueError):
         SamplingDistribution("weird")
-    with pytest.raises(ValueError):
-        SamplingDistribution.uniform_custom(1.2, 0.8)
-    with pytest.raises(ValueError):
-        SamplingDistribution.normal_custom(1.0, 0.0)
+    with pytest.raises(ValueError, match="lo_frac < hi_frac"):
+        SamplingDistribution("uniform_pm20", lo_frac=1.2, hi_frac=0.8)
+    with pytest.raises(ValueError, match="std_frac > 0"):
+        SamplingDistribution("normal_10std", mean_frac=1.0, std_frac=0.0)
 
 
 def test_transform_uniform_corners(catalog):

@@ -939,3 +939,24 @@ def test_specimen_reader_fails_on_one_line(work, text):
     assert code == EXIT_SCHEMA, (text, err)
     _assert_one_line(err)
     assert not out.parent.exists()
+
+
+def test_undecodable_json_is_schema_error(work, direct_dir, summed_dir):
+    # every JSON reader decodes through the one JSON parser, so bytes that are
+    # not UTF-8 are malformed JSON like any other
+    path = work / "not_utf8.json"
+    path.write_bytes(b'{"n": "\xff"}')
+    outdir = work / "not_utf8"
+    compare = ("compare", "--direct", direct_dir / "direct_rdsm.json",
+               "--summed", summed_dir / "model", "--validation", direct_dir / "validation.csv")
+    for argv in (
+        ("sample", "--config", path),
+        ("uq", "--model", path),
+        ("simulate", "--n", 2, "--specimen", path),
+        (*compare, "--train-rows", path),
+    ):
+        code, err = _run_quiet(*argv, "--outdir", outdir)
+        assert code == EXIT_SCHEMA, (argv, err)
+        _assert_one_line(err)
+        assert "can't decode byte 0xff" in err, err
+    assert not outdir.exists()

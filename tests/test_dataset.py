@@ -65,7 +65,7 @@ def test_csv_round_trip_bit_exact(catalog, tmp_path):
     ds = Dataset(catalog, x, y, provenance="toy_model")
     path = tmp_path / "d.csv"
     ds.save_csv(path)
-    back = Dataset.load_csv(path, catalog, provenance="toy_model")
+    back = Dataset.load_csv(path, catalog)
     np.testing.assert_array_equal(back.inputs, ds.inputs)
     np.testing.assert_array_equal(back.energies, ds.energies)
 
@@ -81,7 +81,7 @@ def test_csv_column_order_free(catalog, tmp_path):
     shuffled = [",".join([row.split(",")[p] for p in perm]) for row in lines]
     path2 = tmp_path / "shuffled.csv"
     path2.write_text("\n".join(shuffled) + "\n")
-    back = Dataset.load_csv(path2, catalog, provenance="toy_model")
+    back = Dataset.load_csv(path2, catalog)
     np.testing.assert_array_equal(back.inputs, ds.inputs)
     np.testing.assert_array_equal(back.energies, ds.energies)
 

@@ -109,7 +109,7 @@ def test_screen_zero_variance_column_flagged():
     x[:, 2] = 0.7
     y = 2.0 * x[:, 0] + rng.normal(0.0, 0.1, 50)
     res = screen_fdr_logworth(x, y, _names(5), "Y")
-    e = res.entry("p2")
+    e = {entry.name: entry for entry in res.entries}["p2"]
     assert e.zero_variance
     assert e.raw_p == 1.0
     assert e.logworth == 0.0
@@ -241,8 +241,8 @@ def test_sobol_validation():
     f = lambda u: u[:, 0]
     with pytest.raises(ValueError, match="128"):
         sobol_indices(f, 2, 64)
-    with pytest.raises(ValueError, match="names"):
-        sobol_indices(f, 2, 128, names=("a",))
+    with pytest.raises(ValueError, match="catalog has 41 parameters, dim is 2"):
+        sobol_indices(f, 2, 128, catalog=build_catalog())
     with pytest.raises(ValueError, match="one output per row"):
         sobol_indices(lambda u: np.zeros(3), 2, 128)
 

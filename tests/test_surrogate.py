@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import gradient_check
 from rdsm.errors import SchemaError
 from rdsm.surrogate import (
-    GradientSample,
     NetworkSpec,
     SurrogateModel,
     TrainReport,
     deserialize_model,
-    gradient_check,
     serialize_model,
     train_surrogate,
 )
