@@ -240,21 +240,44 @@ def default_specimen(catalog: ParameterCatalog) -> BendSpecimen:
     return load_specimen_config(config, catalog)
 
 
-def _solve_power_hardening(total, stiffness, y0, coef, expo, lo):
-    """Root of stiffness*(total - e) = y0 + coef*e**expo, bisected on [lo, total].
+_NEWTON_CAP = 50  # steps per solve; the catalog's points converge in at most 7
 
-    All arguments are equal-shape arrays; caller guarantees the bracket
-    (elastic trial above current flow stress).
+
+def _newton_power(v, moving, top, weight, shift, scale, pw, gain):
+    """Newton on v, in place, for weight*(top - base**(pw + 1)) = v, base = (v - shift)/scale.
+
+    gain*base**pw is the slope of weight*base**(pw + 1) in v.  With pw >= 0 the
+    residual is concave and decreasing, so from at or above the root the iterates
+    fall onto it with no bracket.  Each point stops once its own step is a few
+    ulp, so its root ignores the rest of the batch.  Returns v, base**(pw + 1), slope.
     """
-    lo = lo.copy()
-    hi = total.copy()
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        f = stiffness * (total - mid) - y0 - coef * mid**expo
-        above = f > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    for _ in range(_NEWTON_CAP + 1):
+        base = np.maximum(v - shift, 0.0) / scale
+        q = base**pw
+        if not moving.any():
+            return v, base * q, gain * q
+        step = (weight * (top - base * q) - v) / (gain * q + 1.0)
+        step[~moving] = 0.0
+        v += step
+        moving &= np.abs(step) > 4.0 * np.finfo(float).eps * v
+    raise NumericalFailureError(f"return map still moving after {_NEWTON_CAP} Newton steps")
+
+
+def _solve_power_hardening(total, stiffness, y0, coef, expo, lo):
+    """Root e in [lo, total] of stiffness*(total - e) = y0 + coef*e**expo.
+
+    Newton on the flow stress s from the elastic trial stiffness*(total - lo),
+    which the caller passes only above the flow stress, or on e from e = total
+    where expo > 1; NumericalFailureError after _NEWTON_CAP steps.  e is read
+    off s through the hardening curve or the elastic line, whichever is flatter.
+    """
+    s, e, ratio = _newton_power(stiffness * (total - lo), expo <= 1.0, total, stiffness, y0, coef,
+                                1.0 / expo - 1.0, stiffness / (expo * coef))
+    e = np.where(ratio > 1.0, total - s / stiffness, e)
+    if (convex := expo > 1.0).any():  # Newton on e: (c/k)*((k*t - y)/c - e**n) = e
+        t, k, y, c, n = (x[convex] for x in (total, stiffness, y0, coef, expo))
+        e[convex] = _newton_power(t.copy(), n > 1, (k * t - y) / c, c / k, 0, 1, n - 1, c * n / k)[0]
+    return np.clip(e, lo, total)
 
 
 def _return_map(strain, eps_p, stiffness, y0, coef, expo, active):
@@ -270,15 +293,8 @@ def _return_map(strain, eps_p, stiffness, y0, coef, expo, active):
     plastic = active & (trial > flow_old)
     eps_p_new = eps_p.copy()
     if np.any(plastic):
-        idx = np.nonzero(plastic)
-        eps_p_new[idx] = _solve_power_hardening(
-            strain[idx],
-            np.broadcast_to(stiffness, strain.shape)[idx],
-            np.broadcast_to(y0, strain.shape)[idx],
-            np.broadcast_to(coef, strain.shape)[idx],
-            np.broadcast_to(expo, strain.shape)[idx],
-            eps_p[idx],
-        )
+        consts = (np.broadcast_to(c, strain.shape)[plastic] for c in (stiffness, y0, coef, expo))
+        eps_p_new[plastic] = _solve_power_hardening(strain[plastic], *consts, eps_p[plastic])
     flow_new = jc_stress(eps_p_new, y0, coef, expo)
     work = (
         np.where(plastic, 0.5 * (flow_old + flow_new) * (eps_p_new - eps_p), 0.0)
@@ -622,7 +638,7 @@ class BendState:
         out = np.column_stack([pl, dl, dc, di, pm, ts])
         if not np.all(np.isfinite(out)):
             i, j = np.unravel_index(int(np.argmin(np.isfinite(out))), out.shape)
-            raise NumericalFailureError(f"sample {i}, energy column {j}")
+            raise NumericalFailureError(f"non-finite intermediate at sample {i}, energy column {j}")
         return out
 
 
@@ -634,13 +650,9 @@ def simulate_batch(X: np.ndarray, specimen: BendSpecimen, threads: int = 1) -> n
         return BendState(specimen, X).run()
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = np.array_split(np.arange(X.shape[0]), threads)
-    out = np.empty((X.shape[0], 6))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_simulate_chunk, specimen, X[c]) for c in chunks if len(c)]
-        for c, fut in zip([c for c in chunks if len(c)], futures):
-            out[c] = fut.result()
-    return out
+        parts = pool.map(_simulate_chunk, [specimen] * threads, np.array_split(X, threads))
+        return np.concatenate(list(parts))
 
 
 def _simulate_chunk(specimen, X):

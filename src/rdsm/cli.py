@@ -348,13 +348,12 @@ def _parse_subsets(value):
     """Nested subsets: 'A;A,E;A,E,XS' or a JSON list of name lists."""
     if value is None:
         return None
-    if isinstance(value, (list, tuple)):
-        return [tuple(subset) for subset in value]
-    subsets = []
-    for chunk in str(value).split(";"):
-        names = tuple(tok.strip() for tok in chunk.split(",") if tok.strip())
-        subsets.append(names)
-    return subsets
+    if isinstance(value, list):
+        try:
+            return [tuple(json_value(n, str) for n in json_value(sub, list)) for sub in value]
+        except TypeError:
+            raise ValueError("subsets must be a JSON list of parameter-name lists") from None
+    return [tuple(t.strip() for t in chunk.split(",") if t.strip()) for chunk in value.split(";")]
 
 
 # -- output helpers --------------------------------------------------------------

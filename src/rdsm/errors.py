@@ -43,11 +43,7 @@ class AdmissibilityError(RdsmError, ValueError):
 
 
 class NumericalFailureError(RdsmError, RuntimeError):
-    """A non-finite intermediate appeared during simulation."""
-
-    def __init__(self, where: str):
-        self.where = where
-        super().__init__(f"non-finite intermediate at {where}")
+    """A simulation or training step went non-finite or did not converge."""
 
 
 def parse_json(text, what: str):

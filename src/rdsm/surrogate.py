@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError, fields_doc, fields_from, json_numbers, json_value, read_document
+from .errors import NumericalFailureError, SchemaError, fields_doc, fields_from
+from .errors import json_numbers, json_value, read_document
 
 __all__ = [
     "NetworkSpec",
@@ -209,6 +210,7 @@ def _mae_pct(y_true, y_pred, keep):
     return float(np.mean(rel) * 100.0), n_exc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging fit fails on the checks below
 def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     """Fit a network to (x, y) rows under the spec's split and schedule.
 
@@ -217,6 +219,7 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     improve by 0.05 points for 200 consecutive epochs, and the weights with
     the best held-out MAE% seen are restored.  A zero-variance target is
     flagged on the report but still trained (the net learns the constant).
+    A non-finite epoch loss or held-out MAE% raises NumericalFailureError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -302,11 +305,15 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
                 params[i] = params[i] - spec.learning_rate * (m[i] / corr1) / (
                     np.sqrt(v[i] / corr2) + _ADAM_EPS
                 )
+        if not math.isfinite(epoch_loss):
+            raise NumericalFailureError(f"training loss went non-finite in epoch {epoch + 1}")
         loss_history.append(epoch_loss / n_train)
         epochs_run = epoch + 1
 
         if n_test > 0:
             mae = eval_mae(params[:n_layers], params[n_layers:], xs_test, y_test, keep_test)[0]
+            if not math.isfinite(mae):
+                raise NumericalFailureError(f"held-out MAE went non-finite in epoch {epoch + 1}")
             mae_history.append(mae)
             if mae < best_mae:
                 best_mae = mae

@@ -4,10 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from bisection import bisect_power_hardening
+
+from rdsm import bend
 from rdsm.bend import (
     BendState,
     _CohesiveBank,
     _resolve_lc,
+    _solve_power_hardening,
     default_specimen,
     load_specimen_config,
     simulate_batch,
@@ -17,6 +21,7 @@ from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.constitutive import bk_mixed_mode_gc
 from rdsm.errors import AdmissibilityError, SchemaError
 from rdsm.sampling import sample_lhs
+from rdsm.workflow import engagement_mask
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +280,67 @@ def test_input_shape_validation(cat, sp):
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         simulate_batch(bad, sp)
+
+
+def _hardening_points(cat, expo, n=4000, seed=0):
+    """Plastic return-map points around the catalog's ply and substrate
+    constants (psi): half start at eps_p = 0, and the elastic trial exceeds
+    the current flow stress by a fraction from 1e-15 to 10."""
+    rng = np.random.default_rng(seed)
+    ply = rng.random(n) < 0.5
+    consts = [
+        np.where(ply, cat[p].mean * up, cat[m].mean * um) * rng.uniform(0.8, 1.2, n)
+        for p, up, m, um in (("GS", 1e6, "E", 1e6), ("sigmaY", 1e3, "A", 1e3), ("C", 1e6, "B", 1e3))
+    ]
+    stiffness, y0, coef = consts
+    expo = np.full(n, expo)
+    lo = np.where(rng.random(n) < 0.5, 0.0, 10.0 ** rng.uniform(-7.0, -1.0, n))
+    flow = y0 + coef * lo**expo
+    total = lo + flow * (1.0 + 10.0 ** rng.uniform(-15.0, 1.0, n)) / stiffness
+    plastic = stiffness * (total - lo) > flow  # the solver's precondition
+    return [a[plastic] for a in (total, stiffness, y0, coef, expo, lo)]
+
+
+@pytest.mark.parametrize("expo", [0.49, 0.87, 1.0, 1.3])
+def test_newton_residual_within_bisection(cat, expo):
+    args = _hardening_points(cat, expo)
+    total, stiffness, y0, coef, _, lo = args
+
+    def residual(e):
+        return np.abs(stiffness * (total - e) - y0 - coef * e**expo)
+
+    e = _solve_power_hardening(*args)
+    assert np.all((lo <= e) & (e <= total))
+    oracle = bisect_power_hardening(*args)
+    assert np.all(residual(e) <= residual(oracle) + 1e-14 * stiffness * total)
+
+
+def test_newton_root_ignores_the_rest_of_the_batch(cat, sp, monkeypatch):
+    calls = [_hardening_points(cat, x, n=500, seed=i) for i, x in enumerate((0.49, 0.87, 1.0, 1.3))]
+
+    def record(*args):
+        calls.append(args)
+        return _solve_power_hardening(*args)
+
+    monkeypatch.setattr(bend, "_solve_power_hardening", record)
+    u = sample_lhs(4, len(cat), seed=5)
+    simulate_batch(SamplingDistribution.uniform_pm20().transform(u, cat), sp)
+    for args in calls:
+        full = _solve_power_hardening(*args)
+        for pick in (slice(None, None, 3), slice(1, 2), np.argsort(args[0])[-5:]):
+            part = _solve_power_hardening(*(a[pick] for a in args))
+            np.testing.assert_array_equal(part, full[pick])
+
+
+def test_newton_matches_bisection_on_a_design(cat, sp, monkeypatch):
+    u = sample_lhs(200, len(cat), seed=11)
+    X = SamplingDistribution.uniform_pm20().transform(u, cat)
+    newton = simulate_dataset(X, sp)
+    monkeypatch.setattr(bend, "_solve_power_hardening", bisect_power_hardening)
+    oracle = simulate_dataset(X, sp)
+    np.testing.assert_allclose(newton.energies, oracle.energies, rtol=1e-12, atol=0.0)
+    engaged = engagement_mask(newton, "DI")
+    assert engaged.any()
+    np.testing.assert_array_equal(engaged, engagement_mask(oracle, "DI"))
+    pl, dl, dc, di, pm, ts = newton.energies.T
+    np.testing.assert_array_equal(ts, pl + dl + dc + di + pm)

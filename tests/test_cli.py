@@ -15,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rdsm import cli, workflow
+from rdsm import bend, cli, workflow
 from rdsm.catalog import build_catalog
 from rdsm.cli import (
     EXIT_DATA,
     EXIT_MISSING_FILE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_USAGE,
@@ -313,7 +314,7 @@ def test_config_schema_errors(work, capsys):
     assert not (work / "y.csv").exists()
 
 
-def test_config_values_take_option_type(work, capsys):
+def test_config_values_take_option_type(work, summed_dir, capsys):
     config = work / "typed.json"
     out = work / "typed" / "design.csv"
     # an int option takes a JSON integer, a float option any JSON number;
@@ -341,6 +342,14 @@ def test_config_values_take_option_type(work, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("rdsm: error: usage:"), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+    # a subsets list holds JSON lists of names; any other entry is bad data
+    for text in ('{"subsets": [1, 2]}', '{"subsets": ["P", "P,XiS"]}'):
+        config.write_text(text)
+        code = run("uq", "--config", config, "--model", summed_dir / "model", "--out", out)
+        assert code == EXIT_DATA, text
+        captured = capsys.readouterr()
+        assert captured.err.startswith("rdsm: error: invalid-data:"), captured.err
         assert captured.err.count("\n") == 1, captured.err
     assert not out.parent.exists()
 
@@ -515,6 +524,13 @@ def test_uq_summed_needs_subsets(work, summed_dir, capsys):
     assert code == EXIT_OK
     _, rows = read_csv(work / "uq_s.csv")
     assert rows[0][0] == "P" and rows[2][0] == "P, XiS"
+    # a config list of name lists is the same ladder
+    config = work / "uq_subsets.json"
+    config.write_text('{"subsets": [["P"], ["P", "XiS"]]}')
+    code = run("uq", "--model", summed_dir / "model", "--n", 200, "--config", config,
+               "--out", work / "uq_c.csv")
+    assert code == EXIT_OK
+    assert (work / "uq_c.csv").read_bytes() == (work / "uq_s.csv").read_bytes()
 
 
 def test_model_query_missing_artifact(work):
@@ -623,6 +639,25 @@ def test_failed_fit_writes_nothing(work, data_csv, monkeypatch, capsys):
     assert code == EXIT_DATA
     assert "threshold must be positive" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_diverging_fit_exits_numerical(work, data_csv, capsys):
+    outdir = work / "diverged"
+    code = run("fit", "--data", data_csv, "--route", "direct", "--learning-rate", 1e300,
+               "--outdir", outdir)
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("rdsm: error: numerical:") and err.count("\n") == 1, err
+    assert not outdir.exists()
+
+
+def test_unconverged_return_map_exits_numerical(work, monkeypatch, capsys):
+    monkeypatch.setattr(bend, "_NEWTON_CAP", 2)
+    out = work / "unconverged" / "data.csv"
+    assert run("simulate", "--n", 4, "--out", out) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("rdsm: error: numerical:") and err.count("\n") == 1, err
+    assert not out.parent.exists()
 
 
 def test_compare_empty_validation(work, direct_dir, summed_dir, data_csv, capsys):
