@@ -292,10 +292,12 @@ def _return_map(strain, eps_p, stiffness, y0, coef, expo, active):
     flow_old = jc_stress(eps_p, y0, coef, expo)
     plastic = active & (trial > flow_old)
     eps_p_new = eps_p.copy()
+    flow_new = flow_old.copy()  # eps_p, hence the flow stress, moves only where plastic
     if np.any(plastic):
-        consts = (np.broadcast_to(c, strain.shape)[plastic] for c in (stiffness, y0, coef, expo))
-        eps_p_new[plastic] = _solve_power_hardening(strain[plastic], *consts, eps_p[plastic])
-    flow_new = jc_stress(eps_p_new, y0, coef, expo)
+        k, y, c, n = (np.broadcast_to(a, strain.shape)[plastic] for a in (stiffness, y0, coef, expo))
+        e = _solve_power_hardening(strain[plastic], k, y, c, n, eps_p[plastic])
+        eps_p_new[plastic] = e
+        flow_new[plastic] = jc_stress(e, y, c, n)
     work = (
         np.where(plastic, 0.5 * (flow_old + flow_new) * (eps_p_new - eps_p), 0.0)
     ).sum(axis=1)
@@ -415,6 +417,10 @@ class BendState:
             raise ValueError(f"inputs must have {len(cat)} columns, got {x.shape[1]}")
         if not np.all(np.isfinite(x)):
             raise ValueError("inputs contain non-finite values")
+        for name in ("P", "Aln"):  # hardening exponents; 0.0**n is inf for n < 0
+            bad = np.flatnonzero(x[:, cat.index(name)] <= 0.0)
+            if bad.size:
+                raise ValueError(f"sample {bad[0]}: hardening exponent {name} must be positive")
         self.specimen = specimen
         self.n = x.shape[0]
         col = lambda name: x[:, cat.index(name)]

@@ -154,11 +154,24 @@ class SurrogateModel:
         return self._unscale_out(self._forward_scaled(self._scale_in(x)))
 
 
+def _layer_views(flat, dims):
+    """Per-layer weight and bias views into a flat buffer that holds every
+    weight matrix in layer order, then every bias vector."""
+    shapes = [*zip(dims, dims[1:]), *((d,) for d in dims[1:])]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    views = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    return views[: len(dims) - 1], views[len(dims) - 1 :]
+
+
 def _init_parameters(spec: NetworkSpec, rng: np.random.Generator):
+    """Flat parameter buffer with its (weights, biases) views: normal weights
+    drawn layer by layer, zero biases."""
     dims = spec.layer_dims
-    weights = [rng.normal(0.0, spec.init_std, size=(dims[l], dims[l + 1])) for l in range(len(dims) - 1)]
-    biases = [np.zeros(dims[l + 1]) for l in range(len(dims) - 1)]
-    return weights, biases
+    flat = np.zeros(sum((a + 1) * b for a, b in zip(dims, dims[1:])))
+    weights, biases = _layer_views(flat, dims)
+    for w in weights:
+        w[...] = rng.normal(0.0, spec.init_std, size=w.shape)
+    return flat, weights, biases
 
 
 def _forward_train(weights, biases, a0):
@@ -175,17 +188,15 @@ def _forward_train(weights, biases, a0):
     return out[:, 0], activations, pre
 
 
-def _backprop(weights, activations, pre, delta_out):
-    """Gradients of a scalar loss given d(loss)/d(raw output) per row."""
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
+def _backprop(weights, activations, pre, delta_out, grads_w, grads_b):
+    """Gradients of a scalar loss given d(loss)/d(raw output) per row,
+    written into the per-layer arrays grads_w and grads_b."""
     delta = delta_out[:, None]
     for l in range(len(weights) - 1, -1, -1):
-        grads_w[l] = activations[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(activations[l].T, delta, out=grads_w[l])
+        np.sum(delta, axis=0, out=grads_b[l])
         if l > 0:
             delta = (delta @ weights[l].T) * (pre[l - 1] > 0.0)
-    return grads_w, grads_b
 
 
 def percent_error_rows(y, reference) -> np.ndarray:
@@ -219,7 +230,10 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     improve by 0.05 points for 200 consecutive epochs, and the weights with
     the best held-out MAE% seen are restored.  A zero-variance target is
     flagged on the report but still trained (the net learns the constant).
-    A non-finite epoch loss or held-out MAE% raises NumericalFailureError.
+    A non-finite epoch loss or held-out MAE% raises NumericalFailureError,
+    and so does a fit whose held-out MAE% never falls below its value at the
+    initial weights.  All parameters, their gradient and the Adam moments
+    each live in one flat buffer, updated in place once per minibatch.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -262,11 +276,13 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     keep_train = percent_error_rows(y_train, y_train)
     keep_test = percent_error_rows(y_test, y_train)
 
-    weights, biases = _init_parameters(spec, rng)
-    n_layers = len(weights)
-    params = weights + biases  # every weight matrix, then every bias vector
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    flat, weights, biases = _init_parameters(spec, rng)
+    grad = np.empty_like(flat)
+    grads_w, grads_b = _layer_views(grad, spec.layer_dims)
+    m = np.zeros_like(flat)  # Adam moments
+    v = np.zeros_like(flat)
+    s1 = np.empty_like(flat)  # scratch for the fused update
+    s2 = np.empty_like(flat)
     t = 0
 
     xs_test = (x_test - in_lo) / in_span if n_test else x_test
@@ -275,8 +291,10 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         pred = out_lo + _forward_train(ws, bs, xs)[0] * out_span
         return _mae_pct(y_raw, pred, keep)
 
+    # a fit whose held-out MAE% never beats the initial weights' has diverged
+    init_mae = eval_mae(weights, biases, xs_test, y_test, keep_test)[0]
     best_mae = math.inf
-    best = [p.copy() for p in params]
+    best = flat.copy()
     patience_anchor = math.inf
     patience = 0
     loss_history = []
@@ -290,34 +308,37 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         for start in range(0, n_train, spec.batch_size):
             batch = order[start : start + spec.batch_size]
             xb, yb = xs_train[batch], ys_train[batch]
-            weights = params[:n_layers]
-            pred, acts, pre = _forward_train(weights, params[n_layers:], xb)
+            pred, acts, pre = _forward_train(weights, biases, xb)
             err = pred - yb
             epoch_loss += float(np.sum(err * err))
-            delta = 2.0 * err / len(batch)
-            gw, gb = _backprop(weights, acts, pre, delta)
+            _backprop(weights, acts, pre, 2.0 * err / len(batch), grads_w, grads_b)
             t += 1
-            corr1 = 1.0 - _ADAM_BETA1**t
-            corr2 = 1.0 - _ADAM_BETA2**t
-            for i, g in enumerate(gw + gb):
-                m[i] = _ADAM_BETA1 * m[i] + (1.0 - _ADAM_BETA1) * g
-                v[i] = _ADAM_BETA2 * v[i] + (1.0 - _ADAM_BETA2) * g**2
-                params[i] = params[i] - spec.learning_rate * (m[i] / corr1) / (
-                    np.sqrt(v[i] / corr2) + _ADAM_EPS
-                )
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+            # p = p - lr*(m/c1) / (sqrt(v/c2) + eps), over the whole buffer
+            m *= _ADAM_BETA1
+            m += np.multiply(grad, 1.0 - _ADAM_BETA1, out=s1)
+            v *= _ADAM_BETA2
+            np.multiply(grad, grad, out=s1)
+            v += np.multiply(s1, 1.0 - _ADAM_BETA2, out=s1)
+            np.divide(m, 1.0 - _ADAM_BETA1**t, out=s1)
+            s1 *= spec.learning_rate
+            np.divide(v, 1.0 - _ADAM_BETA2**t, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += _ADAM_EPS
+            flat -= np.divide(s1, s2, out=s1)
         if not math.isfinite(epoch_loss):
             raise NumericalFailureError(f"training loss went non-finite in epoch {epoch + 1}")
         loss_history.append(epoch_loss / n_train)
         epochs_run = epoch + 1
 
         if n_test > 0:
-            mae = eval_mae(params[:n_layers], params[n_layers:], xs_test, y_test, keep_test)[0]
+            mae = eval_mae(weights, biases, xs_test, y_test, keep_test)[0]
             if not math.isfinite(mae):
                 raise NumericalFailureError(f"held-out MAE went non-finite in epoch {epoch + 1}")
             mae_history.append(mae)
             if mae < best_mae:
                 best_mae = mae
-                best = [p.copy() for p in params]
+                best[...] = flat
             if mae < patience_anchor - _EARLY_STOP_DELTA:
                 patience_anchor = mae
                 patience = 0
@@ -328,9 +349,11 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         else:
             mae_history.append(math.nan)
 
+    if np.any(keep_test) and not best_mae < init_mae:
+        raise NumericalFailureError(f"training diverged: no epoch's held-out MAE% fell below "
+                                    f"{init_mae:.6g}%, its value at the initial weights")
     if n_test > 0:
-        params = best
-    weights, biases = params[:n_layers], params[n_layers:]
+        weights, biases = _layer_views(best, spec.layer_dims)
 
     train_mae, exc_train = eval_mae(weights, biases, xs_train, y_train, keep_train)
     if n_test > 0:

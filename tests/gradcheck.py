@@ -52,7 +52,8 @@ def gradient_check(
     biases = list(model.biases)
 
     out, acts, pre = _forward_train(weights, biases, xs)
-    gw, _ = _backprop(weights, acts, pre, np.ones(1))
+    gw = [np.empty_like(w) for w in weights]
+    _backprop(weights, acts, pre, np.ones(1), gw, [np.empty_like(b) for b in biases])
     kink_layer = [bool(np.any(np.abs(z) < _KINK_TOLERANCE)) for z in pre]
 
     rng = np.random.default_rng(seed)

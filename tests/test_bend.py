@@ -18,7 +18,7 @@ from rdsm.bend import (
     simulate_dataset,
 )
 from rdsm.catalog import SamplingDistribution, build_catalog
-from rdsm.constitutive import bk_mixed_mode_gc
+from rdsm.constitutive import bk_mixed_mode_gc, jc_stress
 from rdsm.errors import AdmissibilityError, SchemaError
 from rdsm.sampling import sample_lhs
 from rdsm.workflow import engagement_mask
@@ -280,6 +280,37 @@ def test_input_shape_validation(cat, sp):
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         simulate_batch(bad, sp)
+    for name in ("P", "Aln"):
+        bad = np.tile(cat.means, (3, 1))
+        bad[2, cat.index(name)] = 0.0
+        with pytest.raises(ValueError, match=f"sample 2: hardening exponent {name} must be positive"):
+            BendState(sp, bad)
+
+
+@pytest.mark.parametrize("layer", ["ply", "substrate"])
+def test_return_map_flow_stress_matches_full_evaluation(cat, layer):
+    # the flow stress is re-evaluated only where points flow; everywhere it
+    # must equal the power law at the new plastic strain, bit for bit
+    rng = np.random.default_rng(3)
+    n, m = 64, 12
+    names = ("GS", "sigmaY", "C", "P") if layer == "ply" else ("E", "A", "B", "Aln")
+    units = (1e6, 1e3, 1e6, 1.0) if layer == "ply" else (1e6, 1e3, 1e3, 1.0)
+    stiffness, y0, coef, expo = (
+        cat[k].mean * u * rng.uniform(0.8, 1.2, (n, 1)) for k, u in zip(names, units)
+    )
+    eps_p = np.where(rng.random((n, m)) < 0.5, 0.0, 10.0 ** rng.uniform(-6.0, -2.0, (n, m)))
+    flow_old = jc_stress(eps_p, y0, coef, expo)
+    strain = eps_p + flow_old / stiffness * rng.uniform(0.5, 2.0, (n, m))
+    active = rng.random((n, m)) < 0.8 if layer == "ply" else True
+    _, plastic, eps_p_new, flow_new, work = bend._return_map(
+        strain, eps_p, stiffness, y0, coef, expo, active
+    )
+    assert plastic.any() and not plastic.all()
+    full = jc_stress(eps_p_new, y0, coef, expo)
+    np.testing.assert_array_equal(flow_new, full)
+    np.testing.assert_array_equal(eps_p_new[~plastic], eps_p[~plastic])
+    trapezoid = np.where(plastic, 0.5 * (flow_old + full) * (eps_p_new - eps_p), 0.0)
+    np.testing.assert_array_equal(work, trapezoid.sum(axis=1))
 
 
 def _hardening_points(cat, expo, n=4000, seed=0):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from rdsm.cli import (
     EXIT_USAGE,
     main,
 )
-from rdsm.dataset import ENERGY_COLUMNS, Dataset
+from rdsm.dataset import ENERGY_COLUMNS, Dataset, write_csv
 from rdsm.workflow import MechanismRDSM, SummedRDSM
 
 
@@ -642,12 +643,34 @@ def test_failed_fit_writes_nothing(work, data_csv, monkeypatch, capsys):
 
 
 def test_diverging_fit_exits_numerical(work, data_csv, capsys):
-    outdir = work / "diverged"
-    code = run("fit", "--data", data_csv, "--route", "direct", "--learning-rate", 1e300,
-               "--outdir", outdir)
-    assert code == EXIT_NUMERICAL
+    # 1e300 overflows to a non-finite loss; 1000 stays finite but never beats
+    # the initial weights' held-out MAE
+    for rate, reason in ((1e300, "non-finite"), (1000, "diverged")):
+        outdir = work / "diverged"
+        code = run("fit", "--data", data_csv, "--route", "direct", "--learning-rate", rate,
+                   "--epochs", 50, "--outdir", outdir)
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("rdsm: error: numerical:") and err.count("\n") == 1, err
+        assert reason in err
+        assert not outdir.exists()
+
+
+@pytest.mark.parametrize("name", ["P", "Aln"])
+def test_nonpositive_hardening_exponent_exits_data(work, cat, capsys, name):
+    design = work / f"negative_{name}.csv"
+    values = np.tile(cat.means, (2, 1))
+    values[1, cat.index(name)] = -0.5
+    write_csv(design, cat.names, values)
+    outdir = work / f"negative_{name}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("simulate", "--design", design, "--outdir", outdir)
+    assert code == EXIT_DATA
+    assert not caught
     err = capsys.readouterr().err
-    assert err.startswith("rdsm: error: numerical:") and err.count("\n") == 1, err
+    assert err.startswith("rdsm: error: invalid-data:") and err.count("\n") == 1, err
+    assert f"hardening exponent {name} must be positive" in err
     assert not outdir.exists()
 
 

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from adam_reference import reference_train
 from gradcheck import gradient_check
-from rdsm.errors import SchemaError
+from rdsm.errors import NumericalFailureError, SchemaError
 from rdsm.surrogate import (
     NetworkSpec,
     SurrogateModel,
@@ -178,6 +179,59 @@ def test_smoothed_training_loss_decreases(linear_problem):
     sm = np.convolve(h, np.ones(10) / 10.0, mode="valid")
     assert np.all(np.diff(sm) <= 0.05 * sm[:-1])  # no divergence wobble
     assert sm[-1] < 0.01 * sm[0]
+
+
+def _oracle_problem(n, d, seed, constant=False):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(n, d))
+    y = np.full(n, 7.0) if constant else np.sin(x @ rng.normal(size=d)) + 2.0 + x[:, 0] ** 2
+    return x, y
+
+
+# (rows, input_dim, spec keywords, constant target)
+_ORACLE_CASES = {
+    "early_stop": (300, 1, dict(hidden_layers=(8,), epochs=2000, seed=3), False),
+    "no_holdout": (120, 3, dict(hidden_layers=(8,), epochs=40, seed=1, split=(1.0, 0.0)), False),
+    "zero_variance": (50, 1, dict(hidden_layers=(4,), epochs=60, seed=1), True),
+    "ragged_batch": (300, 2, dict(hidden_layers=(6,), epochs=30, seed=2, batch_size=7), False),
+    "three_hidden": (150, 4, dict(hidden_layers=(6, 5, 4), epochs=40, seed=4), False),
+    "no_hidden": (80, 3, dict(hidden_layers=(), epochs=40, seed=5), False),
+    "paper_width": (200, 41, dict(hidden_layers=(60, 80), epochs=6, seed=0), False),
+}
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_flat_adam_matches_per_array_reference(case):
+    n, d, kw, constant = _ORACLE_CASES[case]
+    spec = NetworkSpec(input_dim=d, **kw)
+    x, y = _oracle_problem(n, d, seed=len(case), constant=constant)
+    got, want = train_surrogate(spec, x, y), reference_train(spec, x, y)
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+        assert np.array_equal(a, b)
+    assert got.report.epochs_run == want.report.epochs_run
+    assert np.array_equal(got.report.loss_history, want.report.loss_history)
+    assert np.array_equal(got.report.mae_history, want.report.mae_history, equal_nan=True)
+    if case == "early_stop":
+        assert got.report.epochs_run < spec.epochs
+    if case == "ragged_batch":
+        assert got.report.n_train % spec.batch_size
+    if case == "zero_variance":
+        assert got.report.zero_variance
+
+
+def test_fit_that_never_beats_its_initial_weights_diverges(linear_problem):
+    x, y = linear_problem
+    with pytest.raises(NumericalFailureError, match="diverged"):
+        train_surrogate(
+            NetworkSpec(input_dim=1, hidden_layers=(8,), epochs=30, seed=3, learning_rate=1000.0),
+            x,
+            y,
+        )
+    # with no held-out rows, or none that carry a percent error, there is nothing to compare
+    for split, target in (((1.0, 0.0), y), ((0.9, 0.1), np.zeros_like(y))):
+        spec = NetworkSpec(input_dim=1, hidden_layers=(8,), epochs=5, seed=3,
+                           learning_rate=1000.0, split=split)
+        assert train_surrogate(spec, x, target).report.epochs_run == 5
 
 
 # -- gradient check ---------------------------------------------------------
