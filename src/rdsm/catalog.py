@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 __all__ = [
     "ParameterSpec",
@@ -247,4 +247,4 @@ class SamplingDistribution:
         # clip away exact 0/1 so the quantile stays finite
         tiny = np.finfo(float).tiny
         q = np.clip(u, tiny, 1.0 - 1e-16)
-        return self.mean_frac * means + (self.std_frac * means) * _norm.ppf(q)
+        return self.mean_frac * means + (self.std_frac * means) * ndtri(q)

@@ -63,10 +63,12 @@ _DISTRIBUTIONS = ("uniform_pm20", "normal_10std")
 # untyped options whose config value may also be a JSON list
 _LIST_OPTIONS = ("hidden", "split", "subsets")
 
-# the most worker processes --threads may start, and the largest --grid, whose
-# N x N x N rows are built in memory before they are written
+# the most worker processes --threads may start, the largest --grid, whose
+# N x N x N rows are built in memory before they are written, and the most
+# bootstrap resamples sobol draws, each one a full pass over the evaluations
 _MAX_THREADS = os.cpu_count() or 1
 _MAX_GRID = 100
+_MAX_BOOTSTRAP = 10_000
 
 
 def _opt(name, default=None, bounds=None, **kwargs):
@@ -154,7 +156,10 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         _opt("n_base", 512, type=int, help="base sample size (default: {default})"),
         _opt("seed", 0, type=int),
         _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
-        _opt("n_bootstrap", 100, type=int, help="bootstrap resamples (default: {default})"),
+        _opt(
+            "n_bootstrap", 100, bounds=(2, _MAX_BOOTSTRAP), type=int,
+            help=f"bootstrap resamples, in [2, {_MAX_BOOTSTRAP:,}] (default: {{default}})",
+        ),
         _opt("out", help="output CSV path (default: sobol.csv)"),
     )),
     "uq": ("prediction spread over nested parameter subsets", (

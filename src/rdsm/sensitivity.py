@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtr
 
 from .catalog import ParameterCatalog, SamplingDistribution
 from .sampling import saltelli_matrices
@@ -107,7 +107,7 @@ def _slope_p_values(x: np.ndarray, y: np.ndarray):
         with np.errstate(divide="ignore"):
             tstat = np.abs(slope) / np.sqrt(np.where(sigma2 > 0.0, sigma2, np.inf) / safe_sxx)
         tstat = np.where(sigma2 > 0.0, tstat, np.inf)
-        p = np.where(zero_var, 1.0, 2.0 * _student_t.sf(tstat, df))
+        p = np.where(zero_var, 1.0, 2.0 * stdtr(df, -tstat))
     return p, zero_var
 
 
@@ -234,12 +234,14 @@ def sobol_indices(
     i is A with column i taken from B, built in one buffer just before it
     is evaluated.  The pooled A and B evaluations estimate the output
     variance; a constant output yields an explicit degenerate result.
-    Bootstrap standard errors resample rows with replacement.  Indices are
-    named after the catalog's parameters when a catalog is given, else
-    x0, x1, ...
+    Bootstrap standard errors come from n_bootstrap >= 2 resamples of the
+    rows with replacement.  Indices are named after the catalog's
+    parameters when a catalog is given, else x0, x1, ...
     """
     if n_base < 128:
         raise ValueError(f"need n_base >= 128, got {n_base}")
+    if n_bootstrap < 2:
+        raise ValueError(f"need n_bootstrap >= 2 for a standard error, got {n_bootstrap}")
     if catalog is None:
         names = tuple(f"x{i}" for i in range(dim))
     elif len(catalog) == dim:

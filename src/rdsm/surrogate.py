@@ -174,29 +174,40 @@ def _init_parameters(spec: NetworkSpec, rng: np.random.Generator):
     return flat, weights, biases
 
 
-def _forward_train(weights, biases, a0):
-    """Forward pass keeping pre-activations for backprop."""
-    activations = [a0]
-    pre = []
+def _batch_buffers(dims, rows):
+    """Scratch for a forward and backward pass over `rows` rows: each
+    layer's output, and each hidden layer's delta and ReLU mask."""
+    outs = [np.empty((rows, d)) for d in dims[1:]]
+    deltas = [np.empty((rows, d)) for d in dims[1:-1]]
+    masks = [np.empty((rows, d), dtype=bool) for d in dims[1:-1]]
+    return outs, deltas, masks
+
+
+def _forward_train(weights, biases, a0, outs):
+    """Forward pass that keeps each layer's output in outs for backprop:
+    ReLU activations for the hidden layers, then the raw (n, 1) output."""
     a = a0
-    for w, b in zip(weights[:-1], biases[:-1]):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
-    out = a @ weights[-1] + biases[-1]
-    return out[:, 0], activations, pre
+    for w, b, out in zip(weights[:-1], biases[:-1], outs):
+        a = np.matmul(a, w, out=out)
+        a += b
+        np.maximum(a, 0.0, out=a)
+    out = np.matmul(a, weights[-1], out=outs[-1])
+    out += biases[-1]
+    return out[:, 0]
 
 
-def _backprop(weights, activations, pre, delta_out, grads_w, grads_b):
+def _backprop(weights, activations, delta_out, grads_w, grads_b, deltas, masks):
     """Gradients of a scalar loss given d(loss)/d(raw output) per row,
-    written into the per-layer arrays grads_w and grads_b."""
+    written into the per-layer arrays grads_w and grads_b.  activations[l]
+    is layer l's input; deltas and masks are _batch_buffers scratch."""
     delta = delta_out[:, None]
     for l in range(len(weights) - 1, -1, -1):
         np.matmul(activations[l].T, delta, out=grads_w[l])
-        np.sum(delta, axis=0, out=grads_b[l])
+        np.add.reduce(delta, axis=0, out=grads_b[l])
         if l > 0:
-            delta = (delta @ weights[l].T) * (pre[l - 1] > 0.0)
+            delta = np.matmul(delta, weights[l].T, out=deltas[l - 1])
+            # a = max(z, 0), so a > 0 exactly where the pre-activation z > 0
+            delta *= np.greater(activations[l], 0.0, out=masks[l - 1])
 
 
 def percent_error_rows(y, reference) -> np.ndarray:
@@ -276,9 +287,10 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     keep_train = percent_error_rows(y_train, y_train)
     keep_test = percent_error_rows(y_test, y_train)
 
+    dims = spec.layer_dims
     flat, weights, biases = _init_parameters(spec, rng)
     grad = np.empty_like(flat)
-    grads_w, grads_b = _layer_views(grad, spec.layer_dims)
+    grads_w, grads_b = _layer_views(grad, dims)
     m = np.zeros_like(flat)  # Adam moments
     v = np.zeros_like(flat)
     s1 = np.empty_like(flat)  # scratch for the fused update
@@ -288,7 +300,7 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     xs_test = (x_test - in_lo) / in_span if n_test else x_test
 
     def eval_mae(ws, bs, xs, y_raw, keep):
-        pred = out_lo + _forward_train(ws, bs, xs)[0] * out_span
+        pred = out_lo + _forward_train(ws, bs, xs, _batch_buffers(dims, len(xs))[0]) * out_span
         return _mae_pct(y_raw, pred, keep)
 
     # a fit whose held-out MAE% never beats the initial weights' has diverged
@@ -301,17 +313,28 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     mae_history = []
     n_train = len(train_idx)
     epochs_run = 0
+    # each epoch gathers its shuffled rows once; minibatches are slices of
+    # them, run through the buffers for the full or the last partial size
+    rows = min(spec.batch_size, n_train)
+    full = _batch_buffers(dims, rows)
+    last = tuple([b[: n_train % rows] for b in group] for group in full) if n_train % rows else full
+    xs_epoch = np.empty_like(xs_train)
+    ys_epoch = np.empty_like(ys_train)
 
     for epoch in range(spec.epochs):
         order = rng.permutation(n_train)
+        np.take(xs_train, order, axis=0, out=xs_epoch)
+        np.take(ys_train, order, out=ys_epoch)
         epoch_loss = 0.0
-        for start in range(0, n_train, spec.batch_size):
-            batch = order[start : start + spec.batch_size]
-            xb, yb = xs_train[batch], ys_train[batch]
-            pred, acts, pre = _forward_train(weights, biases, xb)
-            err = pred - yb
-            epoch_loss += float(np.sum(err * err))
-            _backprop(weights, acts, pre, 2.0 * err / len(batch), grads_w, grads_b)
+        for start in range(0, n_train, rows):
+            xb, yb = xs_epoch[start : start + rows], ys_epoch[start : start + rows]
+            outs, deltas, masks = full if len(yb) == rows else last
+            err = _forward_train(weights, biases, xb, outs)
+            err -= yb  # the prediction's buffer now holds the error, then the loss gradient
+            epoch_loss += float(np.add.reduce(err * err))
+            err *= 2.0
+            err /= len(yb)
+            _backprop(weights, [xb, *outs[:-1]], err, grads_w, grads_b, deltas, masks)
             t += 1
             # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
             # p = p - lr*(m/c1) / (sqrt(v/c2) + eps), over the whole buffer
@@ -353,7 +376,7 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         raise NumericalFailureError(f"training diverged: no epoch's held-out MAE% fell below "
                                     f"{init_mae:.6g}%, its value at the initial weights")
     if n_test > 0:
-        weights, biases = _layer_views(best, spec.layer_dims)
+        weights, biases = _layer_views(best, dims)
 
     train_mae, exc_train = eval_mae(weights, biases, xs_train, y_train, keep_train)
     if n_test > 0:

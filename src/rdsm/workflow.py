@@ -641,7 +641,6 @@ def _constant_member(
 def fit_summed(
     dataset: Dataset,
     specimen: BendSpecimen,
-    gate: EngagementGate | None = None,
     seed: int = 0,
     resample_n: int = 3277,
     threshold: float = ENGAGEMENT_FRACTION,
@@ -664,9 +663,7 @@ def fit_summed(
     catalog = dataset.catalog
     if specimen.catalog.names != catalog.names:
         raise ValueError("specimen and dataset use different catalogs")
-    if gate is None:
-        gate = EngagementGate()
-    catalog.indices(gate.axes)  # unknown axis names fail here
+    gate = EngagementGate()
 
     fits: dict[str, MechanismFit] = {}
     members: dict[str, MechanismRDSM] = {}

@@ -2,10 +2,11 @@
 
 A test helper: reference_train has the signature and results of
 rdsm.surrogate.train_surrogate, but keeps every weight matrix, bias vector and
-Adam moment as its own array and rebinds each one on every update.  It reuses
-the library's forward pass and MAE helpers, so a test that compares the two
-isolates the initialization, gradient and update arithmetic.  It has no
-divergence rule.
+Adam moment as its own array and rebinds each one on every update, allocates
+every activation and delta afresh, and gathers each minibatch by fancy
+indexing.  It reuses the library's MAE helpers, so a test that compares the
+two isolates the initialization, forward, gradient and update arithmetic.  It
+has no divergence rule.
 """
 
 import math
@@ -20,10 +21,23 @@ from rdsm.surrogate import (
     _EARLY_STOP_PATIENCE,
     SurrogateModel,
     TrainReport,
-    _forward_train,
     _mae_pct,
     percent_error_rows,
 )
+
+
+def _forward_lists(weights, biases, a0):
+    """Forward pass keeping pre-activations for backprop."""
+    activations = [a0]
+    pre = []
+    a = a0
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = a @ w + b
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+        activations.append(a)
+    out = a @ weights[-1] + biases[-1]
+    return out[:, 0], activations, pre
 
 
 def _backprop_lists(weights, activations, pre, delta_out):
@@ -84,7 +98,7 @@ def reference_train(spec, x, y) -> SurrogateModel:
     xs_test = (x_test - in_lo) / in_span if n_test else x_test
 
     def eval_mae(ws, bs, xs, y_raw, keep):
-        pred = out_lo + _forward_train(ws, bs, xs)[0] * out_span
+        pred = out_lo + _forward_lists(ws, bs, xs)[0] * out_span
         return _mae_pct(y_raw, pred, keep)
 
     best_mae = math.inf
@@ -103,7 +117,7 @@ def reference_train(spec, x, y) -> SurrogateModel:
             batch = order[start : start + spec.batch_size]
             xb, yb = xs_train[batch], ys_train[batch]
             weights = params[:n_layers]
-            pred, acts, pre = _forward_train(weights, params[n_layers:], xb)
+            pred, acts, pre = _forward_lists(weights, params[n_layers:], xb)
             err = pred - yb
             epoch_loss += float(np.sum(err * err))
             delta = 2.0 * err / len(batch)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rdsm.surrogate import SurrogateModel, _backprop, _forward_train
+from rdsm.surrogate import SurrogateModel, _backprop, _batch_buffers, _forward_train
 
 _KINK_TOLERANCE = 1e-4  # pre-activation magnitude treated as a ReLU kink
 
@@ -51,9 +51,13 @@ def gradient_check(
     weights = [w.copy() for w in model.weights]
     biases = list(model.biases)
 
-    out, acts, pre = _forward_train(weights, biases, xs)
+    outs, deltas, masks = _batch_buffers(model.spec.layer_dims, 1)
+    _forward_train(weights, biases, xs, outs)
+    acts = [xs, *outs[:-1]]
     gw = [np.empty_like(w) for w in weights]
-    _backprop(weights, acts, pre, np.ones(1), gw, [np.empty_like(b) for b in biases])
+    _backprop(weights, acts, np.ones(1), gw, [np.empty_like(b) for b in biases], deltas, masks)
+    # the ReLU activations drop the sign of the pre-activations; recompute them
+    pre = [a @ w + b for a, w, b in zip(acts[:-1], weights, biases)]
     kink_layer = [bool(np.any(np.abs(z) < _KINK_TOLERANCE)) for z in pre]
 
     rng = np.random.default_rng(seed)
@@ -69,9 +73,9 @@ def gradient_check(
             continue
         orig = weights[l][i, j]
         weights[l][i, j] = orig + h
-        f_plus = float(_forward_train(weights, biases, xs)[0][0])
+        f_plus = float(_forward_train(weights, biases, xs, outs)[0])
         weights[l][i, j] = orig - h
-        f_minus = float(_forward_train(weights, biases, xs)[0][0])
+        f_minus = float(_forward_train(weights, biases, xs, outs)[0])
         weights[l][i, j] = orig
         numeric = (f_plus - f_minus) / (2.0 * h)
         denom = max(abs(analytic) + abs(numeric), 1e-10)

@@ -1,13 +1,16 @@
 """The package's public surface: what the CLI, the README and the benchmark use."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import rdsm
 from rdsm import bend, catalog, dataset, sampling, surrogate, workflow
 
-_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_TRACING = _ROOT / "bench" / "tracing.py"
 
 PUBLIC = {
     "__version__",
@@ -70,3 +73,14 @@ def test_bench_tracer_installs_and_restores():
         patches.restore()
     assert _rdsm_namespaces() == before
     assert (design == sampling.sample_lhs(8, 2, 0)).all()
+
+
+def test_cli_starts_without_scipy_stats():
+    # scipy.stats takes about a second to import; rdsm needs only two of the
+    # scipy.special functions it is built on, so every command starts without it
+    probe = ("import sys, rdsm.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

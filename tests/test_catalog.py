@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
+from rdsm import catalog as catalog_module
 from rdsm.catalog import (
     GROUPS,
     ParameterCatalog,
@@ -111,3 +113,17 @@ def test_transform_normal_moments(catalog):
     x = dist.transform(u, catalog)
     np.testing.assert_allclose(x.mean(axis=0), catalog.means, rtol=1e-6)
     np.testing.assert_allclose(x.std(axis=0), 0.1 * catalog.means, rtol=5e-3)
+
+
+def test_transform_normal_matches_scipy_stats(catalog, monkeypatch):
+    # the normal quantile is scipy.special.ndtri, which norm.ppf calls; the
+    # exact 0 and 1 coordinates are clipped before either sees them
+    u = np.random.default_rng(8).random((64, 41))
+    u[0], u[1], u[2, ::2] = 0.0, 1.0, 0.5
+    u[3, :3] = 0.0, 1.0, np.finfo(float).tiny
+    dist = SamplingDistribution.normal_10std()
+    got = dist.transform(u, catalog)
+    monkeypatch.setattr(catalog_module, "ndtri", norm.ppf)
+    want = dist.transform(u, catalog)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, want)

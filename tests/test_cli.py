@@ -238,7 +238,7 @@ def test_help_config_and_snapshot_agree(work, data_csv, direct_dir, summed_dir, 
         assert replayed["options"] == replay, command
 
 
-def test_resource_flags_are_bounded(work, data_csv, monkeypatch, capsys):
+def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("an out-of-range size reached the command")
 
@@ -246,8 +246,11 @@ def test_resource_flags_are_bounded(work, data_csv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "simulate_dataset", never)
     monkeypatch.setattr(cli, "fit_summed", never)
     monkeypatch.setattr(cli, "EngagementGate", never)
+    monkeypatch.setattr(cli, "sobol_indices", never)
     too_many = (os.cpu_count() or 1) + 1
     too_fine = cli._MAX_GRID + 1
+    too_long = cli._MAX_BOOTSTRAP + 1
+    model = direct_dir / "direct_rdsm.json"
     out = work / "bounded" / "out.csv"
     outdir = work / "bounded" / "fit"
     config = work / "bounded.json"
@@ -258,15 +261,19 @@ def test_resource_flags_are_bounded(work, data_csv, monkeypatch, capsys):
          "--outdir", outdir],
         ["gate-check", "--grid", too_fine, "--out", out],
         ["gate-check", "--grid", 1, "--out", out],
+        # no resample, or one, leaves the standard error undefined
+        *(["sobol", "--model", model, "--n-base", 128, "--n-bootstrap", n, "--out", out]
+          for n in (-2, 0, 1, too_long)),
     ]
     for argv in cases:
         assert run(*argv) == EXIT_USAGE, argv
         err = capsys.readouterr().err
         assert err.startswith("rdsm: error: usage:") and err.count("\n") == 1, err
-    for command, key, value in (("simulate", "threads", too_many),
-                                ("gate-check", "grid", too_fine)):
+    for argv, key, value in ((["simulate"], "threads", too_many),
+                             (["gate-check"], "grid", too_fine),
+                             (["sobol", "--model", model], "n_bootstrap", 0)):
         config.write_text(json.dumps({key: value}))
-        assert run(command, "--config", config, "--out", out) == EXIT_USAGE
+        assert run(*argv, "--config", config, "--out", out) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("rdsm: error: usage:") and err.count("\n") == 1, err
     assert not out.parent.exists()

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
+from scipy.stats import linregress
+from scipy.stats import t as student_t
 
+from rdsm import sensitivity
 from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.sensitivity import (
     ParameterScreen,
     ScreeningResult,
+    _slope_p_values,
     benjamini_hochberg,
     retain_parameters,
     screen_fdr_logworth,
@@ -114,6 +119,34 @@ def test_screen_zero_variance_column_flagged():
     assert e.raw_p == 1.0
     assert e.logworth == 0.0
     assert "p2" not in res.retained
+
+
+def test_slope_p_values_match_scipy_stats(monkeypatch):
+    # the t tail is scipy.special.stdtr(df, -t), which t.sf(t, df) calls
+    rng = np.random.default_rng(6)
+    x = rng.uniform(0.0, 1.0, size=(80, 3))
+    # y is column 1, whose centered values and sums are exact: zero residual
+    x[:, 1] = rng.permutation(np.tile(np.arange(10.0), 8))
+    y = x[:, 1].copy()
+    x[:, 0] = 0.25  # exact constant: p = 1
+    x[:, 2] += 0.02 * y  # ordinary association
+    seen = []
+
+    def spy(df, neg_t):
+        seen.append((df, -neg_t))
+        return stdtr(df, neg_t)
+
+    monkeypatch.setattr(sensitivity, "stdtr", spy)
+    p, zero_var = _slope_p_values(x, y)
+    [(df, tstat)] = seen
+    assert df == len(y) - 2
+    assert zero_var.tolist() == [True, False, False]
+    assert np.array_equal(p, np.where(zero_var, 1.0, 2.0 * student_t.sf(tstat, df)))
+    assert p[0] == 1.0
+    assert tstat[1] == np.inf and p[1] == 0.0
+    fit = linregress(x[:, 2], y)
+    assert tstat[2] == pytest.approx(fit.slope / fit.stderr, rel=1e-9)
+    assert 0.0 < p[2] < 0.05 and p[2] == pytest.approx(fit.pvalue, rel=1e-9)
 
 
 def test_screen_constant_output():
@@ -245,6 +278,9 @@ def test_sobol_validation():
         sobol_indices(f, 2, 128, catalog=build_catalog())
     with pytest.raises(ValueError, match="one output per row"):
         sobol_indices(lambda u: np.zeros(3), 2, 128)
+    for n_bootstrap in (-2, 0, 1):
+        with pytest.raises(ValueError, match="n_bootstrap >= 2"):
+            sobol_indices(f, 2, 128, n_bootstrap=n_bootstrap)
 
 
 def test_sobol_catalog_distribution_path():
@@ -266,7 +302,7 @@ def test_sobol_error_decays_with_n():
     errs = []
     for n in (128, 256, 512, 1024):
         e = [
-            np.mean(np.abs(sobol_indices(f, 2, n, seed=s, n_bootstrap=0).s1 - 0.5))
+            np.mean(np.abs(sobol_indices(f, 2, n, seed=s, n_bootstrap=2).s1 - 0.5))
             for s in range(8)
         ]
         errs.append(float(np.mean(e)))

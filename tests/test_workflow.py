@@ -531,12 +531,9 @@ def test_fit_summed_starved_disbond_gets_flagged_constant(splits, sp, cat, box):
     assert np.all(np.isfinite(fit.summed.predict(x)))
 
 
-def test_fit_summed_argument_errors(splits, sp, cat, base_ds):
-    train, _ = splits
+def test_fit_summed_argument_errors(sp, base_ds):
     with pytest.raises(ValueError, match="100"):
         fit_summed(base_ds.subset(np.arange(50)), sp)
-    with pytest.raises(KeyError):
-        fit_summed(train, sp, gate=EngagementGate(axes=("P", "XiS", "NOPE")))
 
 
 # -- uncertainty sweep ---------------------------------------------------------------
