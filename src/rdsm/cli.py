@@ -64,11 +64,14 @@ _DISTRIBUTIONS = ("uniform_pm20", "normal_10std")
 _LIST_OPTIONS = ("hidden", "split", "subsets")
 
 # the most worker processes --threads may start, the largest --grid, whose
-# N x N x N rows are built in memory before they are written, and the most
-# bootstrap resamples sobol draws, each one a full pass over the evaluations
+# N x N x N rows are built in memory before they are written, the most
+# bootstrap resamples sobol draws, each one a full pass over the evaluations,
+# and the most rows a query draws: sobol's base size, whose design holds
+# about (4 * 41 + 2) * n_base floats, and uq's rows per subset
 _MAX_THREADS = os.cpu_count() or 1
 _MAX_GRID = 100
 _MAX_BOOTSTRAP = 10_000
+_MAX_QUERY_ROWS = 2**20
 
 
 def _opt(name, default=None, bounds=None, **kwargs):
@@ -153,7 +156,10 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
     )),
     "sobol": ("Sobol' indices of a saved model", (
         _opt("model", help="model file or summed model directory"),
-        _opt("n_base", 512, type=int, help="base sample size (default: {default})"),
+        _opt(
+            "n_base", 512, bounds=(128, _MAX_QUERY_ROWS), type=int,
+            help=f"base sample size, in [128, {_MAX_QUERY_ROWS:,}] (default: {{default}})",
+        ),
         _opt("seed", 0, type=int),
         _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
         _opt(
@@ -168,7 +174,10 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
             "subsets",
             help="nested subsets, e.g. 'A;A,E;A,E,XS' (default: the retained ladder)",
         ),
-        _opt("n", 5000, type=int, help="rows per subset (default: {default})"),
+        _opt(
+            "n", 5000, bounds=(2, _MAX_QUERY_ROWS), type=int,
+            help=f"rows per subset, in [2, {_MAX_QUERY_ROWS:,}] (default: {{default}})",
+        ),
         _opt("seed", 0, type=int),
         _opt("distribution", "normal_10std", choices=_DISTRIBUTIONS),
         _opt("strata", type=int, help="coarse strata per dimension"),
@@ -592,6 +601,7 @@ def _cmd_sobol(resolved) -> None:
         dist=dist,
         catalog=catalog,
         n_bootstrap=resolved["n_bootstrap"],
+        support=model.support,
     )
     if result.degenerate:
         order = range(len(result.names))

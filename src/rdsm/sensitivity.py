@@ -187,7 +187,12 @@ def screen_fdr_logworth(
 
 @dataclass(frozen=True)
 class SobolResult:
-    """First/total-order indices with bootstrap standard errors."""
+    """First/total-order indices with bootstrap standard errors.
+
+    evaluations_used counts the rows of the whole Saltelli design,
+    n_base * (dim + 2), which the estimates stand for even when blocks
+    outside a model's support are not evaluated.
+    """
 
     names: tuple[str, ...]
     s1: np.ndarray
@@ -216,6 +221,21 @@ def _jansen(f_a, f_b, f_ab):
     return s1, st, v
 
 
+def _support_rows(support, dim: int) -> np.ndarray:
+    """Sorted column indices a model reads, checked against dim."""
+    cols = np.asarray(support)
+    if cols.ndim != 1 or cols.size == 0:
+        raise ValueError("support must be a nonempty list of column indices")
+    if cols.dtype.kind not in "iu":
+        raise ValueError(f"support indices must be integers, got {cols.dtype}")
+    if np.any(cols < 0) or np.any(cols >= dim):
+        raise ValueError(f"support indices must lie in [0, {dim - 1}]")
+    rows = np.unique(cols)
+    if rows.size != cols.size:
+        raise ValueError("support contains duplicate indices")
+    return rows
+
+
 def sobol_indices(
     model_eval,
     dim: int,
@@ -224,6 +244,7 @@ def sobol_indices(
     dist: SamplingDistribution | None = None,
     catalog: ParameterCatalog | None = None,
     n_bootstrap: int = 100,
+    support=None,
 ) -> SobolResult:
     """First- and total-order Sobol' indices of a deterministic model.
 
@@ -237,6 +258,14 @@ def sobol_indices(
     Bootstrap standard errors come from n_bootstrap >= 2 resamples of the
     rows with replacement.  Indices are named after the catalog's
     parameters when a catalog is given, else x0, x1, ...
+
+    support lists the columns model_eval reads (None: every column).  Only
+    their blocks are evaluated, so model_eval sees (2 + len(support)) *
+    n_base rows.  The block of any other column is A with a column the
+    model never reads changed (the distribution maps each column on its
+    own), so its outputs are taken to be f(A): its total index is exactly
+    zero, and its first-order index and both errors equal those of every
+    other such column, which are estimated once and copied.
     """
     if n_base < 128:
         raise ValueError(f"need n_base >= 128, got {n_base}")
@@ -248,6 +277,12 @@ def sobol_indices(
         names = catalog.names
     else:
         raise ValueError(f"catalog has {len(catalog)} parameters, dim is {dim}")
+    cols = np.arange(dim) if support is None else _support_rows(support, dim)
+    # the estimated rows are the support's blocks, then one stand-in for
+    # every column outside it; where[i] is the estimated row column i reads
+    where = np.full(dim, cols.size)
+    where[cols] = np.arange(cols.size)
+    n_rows = cols.size + (cols.size < dim)
 
     a, b = saltelli_matrices(n_base, dim, seed)
 
@@ -263,12 +298,13 @@ def sobol_indices(
 
     f_a = run(a)
     f_b = run(b)
-    f_ab = np.empty((dim, n_base))
+    f_ab = np.empty((n_rows, n_base))
     block = a.copy()
-    for i in range(dim):
+    for row, i in enumerate(cols):
         block[:, i] = b[:, i]
-        f_ab[i] = run(block)
+        f_ab[row] = run(block)
         block[:, i] = a[:, i]
+    f_ab[cols.size :] = f_a
 
     evals = n_base * (dim + 2)
     s1, st, v = _jansen(f_a, f_b, f_ab)
@@ -285,8 +321,8 @@ def sobol_indices(
         bs1, bst, _ = _jansen(f_a[idx], f_b[idx], f_ab[:, idx])
         if bs1 is None:
             continue
-        boot_s1[kept] = bs1
-        boot_st[kept] = bst
+        boot_s1[kept] = bs1[where]
+        boot_st[kept] = bst[where]
         kept += 1
     if kept >= 2:
         s1_err = boot_s1[:kept].std(axis=0, ddof=1)
@@ -294,4 +330,4 @@ def sobol_indices(
     else:
         s1_err = np.full(dim, math.nan)
         st_err = np.full(dim, math.nan)
-    return SobolResult(names, s1, st, s1_err, st_err, evals, False)
+    return SobolResult(names, s1[where], st[where], s1_err, st_err, evals, False)

@@ -140,10 +140,15 @@ class SurrogateModel:
 
     # -- evaluation --------------------------------------------------------
     def _forward_scaled(self, a):
-        """Scaled (n, d) inputs to scaled (n,) outputs."""
+        """Scaled (n, d) inputs to scaled (n,) outputs; each layer's bias
+        and ReLU are applied in place on its product."""
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-        return (a @ self.weights[-1] + self.biases[-1])[:, 0]
+            a = a @ w
+            a += b
+            np.maximum(a, 0.0, out=a)
+        z = a @ self.weights[-1]
+        z += self.biases[-1]
+        return z[:, 0]
 
     def predict(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

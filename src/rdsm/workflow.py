@@ -140,6 +140,11 @@ class MechanismRDSM:
         self._cols = cols
         self._reduced = d == len(retained)
 
+    @property
+    def support(self) -> tuple[int, ...]:
+        """Sorted catalog columns predict reads: the retained ones."""
+        return tuple(sorted(int(i) for i in self._cols))
+
     def predict(self, x) -> np.ndarray:
         """Predictions for (n, d) full catalog vectors."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -302,6 +307,15 @@ class SummedRDSM:
         self._axis_cols = axis_cols
         self._axis_lo = lo[axis_cols]
         self._axis_span = hi[axis_cols] - lo[axis_cols]
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """Sorted catalog columns predict reads: every member's support and
+        the gate axes."""
+        cols = {int(i) for i in self._axis_cols}
+        for member in self.members.values():
+            cols.update(member.support)
+        return tuple(sorted(cols))
 
     def _check_rows(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

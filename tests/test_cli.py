@@ -247,9 +247,11 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
     monkeypatch.setattr(cli, "fit_summed", never)
     monkeypatch.setattr(cli, "EngagementGate", never)
     monkeypatch.setattr(cli, "sobol_indices", never)
+    monkeypatch.setattr(cli, "uq_sweep", never)
     too_many = (os.cpu_count() or 1) + 1
     too_fine = cli._MAX_GRID + 1
     too_long = cli._MAX_BOOTSTRAP + 1
+    too_big = cli._MAX_QUERY_ROWS + 1
     model = direct_dir / "direct_rdsm.json"
     out = work / "bounded" / "out.csv"
     outdir = work / "bounded" / "fit"
@@ -264,6 +266,11 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
         # no resample, or one, leaves the standard error undefined
         *(["sobol", "--model", model, "--n-base", 128, "--n-bootstrap", n, "--out", out]
           for n in (-2, 0, 1, too_long)),
+        # fewer base rows than the library accepts, or a design too big to hold
+        *(["sobol", "--model", model, "--n-base", n, "--out", out]
+          for n in (0, 64, 127, too_big)),
+        # one row per subset has no spread
+        *(["uq", "--model", model, "--n", n, "--out", out] for n in (-1, 0, 1, too_big)),
     ]
     for argv in cases:
         assert run(*argv) == EXIT_USAGE, argv
@@ -271,7 +278,11 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
         assert err.startswith("rdsm: error: usage:") and err.count("\n") == 1, err
     for argv, key, value in ((["simulate"], "threads", too_many),
                              (["gate-check"], "grid", too_fine),
-                             (["sobol", "--model", model], "n_bootstrap", 0)):
+                             (["sobol", "--model", model], "n_bootstrap", 0),
+                             (["sobol", "--model", model], "n_base", 64),
+                             (["sobol", "--model", model], "n_base", too_big),
+                             (["uq", "--model", model], "n", 1),
+                             (["uq", "--model", model], "n", too_big)):
         config.write_text(json.dumps({key: value}))
         assert run(*argv, "--config", config, "--out", out) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -497,6 +508,30 @@ def test_sobol_csv_sorted_by_total_order(work, direct_dir, cat):
     assert {r[0] for r in rows[: len(retained)]} == retained
 
 
+def test_sobol_support_writes_the_full_design_bytes(work, direct_dir, summed_dir, cat, monkeypatch):
+    real = cli.sobol_indices
+    seen = []
+
+    def every_block(model_eval, *args, support, **kwargs):
+        seen.append(support)
+        return real(model_eval, *args, **kwargs)  # all 41 pick-freeze blocks
+
+    models = (direct_dir / "direct_rdsm.json", summed_dir / "model")
+    for i, model in enumerate(models):
+        for dist in ("uniform_pm20", "normal_10std"):
+            argv = ["sobol", "--model", model, "--n-base", 256, "--n-bootstrap", 20,
+                    "--seed", 3, "--distribution", dist]
+            skipped = work / f"sobol_support_{i}_{dist}.csv"
+            assert run(*argv, "--out", skipped) == EXIT_OK
+            with monkeypatch.context() as m:
+                m.setattr(cli, "sobol_indices", every_block)
+                full = work / f"sobol_full_{i}_{dist}.csv"
+                assert run(*argv, "--out", full) == EXIT_OK
+            assert skipped.read_bytes() == full.read_bytes(), (model, dist)
+    direct, summed = seen[0], seen[-1]
+    assert 1 <= len(direct) <= 4 and len(direct) < len(summed) < len(cat)
+
+
 def test_uq_ladder_layout(work, direct_dir):
     out = work / "uq.csv"
     code = run("uq", "--model", direct_dir / "direct_rdsm.json",
@@ -516,9 +551,9 @@ def test_uq_ladder_layout(work, direct_dir):
 def test_uq_rejects_one_row(work, direct_dir, capsys):
     out = work / "uq_one" / "uq.csv"
     code = run("uq", "--model", direct_dir / "direct_rdsm.json", "--n", 1, "--out", out)
-    assert code == EXIT_DATA
+    assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("rdsm: error: invalid-data:") and err.count("\n") == 1, err
+    assert err.startswith("rdsm: error: usage: --n must be at least 2") and err.count("\n") == 1, err
     assert not out.parent.exists()
 
 

@@ -317,3 +317,59 @@ def test_sobol_deterministic():
     b = sobol_indices(f, 3, 256, seed=9)
     np.testing.assert_array_equal(a.s1, b.s1)
     np.testing.assert_array_equal(a.st_stderr, b.st_stderr)
+
+
+def _counted(f):
+    """f with a running count of the rows it has evaluated."""
+    def model_eval(u):
+        model_eval.rows += len(u)
+        return f(u)
+
+    model_eval.rows = 0
+    return model_eval
+
+
+def test_sobol_support_skips_blocks_bit_exactly():
+    # reads columns 1, 4 and 6 of 7, with an interaction between 4 and 6
+    f = lambda u: np.sin(3.0 * u[:, 1]) + 2.0 * u[:, 4] * u[:, 6] ** 2 + u[:, 6]
+    n = 256
+    full = _counted(f)
+    want = sobol_indices(full, 7, n, seed=4, n_bootstrap=30)
+    assert full.rows == n * (7 + 2)
+    for support in ([1, 4, 6], (6, 1, 4), np.array([4, 6, 1, 0])):
+        skipping = _counted(f)
+        got = sobol_indices(skipping, 7, n, seed=4, n_bootstrap=30, support=support)
+        assert skipping.rows == (2 + len(support)) * n
+        for attr in ("s1", "st", "s1_stderr", "st_stderr"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+        assert got.evaluations_used == want.evaluations_used == n * (7 + 2)
+        assert got.names == want.names and not got.degenerate
+    # a support of every column is the full design, in any order
+    every = _counted(f)
+    got = sobol_indices(every, 7, n, seed=4, n_bootstrap=30, support=[6, 5, 4, 3, 2, 1, 0])
+    assert every.rows == n * (7 + 2)
+    assert got.st_stderr.tobytes() == want.st_stderr.tobytes()
+
+
+def test_sobol_support_constant_model_degenerate():
+    zero = _counted(lambda u: np.zeros(len(u)))
+    r = sobol_indices(zero, 5, 128, seed=1, support=[2])
+    assert zero.rows == 3 * 128
+    assert r.degenerate and r.evaluations_used == 128 * (5 + 2)
+    for attr in ("s1", "st", "s1_stderr", "st_stderr"):
+        assert getattr(r, attr).shape == (5,) and np.all(np.isnan(getattr(r, attr)))
+
+
+def test_sobol_support_validation():
+    f = lambda u: u[:, 0]
+    for support, match in (
+        ([], "nonempty"),
+        ([[0, 1]], "nonempty"),
+        ([0, 0], "duplicate"),
+        ([0, 3], r"\[0, 2\]"),
+        ([-1], r"\[0, 2\]"),
+        ([0.0, 1.0], "integers"),
+        ([True], "integers"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            sobol_indices(f, 3, 128, support=support)

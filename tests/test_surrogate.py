@@ -57,6 +57,24 @@ def test_forward_matches_matrix_oracle():
     np.testing.assert_allclose(model.predict(x), want, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("dims", [(41, 60, 80, 1), (3, 1)])
+def test_forward_in_place_matches_allocating_expression(dims):
+    rng = np.random.default_rng(4)
+    spec = NetworkSpec(input_dim=dims[0], hidden_layers=dims[1:-1], scaling="identity")
+    w = [rng.normal(0.0, 0.3, size=shape) for shape in zip(dims, dims[1:])]
+    b = [rng.normal(0.0, 0.3, size=d) for d in dims[1:]]
+    model = _identity_scaled(spec, w, b)
+    x = rng.random((1000, dims[0]))
+    before = x.copy()
+    a = x
+    for wl, bl in zip(w[:-1], b[:-1]):
+        a = np.maximum(a @ wl + bl, 0.0)
+    want = (a @ w[-1] + b[-1])[:, 0]
+    got = model._forward_scaled(x)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(x, before)  # the input batch is not written
+
+
 def test_forward_identity_and_constant_networks():
     spec = NetworkSpec(input_dim=1, hidden_layers=(), scaling="identity")
     ident = _identity_scaled(spec, [np.array([[1.0]])], [np.zeros(1)])

@@ -194,6 +194,70 @@ def test_frozen_parameters_change_nothing(summed_fit, splits, cat):
     assert not np.array_equal(member.predict(moved), base)
 
 
+def _random_rdsm(mechanism, retained, catalog, box, seed, full_width=False):
+    """Untrained model over retained, on a reduced or a full-width network
+    whose random weights make every input it reads matter."""
+    rng = np.random.default_rng(seed)
+    cols = slice(None) if full_width else catalog.indices(retained)
+    dims = (len(catalog) if full_width else len(retained), 12, 9, 1)
+    spec = NetworkSpec(input_dim=dims[0], hidden_layers=dims[1:-1])
+    lo, hi = box.bounds(catalog)
+    model = SurrogateModel(
+        spec,
+        [rng.normal(0.0, 0.5, size=shape) for shape in zip(dims, dims[1:])],
+        [rng.normal(0.0, 0.5, size=w) for w in dims[1:]],
+        lo[cols],
+        hi[cols],
+        1.0,
+        3.0,
+        TrainReport(0.0, 0.0, 0, 0, 0, 0, False, 0, (), ()),
+    )
+    return MechanismRDSM(mechanism, retained, model, catalog.means, catalog)
+
+
+def test_columns_outside_support_change_nothing(cat, box):
+    members = {
+        m: _random_rdsm(m, params, cat, box, seed)
+        for seed, (m, params) in enumerate(
+            (("PL", ("E", "XS")), ("DL", ("sigmaY",)), ("DC", ("P", "C", "GS")),
+             ("PM", ("XiT", "nu")))
+        )
+    }
+    members["DI"] = _constant_rdsm("DI", 4.0625, cat, "GiI")
+    gate = EngagementGate()
+    summed = SummedRDSM(members, gate, cat, box)
+    reduced = members["DC"]
+    frozen_full = _random_rdsm("TS", ("A", "P", "Aln"), cat, box, 7, full_width=True)
+    assert frozen_full.surrogate.spec.input_dim == len(cat)
+    expect = {
+        reduced: ("P", "C", "GS"),
+        frozen_full: ("A", "P", "Aln"),
+        summed: ("E", "XS", "sigmaY", "P", "C", "GS", "XiT", "nu", "GiI", *gate.axes),
+    }
+    rng = np.random.default_rng(12)
+    x = box.transform(rng.random((300, len(cat))), cat)
+    other = box.transform(rng.random((300, len(cat))), cat)
+    for model, names in expect.items():
+        assert model.support == tuple(sorted(set(cat.indices(names).tolist())))
+        outside = [j for j in range(len(cat)) if j not in model.support]
+        assert np.ptp(model.predict(x)) > 0.0
+        base = model.predict(x).tobytes()
+        for cols in (*([j] for j in outside), outside):
+            bumped = x.copy()
+            bumped[:, cols] = other[:, cols]
+            assert model.predict(bumped).tobytes() == base, cols
+            if model is summed:
+                want = summed.predict_breakdown(x)
+                got = summed.predict_breakdown(bumped)
+                assert all(got[m].tobytes() == want[m].tobytes() for m in MECHANISMS)
+    # a gate axis is in the support because it moves the disbond term
+    p = cat.index("P")
+    lo, hi = box.bounds(cat)
+    low, high = x.copy(), x.copy()
+    low[:, p], high[:, p] = lo[p], hi[p]
+    assert not np.array_equal(summed.engaged(low), summed.engaged(high))
+
+
 def test_mechanism_forward_and_shape_errors(summed_fit, cat):
     member = summed_fit.summed.members["PL"]
     # a flat vector is one row
