@@ -42,6 +42,8 @@ from .catalog import ParameterCatalog, SamplingDistribution
 from .constitutive import (
     bk_mixed_mode_gc,
     cdm_damage_evolution,
+    cdm_initiation_energy,
+    cdm_margin,
     cdm_shear_damage,
     czm_dissipated,
     jc_stress,
@@ -67,8 +69,18 @@ FABRICS = {
     "h7781": ("E7781", "X7781", "V7781", "G7781"),
 }
 
-_PSI_PER_MSI = 1.0e6
-_PSI_PER_KSI = 1.0e3
+# catalog units -> psi; every other unit enters the model as cataloged
+_PSI_PER_UNIT = {"msi": 1.0e6, "ksi": 1.0e3}
+
+
+def _psi_factor(spec) -> float:
+    return _PSI_PER_UNIT.get(spec.units, 1.0)
+
+
+def _mean_psi(catalog: ParameterCatalog, name: str, frac: float = 1.0) -> float:
+    """A catalog mean times frac, in psi for a stress."""
+    spec = catalog[name]
+    return spec.mean * frac * _psi_factor(spec)
 
 # specimen config key -> (BendSpecimen field, conversion); the config's other
 # keys are read by name in load_specimen_config
@@ -139,11 +151,8 @@ class BendSpecimen:
             raise ValueError("metal_sublayers and curvature steps must be >= 1")
         # admissibility of the ply damage law at catalog means
         for i, kind in enumerate(self.stacking):
-            e_name, x_name, _, g_name = FABRICS[kind]
-            x = self.catalog[x_name].mean * _PSI_PER_KSI
-            e = self.catalog[e_name].mean * _PSI_PER_MSI
-            u0 = x * x / (2.0 * e)
-            if self.catalog[g_name].mean - u0 * self.characteristic_length <= 0.0:
+            e, x, _, g = (_mean_psi(self.catalog, name) for name in FABRICS[kind])
+            if cdm_margin(g, x, e, self.characteristic_length) <= 0.0:
                 raise AdmissibilityError(
                     "characteristic length too large for the ply damage law",
                     layer=f"ply {i} ({kind})",
@@ -173,11 +182,10 @@ def _resolve_lc(catalog: ParameterCatalog, stacking: tuple[str, ...], safety: fl
     lc = np.inf
     for kind in set(stacking):
         e_name, x_name, _, g_name = FABRICS[kind]
-        x_hi = catalog[x_name].mean * hi_f * _PSI_PER_KSI
-        e_lo = catalog[e_name].mean * lo_f * _PSI_PER_MSI
-        g_lo = catalog[g_name].mean * lo_f
-        u0_hi = x_hi * x_hi / (2.0 * e_lo)
-        lc = min(lc, g_lo / (safety * u0_hi))
+        x_hi, e_lo, g_lo = (_mean_psi(catalog, name, f) for name, f in
+                            ((x_name, hi_f), (e_name, lo_f), (g_name, lo_f)))
+        # where cdm_margin(g_lo, x_hi, e_lo, safety * lc) reaches zero
+        lc = min(lc, g_lo / (safety * cdm_initiation_energy(x_hi, e_lo)))
     return float(lc)
 
 
@@ -329,7 +337,6 @@ class _CohesiveBank:
         self.delta0_m = np.zeros(shape)
         self.delta_f_m = np.zeros(shape)
         self.t0_m = np.zeros(shape)
-        self.gc_m = np.zeros(shape)
         self.dissipated = np.zeros(shape)
 
     def damage(self):
@@ -388,7 +395,6 @@ class _CohesiveBank:
             self.delta0_m[rows, cols] = d0
             self.t0_m[rows, cols] = t0m
             self.delta_f_m[rows, cols] = dfm
-            self.gc_m[rows, cols] = gcm
             self.initiated[rows, cols] = True
         self.delta_max = np.where(
             self.initiated, np.maximum(self.delta_max, delta_m), self.delta_max
@@ -423,24 +429,23 @@ class BendState:
                 raise ValueError(f"sample {bad[0]}: hardening exponent {name} must be positive")
         self.specimen = specimen
         self.n = x.shape[0]
+        x = x * [_psi_factor(spec) for spec in cat]  # stresses in psi
         col = lambda name: x[:, cat.index(name)]
 
-        # substrate (psi)
-        self.e_m = col("E") * _PSI_PER_MSI
+        # substrate
+        self.e_m = col("E")
         self.nu_m = col("nu")
-        self.a_m = col("A") * _PSI_PER_KSI
-        self.b_m = col("B") * _PSI_PER_KSI
+        self.a_m = col("A")
+        self.b_m = col("B")
         self.n_m = col("Aln")
 
-        # plies (psi); balanced fabric, one in-plane direction resolved
-        self.e_p = np.column_stack([col(FABRICS[k][0]) for k in specimen.stacking]) * _PSI_PER_MSI
-        self.x_p = np.column_stack([col(FABRICS[k][1]) for k in specimen.stacking]) * _PSI_PER_KSI
-        self.v_p = np.column_stack([col(FABRICS[k][2]) for k in specimen.stacking])
-        self.gf_p = np.column_stack([col(FABRICS[k][3]) for k in specimen.stacking])
+        # plies; balanced fabric, one in-plane direction resolved
+        self.e_p, self.x_p, self.v_p, self.gf_p = (
+            np.column_stack([col(FABRICS[k][j]) for k in specimen.stacking]) for j in range(4)
+        )
 
         lc = specimen.characteristic_length
-        self.u0_p = self.x_p**2 / (2.0 * self.e_p)
-        margin = self.gf_p - self.u0_p * lc
+        margin = cdm_margin(self.gf_p, self.x_p, self.e_p, lc)
         if np.any(margin <= 0.0):
             i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
             raise AdmissibilityError(
@@ -449,41 +454,24 @@ class BendState:
                 layer=f"ply {j} ({specimen.stacking[j]})",
             )
 
-        # shared matrix shear set (psi)
-        self.gs = col("GS") * _PSI_PER_MSI
-        self.ss = col("SS") * _PSI_PER_KSI
+        # shared matrix shear set
+        self.gs = col("GS")
+        self.ss = col("SS")
         self.alpha12 = col("alpha12")
         self.d12_max = col("d12")
         self.eps_max = col("epsilon")
-        self.sig_y = col("sigmaY") * _PSI_PER_KSI
-        self.c_h = col("C") * _PSI_PER_MSI
+        self.sig_y = col("sigmaY")
+        self.c_h = col("C")
         self.p_h = col("P")
 
         # cohesive banks (11 inter-ply layers, 1 bond-line interface)
         self.coh = _CohesiveBank(
-            self.n,
-            11,
-            col("EC") * _PSI_PER_MSI / lc,
-            col("XT") * _PSI_PER_KSI,
-            col("XS") * _PSI_PER_KSI,
-            col("GI"),
-            col("GII"),
-            col("BK"),
-            shear_split=False,
-            label="cohesive layer",
+            self.n, 11, col("EC") / lc, col("XT"), col("XS"), col("GI"), col("GII"), col("BK"),
+            shear_split=False, label="cohesive layer",
         )
         self.iface = _CohesiveBank(
-            self.n,
-            1,
-            col("EiC") * _PSI_PER_MSI / lc,
-            col("XiT") * _PSI_PER_KSI,
-            col("XiS") * _PSI_PER_KSI,
-            col("GiI"),
-            col("GiII"),
-            col("BiK"),
-            shear_split=True,
-            label="interface",
-            feedback=specimen.interface_damage_feedback,
+            self.n, 1, col("EiC") / lc, col("XiT"), col("XiS"), col("GiI"), col("GiII"), col("BiK"),
+            shear_split=True, label="interface", feedback=specimen.interface_damage_feedback,
         )
 
         # elastic transformed-section neutral axis (undamaged moduli)
@@ -505,7 +493,6 @@ class BendState:
 
         # evolving state
         self.step = 0
-        self.kappa = 0.0
         self.d11 = np.zeros((self.n, 12))
         self.d12 = np.zeros((self.n, 12))
         self.eps12_p = np.zeros((self.n, 12))
@@ -552,13 +539,8 @@ class BendState:
         # --- ply matrix shear (PL) ----------------------------------------
         gs = self.gs[:, None]
         trial, plastic, eps_p_new, flow_new, work = _return_map(
-            self.sf[None, :] * abs_eps,
-            self.eps12_p,
-            gs,
-            self.sig_y[:, None],
-            self.c_h[:, None],
-            self.p_h[:, None],
-            ~self.failed,
+            self.sf[None, :] * abs_eps, self.eps12_p, gs,
+            self.sig_y[:, None], self.c_h[:, None], self.p_h[:, None], ~self.failed,
         )
         self.energy["PL"] += work * self.vol_ply
 
@@ -618,18 +600,12 @@ class BendState:
         # --- substrate plasticity (PM) ------------------------------------
         eps_m = np.abs(kappa_new * (self.ybar[:, None] - sp.metal_mid_y[None, :]))
         _, _, self.eps_p_m, _, work_m = _return_map(
-            eps_m,
-            self.eps_p_m,
-            self.e_m[:, None],
-            self.a_m[:, None],
-            self.b_m[:, None],
-            self.n_m[:, None],
-            True,
+            eps_m, self.eps_p_m,
+            self.e_m[:, None], self.a_m[:, None], self.b_m[:, None], self.n_m[:, None], True,
         )
         self.energy["PM"] += work_m * self.vol_metal
 
         self.step += 1
-        self.kappa = kappa_new
 
     def run(self) -> np.ndarray:
         """Drive the ramp to completion; returns (n, 6) energies."""

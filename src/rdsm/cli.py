@@ -29,6 +29,10 @@ from .sampling import sample_lhs, sample_lss, sample_mc
 from .sensitivity import screen_fdr_logworth, sobol_indices
 from .surrogate import NetworkSpec, serialize_model
 from .workflow import (
+    DIRECT_MAX_RETAINED,
+    ENGAGEMENT_FRACTION,
+    MECHANISM_MAX_RETAINED,
+    RESAMPLE_N,
     EngagementGate,
     MechanismRDSM,
     SummedRDSM,
@@ -126,7 +130,8 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         ),
         _opt(
             "max_k", type=int,
-            help="retention cap (default: 4 for TS, 3 for mechanisms)",
+            help=f"retention cap (default: {DIRECT_MAX_RETAINED} for TS, "
+            f"{MECHANISM_MAX_RETAINED} for mechanisms)",
         ),
         _opt("out", help="output CSV path (default: screening_<output>.csv)"),
     )),
@@ -143,13 +148,19 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         _opt("epochs", type=int),
         _opt("batch_size", type=int),
         _opt("split", help="train,test fractions, e.g. 0.9,0.1"),
-        _opt("max_retained", 4, type=int, help="direct retention cap (default: {default})"),
+        _opt(
+            "max_retained", DIRECT_MAX_RETAINED, type=int,
+            help="direct retention cap (default: {default})",
+        ),
         _opt("query_mode", "retrained", choices=("retrained", "frozen_full")),
         _opt(
-            "resample_n", 3277, type=int,
+            "resample_n", RESAMPLE_N, type=int,
             help="focused disbond design size (default: {default})",
         ),
-        _opt("threshold", 0.03, type=float, help="engagement threshold (default: {default})"),
+        _opt(
+            "threshold", ENGAGEMENT_FRACTION, type=float,
+            help="engagement threshold (default: {default})",
+        ),
         _opt("threshold_mode", "relative", choices=("relative", "absolute")),
         _opt("specimen", help="specimen config JSON for resampling"),
         _THREADS,
@@ -477,7 +488,7 @@ def _cmd_screen(resolved) -> None:
     output = resolved["output"]
     max_k = resolved["max_k"]
     if max_k is None:
-        max_k = 4 if output == "TS" else 3  # route-specific retention caps
+        max_k = DIRECT_MAX_RETAINED if output == "TS" else MECHANISM_MAX_RETAINED
     result = screen_fdr_logworth(
         dataset.inputs, dataset.energy(output), catalog.names, output, max_k=max_k
     )
@@ -691,9 +702,9 @@ def _load_train_keys(path):
         if "train_row_keys" not in doc:
             raise SchemaError(f"train-rows file {p} lacks a train_row_keys entry")
         doc = doc["train_row_keys"]
-    if not isinstance(doc, list):
-        raise SchemaError(f"train-rows file {p} must hold a list of row keys")
-    return frozenset(str(k) for k in doc)
+    if not isinstance(doc, list) or not all(isinstance(k, str) for k in doc):
+        raise SchemaError(f"train-rows file {p} must hold a list of string row keys")
+    return frozenset(doc)
 
 
 def _section_cells(section):

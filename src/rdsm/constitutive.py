@@ -24,6 +24,8 @@ from .errors import AdmissibilityError
 
 __all__ = [
     "jc_stress",
+    "cdm_initiation_energy",
+    "cdm_margin",
     "cdm_damage_evolution",
     "cdm_shear_damage",
     "czm_traction",
@@ -41,6 +43,17 @@ def jc_stress(eps_p, a, b, n):
     return float(out) if out.ndim == 0 else out
 
 
+def cdm_initiation_energy(x, e):
+    """U0 = x**2 / (2 e), the elastic energy density at initiation."""
+    return x * x / (2.0 * e)
+
+
+def cdm_margin(g_f, x, e, l_c):
+    """The damage law's admissibility margin g_f - U0 * l_c; it softens
+    only where the margin is positive."""
+    return g_f - cdm_initiation_energy(x, e) * l_c
+
+
 def cdm_damage_evolution(k, x, e, g_f, l_c):
     """Damage after initiation at stress ratio k = effective stress / strength.
 
@@ -52,8 +65,10 @@ def cdm_damage_evolution(k, x, e, g_f, l_c):
     k = np.asarray(k, dtype=float)
     if np.any(k < 1.0):
         raise ValueError("stress ratio k must be >= 1 at and after initiation")
-    u0 = np.asarray(x, dtype=float) ** 2 / (2.0 * np.asarray(e, dtype=float))
-    margin = np.asarray(g_f, dtype=float) - u0 * l_c
+    x = np.asarray(x, dtype=float)
+    e = np.asarray(e, dtype=float)
+    u0 = cdm_initiation_energy(x, e)
+    margin = cdm_margin(np.asarray(g_f, dtype=float), x, e, l_c)
     if np.any(margin <= 0.0):
         raise AdmissibilityError(
             "fracture energy does not exceed the elastic energy over one "

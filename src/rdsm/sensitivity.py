@@ -251,13 +251,15 @@ def sobol_indices(
     model_eval takes an (n, dim) batch and returns n outputs; it must not
     keep the batch, whose buffer is reused.  Designs are Saltelli
     pick-freeze blocks with LHS base matrices A and B on the unit cube,
-    mapped through (dist, catalog) into parameter space when given.  Block
-    i is A with column i taken from B, built in one buffer just before it
-    is evaluated.  The pooled A and B evaluations estimate the output
-    variance; a constant output yields an explicit degenerate result.
-    Bootstrap standard errors come from n_bootstrap >= 2 resamples of the
-    rows with replacement.  Indices are named after the catalog's
-    parameters when a catalog is given, else x0, x1, ...
+    each mapped once through (dist, catalog) into parameter space when
+    given; the distribution maps each column on its own, so the blocks of
+    the mapped pair are the mapped blocks.  Block i is A with column i
+    taken from B, built in one buffer just before it is evaluated.  The
+    pooled A and B evaluations estimate the output variance; a constant
+    output yields an explicit degenerate result.  Bootstrap standard errors
+    come from n_bootstrap >= 2 resamples of the rows with replacement.
+    Indices are named after the catalog's parameters when a catalog is
+    given, else x0, x1, ...
 
     support lists the columns model_eval reads (None: every column).  Only
     their blocks are evaluated, so model_eval sees (2 + len(support)) *
@@ -284,15 +286,18 @@ def sobol_indices(
     where[cols] = np.arange(cols.size)
     n_rows = cols.size + (cols.size < dim)
 
-    a, b = saltelli_matrices(n_base, dim, seed)
+    if dist is not None and catalog is None:
+        raise ValueError("dist requires the catalog to map units into")
 
-    def run(u):
-        if dist is not None:
-            if catalog is None:
-                raise ValueError("dist requires the catalog to map units into")
-            u = dist.transform(u, catalog)
-        out = np.asarray(model_eval(u), dtype=float).reshape(-1)
-        if out.shape[0] != u.shape[0]:
+    a, b = saltelli_matrices(n_base, dim, seed)
+    if dist is not None:
+        a, b = dist.transform(a, catalog), dist.transform(b, catalog)
+        a.setflags(write=False)
+        b.setflags(write=False)
+
+    def run(x):
+        out = np.asarray(model_eval(x), dtype=float).reshape(-1)
+        if out.shape[0] != x.shape[0]:
             raise ValueError("model_eval must return one output per row")
         return out
 

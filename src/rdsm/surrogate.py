@@ -129,34 +129,42 @@ class SurrogateModel:
         for arr in (self.input_lo, self.input_hi):
             arr.setflags(write=False)
 
-    # -- scaling -----------------------------------------------------------
-    def _scale_in(self, x):
-        span = self.input_hi - self.input_lo
-        return (x - self.input_lo) / np.where(span > 0.0, span, 1.0)
-
-    def _unscale_out(self, y):
-        span = self.output_hi - self.output_lo
-        return self.output_lo + y * (span if span > 0.0 else 1.0)
-
-    # -- evaluation --------------------------------------------------------
-    def _forward_scaled(self, a):
-        """Scaled (n, d) inputs to scaled (n,) outputs; each layer's bias
-        and ReLU are applied in place on its product."""
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = a @ w
-            a += b
-            np.maximum(a, 0.0, out=a)
-        z = a @ self.weights[-1]
-        z += self.biases[-1]
-        return z[:, 0]
-
     def predict(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.spec.input_dim:
             raise ValueError(
                 f"input has {x.shape[1]} columns, model expects {self.spec.input_dim}"
             )
-        return self._unscale_out(self._forward_scaled(self._scale_in(x)))
+        xs = _scale(x, self.input_lo, self.input_hi)
+        return _unscale(_forward(self.weights, self.biases, xs), self.output_lo, self.output_hi)
+
+
+def _span(lo, hi):
+    """Min-max span hi - lo, 1.0 where it is zero."""
+    span = np.subtract(hi, lo)
+    return np.where(span > 0.0, span, 1.0)
+
+
+def _scale(v, lo, hi):
+    return (v - lo) / _span(lo, hi)
+
+
+def _unscale(v, lo, hi):
+    return lo + v * _span(lo, hi)
+
+
+def _forward(weights, biases, a, outs=None):
+    """Scaled (n, d) inputs to scaled (n,) outputs: ReLU hidden layers,
+    then the raw output layer.  Each layer's bias and ReLU are applied in
+    place on its product, written into outs[l] when given (training keeps
+    them for backprop)."""
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        a = np.matmul(a, w, out=None if outs is None else outs[l])
+        a += b
+        if l < last:
+            np.maximum(a, 0.0, out=a)
+    return a[:, 0]
 
 
 def _layer_views(flat, dims):
@@ -186,19 +194,6 @@ def _batch_buffers(dims, rows):
     deltas = [np.empty((rows, d)) for d in dims[1:-1]]
     masks = [np.empty((rows, d), dtype=bool) for d in dims[1:-1]]
     return outs, deltas, masks
-
-
-def _forward_train(weights, biases, a0, outs):
-    """Forward pass that keeps each layer's output in outs for backprop:
-    ReLU activations for the hidden layers, then the raw (n, 1) output."""
-    a = a0
-    for w, b, out in zip(weights[:-1], biases[:-1], outs):
-        a = np.matmul(a, w, out=out)
-        a += b
-        np.maximum(a, 0.0, out=a)
-    out = np.matmul(a, weights[-1], out=outs[-1])
-    out += biases[-1]
-    return out[:, 0]
 
 
 def _backprop(weights, activations, delta_out, grads_w, grads_b, deltas, masks):
@@ -283,10 +278,8 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     out_lo = float(y_train.min())
     out_hi = float(y_train.max())
 
-    in_span = np.where(in_hi - in_lo > 0.0, in_hi - in_lo, 1.0)
-    out_span = out_hi - out_lo if out_hi - out_lo > 0.0 else 1.0
-    xs_train = (x_train - in_lo) / in_span
-    ys_train = (y_train - out_lo) / out_span
+    xs_train = _scale(x_train, in_lo, in_hi)
+    ys_train = _scale(y_train, out_lo, out_hi)
     zero_variance = bool(np.ptp(y_train) == 0.0)
     # the near-zero cut scales with the raw training targets
     keep_train = percent_error_rows(y_train, y_train)
@@ -302,11 +295,10 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     s2 = np.empty_like(flat)
     t = 0
 
-    xs_test = (x_test - in_lo) / in_span if n_test else x_test
+    xs_test = _scale(x_test, in_lo, in_hi) if n_test else x_test
 
     def eval_mae(ws, bs, xs, y_raw, keep):
-        pred = out_lo + _forward_train(ws, bs, xs, _batch_buffers(dims, len(xs))[0]) * out_span
-        return _mae_pct(y_raw, pred, keep)
+        return _mae_pct(y_raw, _unscale(_forward(ws, bs, xs), out_lo, out_hi), keep)
 
     # a fit whose held-out MAE% never beats the initial weights' has diverged
     init_mae = eval_mae(weights, biases, xs_test, y_test, keep_test)[0]
@@ -334,7 +326,7 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
         for start in range(0, n_train, rows):
             xb, yb = xs_epoch[start : start + rows], ys_epoch[start : start + rows]
             outs, deltas, masks = full if len(yb) == rows else last
-            err = _forward_train(weights, biases, xb, outs)
+            err = _forward(weights, biases, xb, outs)
             err -= yb  # the prediction's buffer now holds the error, then the loss gradient
             epoch_loss += float(np.add.reduce(err * err))
             err *= 2.0

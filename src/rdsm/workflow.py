@@ -30,7 +30,8 @@ import numpy as np
 from .bend import BendSpecimen, simulate_dataset
 from .catalog import ParameterCatalog, SamplingDistribution
 from .dataset import ENERGY_COLUMNS, MECHANISMS, Dataset
-from .errors import SchemaError, fields_doc, fields_from, json_numbers, read_document, require_keys
+from .errors import SchemaError, fields_doc, fields_from, json_numbers, json_value, read_document
+from .errors import require_keys
 from .sampling import sample_lhs, sample_lss
 from .sensitivity import ScreeningResult, screen_fdr_logworth
 from .surrogate import (
@@ -69,6 +70,10 @@ __all__ = [
 # engagement threshold: a mechanism counts as engaged on a row when it
 # contributes at least this fraction of the row's total energy
 ENGAGEMENT_FRACTION = 0.03
+
+DIRECT_MAX_RETAINED = 4  # retention cap of the total-energy screen
+MECHANISM_MAX_RETAINED = 3  # retention cap of each mechanism's screen
+RESAMPLE_N = 3277  # rows in the summed route's focused disbond design
 
 # default hidden layers, learning rate, and (train, test) split per mechanism
 _MECHANISM_NETWORKS = {
@@ -147,11 +152,7 @@ class MechanismRDSM:
 
     def predict(self, x) -> np.ndarray:
         """Predictions for (n, d) full catalog vectors."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != len(self.catalog):
-            raise ValueError(
-                f"input has {x.shape[1]} columns, catalog has {len(self.catalog)}"
-            )
+        x = _catalog_rows(x, self.catalog)
         if self._reduced:
             return self.surrogate.predict(x[:, self._cols])
         full = np.tile(self.baseline, (x.shape[0], 1))
@@ -174,25 +175,32 @@ class MechanismRDSM:
 
     @classmethod
     def load(cls, path, catalog: ParameterCatalog) -> "MechanismRDSM":
+        keys = {"mechanism", "retained_params", "baseline", "model"}
         doc = _read_artifact(
-            Path(path),
-            "model file",
-            {"mechanism", "retained_params", "baseline", "model"},
-            _MECHANISM_FORMAT,
-            _MECHANISM_VERSION,
-            catalog,
+            Path(path), "model file", keys, _MECHANISM_FORMAT, _MECHANISM_VERSION, catalog
         )
         model = deserialize_model(doc["model"])
-        try:
-            return cls(
-                doc["mechanism"],
-                tuple(doc["retained_params"]),
-                model,
-                json_numbers(doc["baseline"], "baseline"),
-                catalog,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"invalid mechanism model: {exc}") from None
+        retained, baseline = doc["retained_params"], doc["baseline"]
+        return _load_member(doc["mechanism"], retained, model, baseline, catalog, "mechanism model")
+
+
+def _catalog_rows(x, catalog: ParameterCatalog) -> np.ndarray:
+    """x as an (n, d) array of full catalog vectors."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != len(catalog):
+        raise ValueError(f"input has {x.shape[1]} columns, catalog has {len(catalog)}")
+    return x
+
+
+def _load_member(mechanism, retained, model, baseline, catalog, what) -> MechanismRDSM:
+    """A saved member from its JSON fields; a bad field is a SchemaError
+    naming what."""
+    try:
+        names = json_value(retained, list, "retained_params")
+        names = tuple(json_value(name, str, "retained_params") for name in names)
+        return MechanismRDSM(mechanism, names, model, json_numbers(baseline, "baseline"), catalog)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"invalid {what}: {exc}") from None
 
 
 def _read_artifact(path: Path, what, keys, fmt, version, catalog) -> dict:
@@ -317,17 +325,9 @@ class SummedRDSM:
             cols.update(member.support)
         return tuple(sorted(cols))
 
-    def _check_rows(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != len(self.catalog):
-            raise ValueError(
-                f"input has {x.shape[1]} columns, catalog has {len(self.catalog)}"
-            )
-        return x
-
     def gate_coordinates(self, x) -> np.ndarray:
         """Normalized (n, 3) gate coordinates, clipped into the unit cube."""
-        x = self._check_rows(x)
+        x = _catalog_rows(x, self.catalog)
         u = (x[:, self._axis_cols] - self._axis_lo) / self._axis_span
         return np.clip(u, 0.0, 1.0)
 
@@ -337,7 +337,7 @@ class SummedRDSM:
 
     def predict_breakdown(self, x) -> dict[str, np.ndarray]:
         """Per-mechanism predictions with the disbond term already gated."""
-        x = self._check_rows(x)
+        x = _catalog_rows(x, self.catalog)
         parts = {name: self.members[name].predict(x) for name in MECHANISMS}
         parts["DI"] = np.where(self.engaged(x), parts["DI"], 0.0)
         return parts
@@ -381,13 +381,9 @@ class SummedRDSM:
     @classmethod
     def load(cls, directory, catalog: ParameterCatalog) -> "SummedRDSM":
         directory = Path(directory)
+        keys = {"distribution", "gate", "baseline", "mechanisms"}
         doc = _read_artifact(
-            directory / _MANIFEST_NAME,
-            "manifest",
-            {"distribution", "gate", "baseline", "mechanisms"},
-            _SUMMED_FORMAT,
-            _SUMMED_VERSION,
-            catalog,
+            directory / _MANIFEST_NAME, "manifest", keys, _SUMMED_FORMAT, _SUMMED_VERSION, catalog
         )
         dist = fields_from(SamplingDistribution, doc["distribution"], "distribution")
         require_keys(doc["gate"], {"axes", "vertices"}, "gate")
@@ -403,12 +399,9 @@ class SummedRDSM:
             if not model_path.is_file():
                 raise SchemaError(f"missing model file {entry['file']!r} for {name}")
             model = deserialize_model(model_path.read_bytes())
-            try:
-                members[name] = MechanismRDSM(
-                    name, tuple(entry["retained_params"]), model, doc["baseline"], catalog
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"invalid mechanism {name}: {exc}") from None
+            members[name] = _load_member(
+                name, entry["retained_params"], model, doc["baseline"], catalog, f"mechanism {name}"
+            )
         try:
             return cls(members, gate, catalog, dist)
         except (KeyError, ValueError) as exc:
@@ -463,7 +456,7 @@ def _nonempty_retained(screening: ScreeningResult) -> tuple[tuple[str, ...], str
 def fit_direct(
     dataset: Dataset,
     network: NetworkSpec | None = None,
-    max_retained: int = 4,
+    max_retained: int = DIRECT_MAX_RETAINED,
     query_mode: str = "retrained",
     seed: int = 0,
 ) -> DirectFit:
@@ -503,7 +496,7 @@ def fit_direct(
 def fit_mechanism(
     dataset: Dataset,
     mechanism: str,
-    max_retained: int = 3,
+    max_retained: int = MECHANISM_MAX_RETAINED,
     seed: int = 0,
 ) -> MechanismFit:
     """Screen one mechanism energy and fit a reduced model on the survivors.
@@ -656,7 +649,7 @@ def fit_summed(
     dataset: Dataset,
     specimen: BendSpecimen,
     seed: int = 0,
-    resample_n: int = 3277,
+    resample_n: int = RESAMPLE_N,
     threshold: float = ENGAGEMENT_FRACTION,
     threshold_mode: str = "relative",
     threads: int = 1,
@@ -695,7 +688,7 @@ def fit_summed(
     y_di = dataset.energy("DI")
     if np.ptp(y_di) > 0.0:
         base_screen = screen_fdr_logworth(
-            dataset.inputs, y_di, catalog.names, "DI", max_k=3
+            dataset.inputs, y_di, catalog.names, "DI", max_k=MECHANISM_MAX_RETAINED
         )
         varied = tuple(
             e.name for e in base_screen.entries[:_SUBSPACE_VARIED] if not e.zero_variance

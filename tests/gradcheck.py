@@ -1,6 +1,6 @@
 """Backprop weight gradients checked against central finite differences.
 
-A test helper: it reaches into the training internals (_forward_train and
+A test helper: it reaches into the training internals (_forward and
 _backprop) that the surrogate's public API keeps private.
 """
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rdsm.surrogate import SurrogateModel, _backprop, _batch_buffers, _forward_train
+from rdsm.surrogate import SurrogateModel, _backprop, _batch_buffers, _forward, _scale
 
 _KINK_TOLERANCE = 1e-4  # pre-activation magnitude treated as a ReLU kink
 
@@ -47,12 +47,12 @@ def gradient_check(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != model.spec.input_dim:
         raise ValueError("gradient check takes a single input vector")
-    xs = model._scale_in(x)[None, :]
+    xs = _scale(x, model.input_lo, model.input_hi)[None, :]
     weights = [w.copy() for w in model.weights]
     biases = list(model.biases)
 
     outs, deltas, masks = _batch_buffers(model.spec.layer_dims, 1)
-    _forward_train(weights, biases, xs, outs)
+    _forward(weights, biases, xs, outs)
     acts = [xs, *outs[:-1]]
     gw = [np.empty_like(w) for w in weights]
     _backprop(weights, acts, np.ones(1), gw, [np.empty_like(b) for b in biases], deltas, masks)
@@ -73,9 +73,9 @@ def gradient_check(
             continue
         orig = weights[l][i, j]
         weights[l][i, j] = orig + h
-        f_plus = float(_forward_train(weights, biases, xs, outs)[0])
+        f_plus = float(_forward(weights, biases, xs, outs)[0])
         weights[l][i, j] = orig - h
-        f_minus = float(_forward_train(weights, biases, xs, outs)[0])
+        f_minus = float(_forward(weights, biases, xs, outs)[0])
         weights[l][i, j] = orig
         numeric = (f_plus - f_minus) / (2.0 * h)
         denom = max(abs(analytic) + abs(numeric), 1e-10)

@@ -641,6 +641,20 @@ def test_compare_table_layout(work, direct_dir, summed_dir):
     assert float(rows[3][2]) < 25.0 and float(rows[3][3]) < 25.0
 
 
+def test_compare_train_rows_must_be_strings(work, direct_dir, summed_dir):
+    compare = ("compare", "--direct", direct_dir / "direct_rdsm.json",
+               "--summed", summed_dir / "model", "--validation", direct_dir / "validation.csv")
+    keys = json.loads((direct_dir / "fit_report.json").read_text())["train_row_keys"]
+    path = work / "bad_keys.json"
+    for doc in ([1, 2, 3], [*keys[:3], 7], {"train_row_keys": [None]}):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = _run_quiet(*compare, "--train-rows", path, "--out", work / "never.csv")
+        assert code == EXIT_SCHEMA, (doc, err)
+        _assert_one_line(err)
+        assert "list of string row keys" in err, err
+    assert not (work / "never.csv").exists()
+
+
 def test_compare_rejects_training_rows(work, direct_dir, summed_dir, data_csv, capsys):
     code = run(
         "compare", "--direct", direct_dir / "direct_rdsm.json",
@@ -963,9 +977,19 @@ def _edited(model_doc, key, edit) -> str:
     return json.dumps(doc)
 
 
-def test_model_reader_fails_on_one_line(work, model_doc):
+def _as_letters(names) -> str:
+    """As many one-letter catalog names as names holds, run together: the
+    string that tuple() would read as a list of that length."""
+    return "EABCP"[: len(names)]
+
+
+def test_model_reader_fails_on_one_line(work, model_doc, summed_dir):
+    letters = _as_letters(model_doc["retained_params"])
+    retained_text = json.dumps({**model_doc, "retained_params": letters})
+
     @_PROPERTY
     @given(text=_bad_model_text(model_doc))
+    @example(text=retained_text)
     @example(text=_edited(model_doc, "output_lo", repr))
     @example(text=_edited(model_doc, "input_lo", lambda v: [repr(x) for x in v]))
     @example(text=_edited(model_doc, "weights", lambda v: [[repr(v[0][0]), *v[0][1:]], *v[1:]]))
@@ -980,6 +1004,20 @@ def test_model_reader_fails_on_one_line(work, model_doc):
 
     check()
     assert not (work / "prop_uq.csv").exists()
+
+    # a summed model whose manifest gives a member's retained_params as a string
+    model_dir = work / "prop_summed"
+    model_dir.mkdir()
+    for src in (summed_dir / "model").iterdir():
+        (model_dir / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    di = manifest["mechanisms"]["DI"]
+    di["retained_params"] = _as_letters(di["retained_params"])
+    (model_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code, err = _run_quiet("sobol", "--model", model_dir, "--out", work / "prop_sobol.csv")
+    assert code == EXIT_SCHEMA, err
+    _assert_one_line(err)
+    assert not (work / "prop_sobol.csv").exists()
 
 
 _SAMPLE_KEYS = {name for name, *_ in cli._options("sample")}

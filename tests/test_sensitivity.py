@@ -373,3 +373,36 @@ def test_sobol_support_validation():
     ):
         with pytest.raises(ValueError, match=match):
             sobol_indices(f, 3, 128, support=support)
+
+
+@pytest.mark.parametrize("kind", ["uniform_pm20", "normal_10std"])
+def test_sobol_maps_the_base_pair_once_bit_exactly(monkeypatch, kind):
+    cat = build_catalog()
+    dist = getattr(SamplingDistribution, kind)()
+    e, xis, p = cat.indices(("E", "XiS", "P"))
+    f = lambda x: np.sin(x[:, e]) + x[:, xis] * x[:, p] ** 2
+    # the reference maps every block it is handed, one block at a time
+    want = sobol_indices(lambda u: f(dist.transform(u, cat)), len(cat), 256, seed=5,
+                         catalog=cat, n_bootstrap=20)
+    shapes = []
+    transform = SamplingDistribution.transform
+
+    def counted(self, unit, catalog):
+        shapes.append(np.shape(unit))
+        return transform(self, unit, catalog)
+
+    monkeypatch.setattr(SamplingDistribution, "transform", counted)
+    for support in (None, [e, xis, p]):
+        shapes.clear()
+        got = sobol_indices(f, len(cat), 256, seed=5, dist=dist, catalog=cat,
+                            n_bootstrap=20, support=support)
+        assert shapes == [(256, len(cat))] * 2  # A and B, once each
+        for attr in ("s1", "st", "s1_stderr", "st_stderr"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+
+
+def test_sobol_dist_without_catalog_fails_before_evaluating():
+    never = _counted(lambda u: u[:, 0])
+    with pytest.raises(ValueError, match="dist requires the catalog"):
+        sobol_indices(never, 41, 128, dist=SamplingDistribution.uniform_pm20())
+    assert never.rows == 0

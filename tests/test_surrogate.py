@@ -11,6 +11,8 @@ from rdsm.surrogate import (
     NetworkSpec,
     SurrogateModel,
     TrainReport,
+    _batch_buffers,
+    _forward,
     deserialize_model,
     serialize_model,
     train_surrogate,
@@ -70,9 +72,14 @@ def test_forward_in_place_matches_allocating_expression(dims):
     for wl, bl in zip(w[:-1], b[:-1]):
         a = np.maximum(a @ wl + bl, 0.0)
     want = (a @ w[-1] + b[-1])[:, 0]
-    got = model._forward_scaled(x)
+    got = _forward(model.weights, model.biases, x)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(x, before)  # the input batch is not written
+    # the training path writes each layer into its buffer, with the same bits
+    outs = _batch_buffers(dims, len(x))[0]
+    kept = _forward(model.weights, model.biases, x, outs)
+    assert kept.tobytes() == want.tobytes()
+    assert np.shares_memory(kept, outs[-1])
 
 
 def test_forward_identity_and_constant_networks():
