@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "ParameterSpec",
@@ -228,23 +227,85 @@ class SamplingDistribution:
         means = catalog.means
         return self.lo_frac * means, self.hi_frac * means
 
-    def transform(self, unit: np.ndarray, catalog: ParameterCatalog) -> np.ndarray:
+    def transform(self, unit: np.ndarray, catalog: ParameterCatalog, columns=None) -> np.ndarray:
         """Map a unit-cube design (n, d) or point (d,) into parameter space.
 
-        Columns correspond to catalog order (d = len(catalog)) or, for
-        subspace designs, the caller reindexes afterwards.
+        Columns correspond to catalog order (d = len(catalog)), or to the
+        catalog indices in columns when the design varies only those.  Each
+        column maps through its own marginal, so a column's values do not
+        depend on which other columns are mapped with it.
         """
         u = np.asarray(unit, dtype=float)
         if np.any(u < 0.0) or np.any(u > 1.0):
             raise ValueError("unit design has coordinates outside [0, 1]")
         d = u.shape[-1]
-        if d != len(catalog):
-            raise ValueError(f"design has {d} columns, catalog has {len(catalog)}")
-        means = catalog.means
+        cols = slice(None) if columns is None else np.asarray(columns, dtype=np.intp)
+        means = catalog.means[cols]
+        if d != means.size:
+            raise ValueError(f"design has {d} columns, expected {means.size}")
         if self.is_bounded:
             lo, hi = self.bounds(catalog)
+            lo, hi = lo[cols], hi[cols]
             return lo + u * (hi - lo)
         # clip away exact 0/1 so the quantile stays finite
         tiny = np.finfo(float).tiny
         q = np.clip(u, tiny, 1.0 - 1e-16)
-        return self.mean_frac * means + (self.std_frac * means) * ndtri(q)
+        return self.mean_frac * means + (self.std_frac * means) * _normal_quantile(q)
+
+
+# Wichura's AS241 (PPND16), Applied Statistics 37 (1988) 477-484: three
+# rational approximations to the standard normal quantile, numerator and
+# denominator coefficients highest power first.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_AS241_NEAR_TAIL = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_AS241_FAR_TAIL = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+
+def _rational(coefs, r):
+    num, den = coefs
+    return np.polyval(num, r) / np.polyval(den, r)
+
+
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of p in (0, 1) by AS241, within 4 ulp.
+
+    Each of the three branches runs only on the elements it covers: the
+    centre |p - 1/2| <= 0.425, then the tails split at r = sqrt(-log(min(p,
+    1 - p))) = 5.
+    """
+    q = p - 0.5
+    out = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = qc * _rational(_AS241_CENTRAL, 0.180625 - qc * qc)
+    tail = ~central
+    qt = q[tail]
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
+    z = np.empty_like(r)
+    near = r <= 5.0
+    z[near] = _rational(_AS241_NEAR_TAIL, r[near] - 1.6)
+    z[~near] = _rational(_AS241_FAR_TAIL, r[~near] - 5.0)
+    out[tail] = np.copysign(z, qt)
+    return out

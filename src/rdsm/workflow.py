@@ -395,7 +395,11 @@ class SummedRDSM:
         for name in MECHANISMS:
             entry = doc["mechanisms"][name]
             require_keys(entry, {"file", "retained_params"}, f"mechanism {name}")
-            model_path = directory / str(entry["file"])
+            if not isinstance(entry["file"], str):
+                raise SchemaError(
+                    f"mechanism {name} file must be a string, got {type(entry['file']).__name__}"
+                )
+            model_path = directory / entry["file"]
             if not model_path.is_file():
                 raise SchemaError(f"missing model file {entry['file']!r} for {name}")
             model = deserialize_model(model_path.read_bytes())
@@ -583,11 +587,8 @@ def engagement_mask(
 def _subspace_design(design, names, catalog, dist, pinned) -> np.ndarray:
     """Rows varying the named columns over a unit design, the rest pinned."""
     cols = catalog.indices(names)
-    unit = np.full((design.shape[0], len(catalog)), 0.5)
-    unit[:, cols] = design
-    x = dist.transform(unit, catalog)
-    frozen = np.setdiff1d(np.arange(len(catalog)), cols)
-    x[:, frozen] = pinned[frozen]
+    x = np.tile(pinned, (design.shape[0], 1))
+    x[:, cols] = dist.transform(design, catalog, columns=cols)
     return x
 
 

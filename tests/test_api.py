@@ -75,12 +75,26 @@ def test_bench_tracer_installs_and_restores():
     assert (design == sampling.sample_lhs(8, 2, 0)).all()
 
 
-def test_cli_starts_without_scipy_stats():
-    # scipy.stats takes about a second to import; rdsm needs only two of the
-    # scipy.special functions it is built on, so every command starts without it
-    probe = ("import sys, rdsm.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+def test_cli_starts_without_scipy(tmp_path):
+    # the normal quantile and the t tail are rdsm's own numpy code, so no
+    # command loads any scipy module: not at import, not in a screen or a uq
+    probe = "\n".join([
+        "import sys",
+        "from rdsm.cli import main",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(scipy_modules())",
+        "for argv in (['simulate', '--n', '40', '--out', 'data.csv'],",
+        "             ['screen', '--data', 'data.csv', '--output', 'DC'],",
+        f"             ['uq', '--model', {str(_ROOT / 'bench' / 'fixture' / 'direct_rdsm.json')!r},",
+        "              '--n', '200']):",
+        "    assert main(argv) == 0, argv",
+        "print(scipy_modules())",
+    ])
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    env.pop("RDSM_OUTDIR", None)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert (tmp_path / "screening_DC.csv").is_file() and (tmp_path / "uq.csv").is_file()

@@ -1,13 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
-from rdsm import catalog as catalog_module
 from rdsm.catalog import (
     GROUPS,
     ParameterCatalog,
     ParameterSpec,
     SamplingDistribution,
+    _normal_quantile,
     build_catalog,
 )
 
@@ -115,15 +117,54 @@ def test_transform_normal_moments(catalog):
     np.testing.assert_allclose(x.std(axis=0), 0.1 * catalog.means, rtol=5e-3)
 
 
-def test_transform_normal_matches_scipy_stats(catalog, monkeypatch):
-    # the normal quantile is scipy.special.ndtri, which norm.ppf calls; the
-    # exact 0 and 1 coordinates are clipped before either sees them
+def _mp_quantile(p: float) -> float:
+    """Normal quantile of p rounded from 40 digits: two Newton steps on the
+    mpmath CDF from scipy's value, which is within a few ulp already."""
+    with mpmath.workdps(40):
+        x, target = mpmath.mpf(float(ndtri(p))), mpmath.mpf(p)
+        for _ in range(2):
+            x -= (mpmath.ncdf(x) - target) / mpmath.npdf(x)
+        return float(x)
+
+
+def test_normal_quantile_within_4_ulp_of_mpmath():
+    rng = np.random.default_rng(41)
+    tiny = np.finfo(float).tiny
+    p = np.concatenate([
+        rng.random(3000),
+        np.geomspace(1e-60, 0.5, 300),  # lower tail, both rational branches
+        1.0 - np.geomspace(1e-16, 0.5, 100),  # upper tail down to the clip
+        [tiny, 1.0 - 1e-16, 0.075, 0.925, np.nextafter(0.075, 1.0), np.exp(-25.0)],
+    ])
+    got = _normal_quantile(p)
+    want = np.array([_mp_quantile(v) for v in p])
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+    assert np.all(np.sign(got) == np.sign(p - 0.5))
+    assert _normal_quantile(np.array([0.5]))[0] == 0.0
+
+
+def test_transform_normal_matches_scipy_stats(catalog):
+    # AS241 against scipy.stats' quantile: a few ulp of the quantile, which
+    # is far inside the mean's scale; exact 0 and 1 are clipped first
     u = np.random.default_rng(8).random((64, 41))
     u[0], u[1], u[2, ::2] = 0.0, 1.0, 0.5
     u[3, :3] = 0.0, 1.0, np.finfo(float).tiny
     dist = SamplingDistribution.normal_10std()
     got = dist.transform(u, catalog)
-    monkeypatch.setattr(catalog_module, "ndtri", norm.ppf)
-    want = dist.transform(u, catalog)
+    q = norm.ppf(np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16))
+    want = catalog.means + 0.1 * catalog.means * q
     assert np.all(np.isfinite(got))
-    assert np.array_equal(got, want)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(got[2, ::2], catalog.means[::2])
+
+
+@pytest.mark.parametrize("kind", ["uniform_pm20", "normal_10std"])
+def test_transform_columns_match_the_full_map(catalog, kind):
+    # a column maps through its own marginal, bit for bit, alone or with all 41
+    dist = getattr(SamplingDistribution, kind)()
+    u = np.random.default_rng(9).random((50, 41))
+    cols = np.array([30, 2, 17])
+    full = dist.transform(u, catalog)
+    assert np.array_equal(dist.transform(u[:, cols], catalog, columns=cols), full[:, cols])
+    with pytest.raises(ValueError, match="expected 3"):
+        dist.transform(u[:, :2], catalog, columns=cols)

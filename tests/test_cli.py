@@ -589,6 +589,22 @@ def test_model_query_schema_mismatch(work, direct_dir):
     assert run("uq", "--model", tampered) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("file, kind", [(["PL.json"], "list"), (5, "int"), (None, "NoneType")])
+def test_manifest_file_must_be_a_string(work, summed_dir, file, kind):
+    model_dir = work / f"file_{kind}"
+    model_dir.mkdir()
+    for src in (summed_dir / "model").iterdir():
+        (model_dir / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    manifest["mechanisms"]["PL"]["file"] = file
+    (model_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code, err = _run_quiet("sobol", "--model", model_dir, "--out", model_dir / "sobol.csv")
+    assert code == EXIT_SCHEMA
+    _assert_one_line(err)
+    assert f"mechanism PL file must be a string, got {kind}" in err
+    assert not (model_dir / "sobol.csv").exists()
+
+
 # -- gate-check ---------------------------------------------------------------------
 
 

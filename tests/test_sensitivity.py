@@ -1,17 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import stdtr
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import linregress
 from scipy.stats import t as student_t
 
 from rdsm import sensitivity
 from rdsm.catalog import SamplingDistribution, build_catalog
+from rdsm.errors import NumericalFailureError
 from rdsm.sensitivity import (
     ParameterScreen,
     ScreeningResult,
     _slope_p_values,
+    _t_two_sided,
     benjamini_hochberg,
     retain_parameters,
     screen_fdr_logworth,
@@ -100,7 +104,7 @@ def test_screen_null_columns_rarely_pass():
         rng = np.random.default_rng(100 + seed)
         x = rng.uniform(0.0, 1.0, size=(200, 41))
         y = 5.0 * x[:, 0] + rng.normal(0.0, 0.25, 200)
-        res = screen_fdr_logworth(x, y, _names(), "Y")
+        res = screen_fdr_logworth(x, y, _names(), "Y", max_k=3)
         for e in res.entries:
             if e.name != "p0":
                 total += 1
@@ -113,7 +117,7 @@ def test_screen_zero_variance_column_flagged():
     x = rng.uniform(0.0, 1.0, size=(50, 5))
     x[:, 2] = 0.7
     y = 2.0 * x[:, 0] + rng.normal(0.0, 0.1, 50)
-    res = screen_fdr_logworth(x, y, _names(5), "Y")
+    res = screen_fdr_logworth(x, y, _names(5), "Y", max_k=3)
     e = {entry.name: entry for entry in res.entries}["p2"]
     assert e.zero_variance
     assert e.raw_p == 1.0
@@ -122,7 +126,7 @@ def test_screen_zero_variance_column_flagged():
 
 
 def test_slope_p_values_match_scipy_stats(monkeypatch):
-    # the t tail is scipy.special.stdtr(df, -t), which t.sf(t, df) calls
+    # the two-sided tail of each column's slope t against scipy.stats' t.sf
     rng = np.random.default_rng(6)
     x = rng.uniform(0.0, 1.0, size=(80, 3))
     # y is column 1, whose centered values and sums are exact: zero residual
@@ -132,16 +136,16 @@ def test_slope_p_values_match_scipy_stats(monkeypatch):
     x[:, 2] += 0.02 * y  # ordinary association
     seen = []
 
-    def spy(df, neg_t):
-        seen.append((df, -neg_t))
-        return stdtr(df, neg_t)
+    def spy(tstat, df):
+        seen.append((tstat, df))
+        return _t_two_sided(tstat, df)
 
-    monkeypatch.setattr(sensitivity, "stdtr", spy)
+    monkeypatch.setattr(sensitivity, "_t_two_sided", spy)
     p, zero_var = _slope_p_values(x, y)
-    [(df, tstat)] = seen
+    [(tstat, df)] = seen
     assert df == len(y) - 2
     assert zero_var.tolist() == [True, False, False]
-    assert np.array_equal(p, np.where(zero_var, 1.0, 2.0 * student_t.sf(tstat, df)))
+    np.testing.assert_allclose(p[1:], 2.0 * student_t.sf(tstat[1:], df), rtol=5e-12, atol=0.0)
     assert p[0] == 1.0
     assert tstat[1] == np.inf and p[1] == 0.0
     fit = linregress(x[:, 2], y)
@@ -149,10 +153,63 @@ def test_slope_p_values_match_scipy_stats(monkeypatch):
     assert 0.0 < p[2] < 0.05 and p[2] == pytest.approx(fit.pvalue, rel=1e-9)
 
 
+def _mp_two_sided(t: float, df: int) -> float:
+    """I_x(df/2, 1/2) with x = df/(df + t^2), from 40 digits."""
+    with mpmath.workdps(40):
+        t, df = mpmath.mpf(t), mpmath.mpf(df)
+        return float(mpmath.betainc(df / 2, 0.5, 0, df / (df + t * t), regularized=True))
+
+
+@pytest.mark.parametrize("df", [28, 1553, 3275, 10**4])
+def test_t_tail_within_5e12_of_mpmath(df):
+    rng = np.random.default_rng(df)
+    # t in [0, 60] up to where the tail falls below the 1e-300 logworth floor
+    # (mpmath is slow out there, and screening reads the floor instead)
+    at_floor = student_t.isf(0.5e-300, df)
+    top = min(60.0, at_floor)
+    t = np.concatenate([
+        rng.uniform(0.0, top, 80),
+        np.geomspace(1e-8, top, 40),
+        np.sqrt(df * 1.5 / (df / 2 + 1)) * np.array([0.99, 1.0, 1.01]),  # branch switch
+        [0.0, 1e-170, at_floor * 0.999, at_floor, at_floor * 1.001],
+    ])
+    got = _t_two_sided(t, df)
+    want = np.array([_mp_two_sided(v, df) for v in t])
+    np.testing.assert_allclose(got, want, rtol=5e-12, atol=0.0)
+    assert 1e-301 < got[t == at_floor][0] < 1e-299
+
+
+def test_t_tail_exact_limits():
+    p = _t_two_sided(np.array([0.0, 1e-170, 6.6e-156, np.inf, 1e200]), 28)
+    assert p.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+    assert _t_two_sided(np.array([]), 1553).shape == (0,)
+
+
+def test_t_tail_cap_is_a_numerical_failure(monkeypatch):
+    # t near the branch switch needs the most terms (about 50 at df 1553)
+    monkeypatch.setattr(sensitivity, "_CF_CAP", 10)
+    with pytest.raises(NumericalFailureError, match="10 terms"):
+        _t_two_sided(np.array([1.9]), 1553)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    df=st.integers(28, 10**4),
+    t=st.lists(st.floats(0.0, 60.0), min_size=2, max_size=8),
+)
+def test_t_tail_monotone_in_unit_interval(df, t):
+    # monotone wherever t moves by more than the tail's own error
+    t = np.sort(np.array(t))
+    p = _t_two_sided(t, df)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    apart = np.diff(t) > 1e-9 * np.maximum(t[1:], 1.0)
+    assert np.all(np.diff(p)[apart] <= 0.0)
+
+
 def test_screen_constant_output():
     rng = np.random.default_rng(4)
     x = rng.uniform(0.0, 1.0, size=(60, 4))
-    res = screen_fdr_logworth(x, np.full(60, 3.3), _names(4), "Y")
+    res = screen_fdr_logworth(x, np.full(60, 3.3), _names(4), "Y", max_k=3)
     assert all(e.raw_p == 1.0 for e in res.entries)
     assert res.retained == ()
 
@@ -161,25 +218,27 @@ def test_screen_validation():
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(29, 3))
     with pytest.raises(ValueError, match="30 rows"):
-        screen_fdr_logworth(x, np.ones(29), _names(3), "Y")
+        screen_fdr_logworth(x, np.ones(29), _names(3), "Y", max_k=3)
     x = rng.uniform(size=(40, 3))
     with pytest.raises(ValueError, match="names"):
-        screen_fdr_logworth(x, np.ones(40), _names(4), "Y")
+        screen_fdr_logworth(x, np.ones(40), _names(4), "Y", max_k=3)
     y = np.ones(40)
     y[3] = math.inf
     with pytest.raises(ValueError, match="finite"):
-        screen_fdr_logworth(x, y, _names(3), "Y")
+        screen_fdr_logworth(x, y, _names(3), "Y", max_k=3)
+    with pytest.raises(TypeError, match="max_k"):  # the cap has no default
+        screen_fdr_logworth(x, np.ones(40), _names(3), "Y")
 
 
 def test_screen_scale_invariance():
     rng = np.random.default_rng(6)
     x = rng.uniform(0.0, 1.0, size=(120, 8))
     y = 3.0 * x[:, 1] - 2.0 * x[:, 5] + rng.normal(0.0, 0.2, 120)
-    base = screen_fdr_logworth(x, y, _names(8), "Y")
+    base = screen_fdr_logworth(x, y, _names(8), "Y", max_k=3)
     # power-of-two rescale reproduces the t-statistics bit for bit
     x2 = x.copy()
     x2[:, 1] *= 2.0**13
-    scaled = screen_fdr_logworth(x2, y, _names(8), "Y")
+    scaled = screen_fdr_logworth(x2, y, _names(8), "Y", max_k=3)
     assert [e.name for e in scaled.entries] == [e.name for e in base.entries]
     np.testing.assert_array_equal(
         [e.logworth for e in scaled.entries], [e.logworth for e in base.entries]
@@ -188,7 +247,7 @@ def test_screen_scale_invariance():
     # affine shift leaves the retained set and ranking unchanged
     x3 = x.copy()
     x3[:, 5] = 100.0 + 7.0 * x3[:, 5]
-    shifted = screen_fdr_logworth(x3, y, _names(8), "Y")
+    shifted = screen_fdr_logworth(x3, y, _names(8), "Y", max_k=3)
     assert [e.name for e in shifted.entries] == [e.name for e in base.entries]
     assert shifted.retained == base.retained
     np.testing.assert_allclose(
