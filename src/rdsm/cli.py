@@ -70,8 +70,10 @@ _LIST_OPTIONS = ("hidden", "split", "subsets")
 # the most worker processes --threads may start, the largest --grid, whose
 # N x N x N rows are built in memory before they are written, the most
 # bootstrap resamples sobol draws, each one a full pass over the evaluations,
-# and the most rows a query draws: sobol's base size, whose design holds
-# about (4 * 41 + 2) * n_base floats, and uq's rows per subset
+# and the most rows a query draws: sobol's base size, whose design holds A,
+# B and the block buffer (3 * 41 * n_base floats), up to three tables of an
+# output row per block, and each term's f(A) and f(B), 12 * n_base floats on
+# a summed model; and uq's rows per subset
 _MAX_THREADS = os.cpu_count() or 1
 _MAX_GRID = 100
 _MAX_BOOTSTRAP = 10_000
@@ -605,14 +607,13 @@ def _cmd_sobol(resolved) -> None:
     model = _load_model(_require_opt(resolved, "model"), catalog)
     dist = _distribution(resolved["distribution"])
     result = sobol_indices(
-        model.predict,
+        model,
         len(catalog),
         resolved["n_base"],
         seed=resolved["seed"],
         dist=dist,
         catalog=catalog,
         n_bootstrap=resolved["n_bootstrap"],
-        support=model.support,
     )
     if result.degenerate:
         order = range(len(result.names))

@@ -277,8 +277,9 @@ class SobolResult:
     """First/total-order indices with bootstrap standard errors.
 
     evaluations_used counts the rows of the whole Saltelli design,
-    n_base * (dim + 2), which the estimates stand for even when blocks
-    outside a model's support are not evaluated.
+    n_base * (dim + 2), even when terms skip blocks.  Resamples weight rows
+    by their counts, so the errors lie within 1e-12 relative of gathering
+    each resample's rows and squaring them afresh.
     """
 
     names: tuple[str, ...]
@@ -296,20 +297,42 @@ class SobolResult:
             object.__setattr__(self, attr, arr)
 
 
-def _jansen(f_a, f_b, f_ab):
-    """Jansen estimators from pick-freeze evaluations; f_ab is (dim, n)."""
+def _jansen(v, sum_a, sum_b, n):
+    """First- and total-order Jansen estimators from the pooled variance v
+    and each block's summed squared difference from f(A) and from f(B)."""
+    return (v - sum_b / (2.0 * n)) / v, sum_a / (2.0 * n) / v
+
+
+def _pick_freeze(f_a, f_b, f_ab, n_bootstrap, rng):
+    """Jansen s1 and st for each row of f_ab, the (rows, n) block outputs,
+    and a (kept, 2, rows) stack of their replicates on n_bootstrap resamples
+    of the n rows; None when f_a and f_b pooled have no spread, and a
+    resample without spread is skipped.  The squared differences are formed
+    once, the second in f_ab's buffer; a resample weights them by its counts.
+    """
     n = f_a.shape[0]
-    pooled = np.concatenate([f_a, f_b])
-    v = float(np.var(pooled))
+    v = float(np.var(np.concatenate([f_a, f_b])))
     if v <= 0.0:
-        return None, None, v
-    st = ((f_a[None, :] - f_ab) ** 2).sum(axis=1) / (2.0 * n) / v
-    s1 = (v - ((f_b[None, :] - f_ab) ** 2).sum(axis=1) / (2.0 * n)) / v
-    return s1, st, v
+        return None
+    sq_a = np.square(f_a - f_ab)
+    sq_b = np.square(np.subtract(f_b, f_ab, out=f_ab), out=f_ab)
+    s1, st = _jansen(v, sq_a.sum(axis=1), sq_b.sum(axis=1), n)
+    boot = []
+    for _ in range(n_bootstrap):
+        w = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+        mean = (w @ f_a + w @ f_b) / (2.0 * n)
+        bv = (w @ (f_a - mean) ** 2 + w @ (f_b - mean) ** 2) / (2.0 * n)
+        if bv <= 0.0:
+            continue
+        # a dot product per row: one matrix-vector product would round a row
+        # differently with the number of rows, and so with the blocks skipped
+        sums = [np.array([row @ w for row in sq]) for sq in (sq_a, sq_b)]
+        boot.append(_jansen(bv, *sums, n))
+    return s1, st, np.reshape(boot, (-1, 2, f_ab.shape[0]))
 
 
 def _support_rows(support, dim: int) -> np.ndarray:
-    """Sorted column indices a model reads, checked against dim."""
+    """Sorted column indices a model term reads, checked against dim."""
     cols = np.asarray(support)
     if cols.ndim != 1 or cols.size == 0:
         raise ValueError("support must be a nonempty list of column indices")
@@ -324,37 +347,36 @@ def _support_rows(support, dim: int) -> np.ndarray:
 
 
 def sobol_indices(
-    model_eval,
+    model,
     dim: int,
     n_base: int,
     seed: int = 0,
     dist: SamplingDistribution | None = None,
     catalog: ParameterCatalog | None = None,
     n_bootstrap: int = 100,
-    support=None,
 ) -> SobolResult:
     """First- and total-order Sobol' indices of a deterministic model.
 
-    model_eval takes an (n, dim) batch and returns n outputs; it must not
+    model is a function that takes an (n, dim) batch to n outputs, or has
+    terms, (support, fn) pairs whose fn reads only the columns in support,
+    and combine(values), which takes the terms' outputs on one batch to the
+    model's.  A plain function is one term over every column.  No fn may
     keep the batch, whose buffer is reused.  Designs are Saltelli
     pick-freeze blocks with LHS base matrices A and B on the unit cube,
     each mapped once through (dist, catalog) into parameter space when
     given; the distribution maps each column on its own, so the blocks of
     the mapped pair are the mapped blocks.  Block i is A with column i
-    taken from B, built in one buffer just before it is evaluated.  The
-    pooled A and B evaluations estimate the output variance; a constant
-    output yields an explicit degenerate result.  Bootstrap standard errors
-    come from n_bootstrap >= 2 resamples of the rows with replacement.
-    Indices are named after the catalog's parameters when a catalog is
-    given, else x0, x1, ...
+    taken from B, built in one buffer just before it is evaluated.
 
-    support lists the columns model_eval reads (None: every column).  Only
-    their blocks are evaluated, so model_eval sees (2 + len(support)) *
-    n_base rows.  The block of any other column is A with a column the
-    model never reads changed (the distribution maps each column on its
-    own), so its outputs are taken to be f(A): its total index is exactly
-    zero, and its first-order index and both errors equal those of every
-    other such column, which are estimated once and copied.
+    Each term sees A, B and the blocks of its own support, (2 + len(support))
+    * n_base rows; on any other block its output is its f(A).  The block of
+    a column no term reads is f(A): its total index is exactly zero, and its
+    first-order index and both errors equal those of every other such
+    column, which are estimated once and copied.  The pooled A and B outputs
+    estimate the output variance; a constant output yields an explicit
+    degenerate result.  Bootstrap standard errors come from n_bootstrap >= 2
+    resamples of the rows with replacement.  Indices are named after the
+    catalog's parameters when a catalog is given, else x0, x1, ...
     """
     if n_base < 128:
         raise ValueError(f"need n_base >= 128, got {n_base}")
@@ -366,9 +388,12 @@ def sobol_indices(
         names = catalog.names
     else:
         raise ValueError(f"catalog has {len(catalog)} parameters, dim is {dim}")
-    cols = np.arange(dim) if support is None else _support_rows(support, dim)
-    # the estimated rows are the support's blocks, then one stand-in for
-    # every column outside it; where[i] is the estimated row column i reads
+    terms = getattr(model, "terms", ((range(dim), model),))
+    combine = getattr(model, "combine", lambda values: values[0])
+    terms = [(_support_rows(support, dim), fn) for support, fn in terms]
+    cols = np.unique(np.concatenate([support for support, _ in terms]))
+    # the estimated rows are the read columns' blocks, then one stand-in for
+    # every other column; where[i] is the estimated row column i reads
     where = np.full(dim, cols.size)
     where[cols] = np.arange(cols.size)
     n_rows = cols.size + (cols.size < dim)
@@ -382,44 +407,28 @@ def sobol_indices(
         a.setflags(write=False)
         b.setflags(write=False)
 
-    def run(x):
-        out = np.asarray(model_eval(x), dtype=float).reshape(-1)
+    def run(fn, x):
+        out = np.asarray(fn(x)).reshape(-1)
         if out.shape[0] != x.shape[0]:
-            raise ValueError("model_eval must return one output per row")
+            raise ValueError("a model must return one output per row")
         return out
 
-    f_a = run(a)
-    f_b = run(b)
+    term_a = [run(fn, a) for _, fn in terms]
+    f_a = np.asarray(combine(term_a), dtype=float)
+    f_b = np.asarray(combine([run(fn, b) for _, fn in terms]), dtype=float)
     f_ab = np.empty((n_rows, n_base))
     block = a.copy()
     for row, i in enumerate(cols):
         block[:, i] = b[:, i]
-        f_ab[row] = run(block)
+        f_ab[row] = combine([run(fn, block) if i in s else v for (s, fn), v in zip(terms, term_a)])
         block[:, i] = a[:, i]
     f_ab[cols.size :] = f_a
 
     evals = n_base * (dim + 2)
-    s1, st, v = _jansen(f_a, f_b, f_ab)
-    if s1 is None:
+    estimates = _pick_freeze(f_a, f_b, f_ab, n_bootstrap, np.random.default_rng(seed + 1))
+    if estimates is None:
         nan = np.full(dim, math.nan)
         return SobolResult(names, nan, nan.copy(), nan.copy(), nan.copy(), evals, True)
-
-    rng = np.random.default_rng(seed + 1)
-    boot_s1 = np.empty((n_bootstrap, dim))
-    boot_st = np.empty((n_bootstrap, dim))
-    kept = 0
-    for _ in range(n_bootstrap):
-        idx = rng.integers(0, n_base, size=n_base)
-        bs1, bst, _ = _jansen(f_a[idx], f_b[idx], f_ab[:, idx])
-        if bs1 is None:
-            continue
-        boot_s1[kept] = bs1[where]
-        boot_st[kept] = bst[where]
-        kept += 1
-    if kept >= 2:
-        s1_err = boot_s1[:kept].std(axis=0, ddof=1)
-        st_err = boot_st[:kept].std(axis=0, ddof=1)
-    else:
-        s1_err = np.full(dim, math.nan)
-        st_err = np.full(dim, math.nan)
-    return SobolResult(names, s1[where], st[where], s1_err, st_err, evals, False)
+    s1, st, boot = estimates
+    errors = boot.std(axis=0, ddof=1)[:, where] if len(boot) >= 2 else np.full((2, dim), math.nan)
+    return SobolResult(names, s1[where], st[where], *errors, evals, False)

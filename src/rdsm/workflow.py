@@ -19,8 +19,10 @@ the disbond-engaged region.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -149,6 +151,13 @@ class MechanismRDSM:
     def support(self) -> tuple[int, ...]:
         """Sorted catalog columns predict reads: the retained ones."""
         return tuple(sorted(int(i) for i in self._cols))
+
+    @property
+    def terms(self) -> tuple:
+        """predict as one (support, fn) term; combine takes its output as is."""
+        return ((self.support, self.predict),)
+
+    combine = staticmethod(operator.itemgetter(0))
 
     def predict(self, x) -> np.ndarray:
         """Predictions for (n, d) full catalog vectors."""
@@ -317,13 +326,17 @@ class SummedRDSM:
         self._axis_span = hi[axis_cols] - lo[axis_cols]
 
     @property
+    def terms(self) -> tuple:
+        """(support, fn) pairs that combine into predict: the members in
+        MECHANISMS order, then the gate as (its axis columns, engaged)."""
+        members = [self.members[name] for name in MECHANISMS]
+        gate = (tuple(sorted(int(i) for i in self._axis_cols)), self.engaged)
+        return (*((m.support, m.predict) for m in members), gate)
+
+    @property
     def support(self) -> tuple[int, ...]:
-        """Sorted catalog columns predict reads: every member's support and
-        the gate axes."""
-        cols = {int(i) for i in self._axis_cols}
-        for member in self.members.values():
-            cols.update(member.support)
-        return tuple(sorted(cols))
+        """Sorted catalog columns predict reads: every term's support."""
+        return tuple(sorted({i for support, _ in self.terms for i in support}))
 
     def gate_coordinates(self, x) -> np.ndarray:
         """Normalized (n, 3) gate coordinates, clipped into the unit cube."""
@@ -335,19 +348,24 @@ class SummedRDSM:
         u = self.gate_coordinates(x)
         return self.gate.engaged(u[:, 0], u[:, 1], u[:, 2])
 
-    def predict_breakdown(self, x) -> dict[str, np.ndarray]:
-        """Per-mechanism predictions with the disbond term already gated."""
-        x = _catalog_rows(x, self.catalog)
-        parts = {name: self.members[name].predict(x) for name in MECHANISMS}
-        parts["DI"] = np.where(self.engaged(x), parts["DI"], 0.0)
+    @staticmethod
+    def _gated(values) -> dict[str, np.ndarray]:
+        *parts, engaged = values
+        parts = dict(zip(MECHANISMS, parts))
+        parts["DI"] = np.where(engaged, parts["DI"], 0.0)
         return parts
 
+    def combine(self, values) -> np.ndarray:
+        """The total from the terms' outputs, summed PL + DL + DC + DI + PM in
+        this fixed order with the disbond term gated."""
+        return functools.reduce(operator.add, self._gated(values).values())
+
+    def predict_breakdown(self, x) -> dict[str, np.ndarray]:
+        """Per-mechanism predictions with the disbond term already gated."""
+        return self._gated([fn(x) for _, fn in self.terms])
+
     def predict(self, x) -> np.ndarray:
-        parts = self.predict_breakdown(x)
-        total = parts[MECHANISMS[0]]
-        for name in MECHANISMS[1:]:
-            total = total + parts[name]
-        return total
+        return self.combine([fn(x) for _, fn in self.terms])
 
     # -- persistence ---------------------------------------------------------
     def save(self, directory) -> None:

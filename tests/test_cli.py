@@ -512,9 +512,9 @@ def test_sobol_support_writes_the_full_design_bytes(work, direct_dir, summed_dir
     real = cli.sobol_indices
     seen = []
 
-    def every_block(model_eval, *args, support, **kwargs):
-        seen.append(support)
-        return real(model_eval, *args, **kwargs)  # all 41 pick-freeze blocks
+    def every_block(model, *args, **kwargs):
+        seen.append(model.support)
+        return real(model.predict, *args, **kwargs)  # all 41 pick-freeze blocks
 
     models = (direct_dir / "direct_rdsm.json", summed_dir / "model")
     for i, model in enumerate(models):

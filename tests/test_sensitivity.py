@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import linregress
 from scipy.stats import t as student_t
 
+from bootstrap_reference import reference_pick_freeze
 from rdsm import sensitivity
 from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.errors import NumericalFailureError
@@ -388,6 +390,11 @@ def _counted(f):
     return model_eval
 
 
+def _terms(*terms, combine=lambda values: values[0]):
+    """A model given as (support, fn) terms and the rule that combines them."""
+    return SimpleNamespace(terms=terms, combine=combine)
+
+
 def test_sobol_support_skips_blocks_bit_exactly():
     # reads columns 1, 4 and 6 of 7, with an interaction between 4 and 6
     f = lambda u: np.sin(3.0 * u[:, 1]) + 2.0 * u[:, 4] * u[:, 6] ** 2 + u[:, 6]
@@ -395,24 +402,36 @@ def test_sobol_support_skips_blocks_bit_exactly():
     full = _counted(f)
     want = sobol_indices(full, 7, n, seed=4, n_bootstrap=30)
     assert full.rows == n * (7 + 2)
-    for support in ([1, 4, 6], (6, 1, 4), np.array([4, 6, 1, 0])):
-        skipping = _counted(f)
-        got = sobol_indices(skipping, 7, n, seed=4, n_bootstrap=30, support=support)
-        assert skipping.rows == (2 + len(support)) * n
+
+    def check(got):
         for attr in ("s1", "st", "s1_stderr", "st_stderr"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
         assert got.evaluations_used == want.evaluations_used == n * (7 + 2)
         assert got.names == want.names and not got.degenerate
-    # a support of every column is the full design, in any order
+
+    for support in ([1, 4, 6], (6, 1, 4), np.array([4, 6, 1, 0])):
+        skipping = _counted(f)
+        check(sobol_indices(_terms((support, skipping)), 7, n, seed=4, n_bootstrap=30))
+        assert skipping.rows == (2 + len(support)) * n
+    # the same sum as three terms, each on A, B and its own blocks
+    parts = [
+        ([1], _counted(lambda u: np.sin(3.0 * u[:, 1]))),
+        ([4, 6], _counted(lambda u: 2.0 * u[:, 4] * u[:, 6] ** 2)),
+        ([6], _counted(lambda u: u[:, 6])),
+    ]
+    check(sobol_indices(_terms(*parts, combine=lambda v: v[0] + v[1] + v[2]), 7, n,
+                        seed=4, n_bootstrap=30))
+    assert [fn.rows for _, fn in parts] == [3 * n, 4 * n, 3 * n]
+    # a term over every column is the full design, in any order
     every = _counted(f)
-    got = sobol_indices(every, 7, n, seed=4, n_bootstrap=30, support=[6, 5, 4, 3, 2, 1, 0])
+    got = sobol_indices(_terms(([6, 5, 4, 3, 2, 1, 0], every)), 7, n, seed=4, n_bootstrap=30)
     assert every.rows == n * (7 + 2)
     assert got.st_stderr.tobytes() == want.st_stderr.tobytes()
 
 
 def test_sobol_support_constant_model_degenerate():
     zero = _counted(lambda u: np.zeros(len(u)))
-    r = sobol_indices(zero, 5, 128, seed=1, support=[2])
+    r = sobol_indices(_terms(([2], zero)), 5, 128, seed=1)
     assert zero.rows == 3 * 128
     assert r.degenerate and r.evaluations_used == 128 * (5 + 2)
     for attr in ("s1", "st", "s1_stderr", "st_stderr"):
@@ -431,7 +450,10 @@ def test_sobol_support_validation():
         ([True], "integers"),
     ):
         with pytest.raises(ValueError, match=match):
-            sobol_indices(f, 3, 128, support=support)
+            sobol_indices(_terms((support, f)), 3, 128)
+        # a bad term is caught whatever the other terms are
+        with pytest.raises(ValueError, match=match):
+            sobol_indices(_terms(([0], f), (support, f)), 3, 128)
 
 
 @pytest.mark.parametrize("kind", ["uniform_pm20", "normal_10std"])
@@ -451,13 +473,71 @@ def test_sobol_maps_the_base_pair_once_bit_exactly(monkeypatch, kind):
         return transform(self, unit, catalog)
 
     monkeypatch.setattr(SamplingDistribution, "transform", counted)
-    for support in (None, [e, xis, p]):
+    for model in (f, _terms(([e, xis, p], f))):
         shapes.clear()
-        got = sobol_indices(f, len(cat), 256, seed=5, dist=dist, catalog=cat,
-                            n_bootstrap=20, support=support)
+        got = sobol_indices(model, len(cat), 256, seed=5, dist=dist, catalog=cat,
+                            n_bootstrap=20)
         assert shapes == [(256, len(cat))] * 2  # A and B, once each
         for attr in ("s1", "st", "s1_stderr", "st_stderr"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+
+
+def _within(got, want, rtol):
+    """Equal NaN patterns, and finite entries within rtol relative."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+def test_bootstrap_matches_the_gather_and_square_reference(monkeypatch):
+    f = lambda u: np.sin(3.0 * u[:, 1]) + 2.0 * u[:, 4] * u[:, 6] ** 2 + u[:, 6]
+    # on a 7-column plain function and on a one-term model that skips blocks
+    models = (f, _terms(([1, 4, 6], f)))
+    got = [sobol_indices(m, 7, 512, seed=8, n_bootstrap=60) for m in models]
+    monkeypatch.setattr(sensitivity, "_pick_freeze", reference_pick_freeze)
+    want = [sobol_indices(m, 7, 512, seed=8, n_bootstrap=60) for m in models]
+    for g, w in zip(got, want):
+        assert g.s1.tobytes() == w.s1.tobytes() and g.st.tobytes() == w.st.tobytes()
+        _within(g.s1_stderr, w.s1_stderr, 1e-12)
+        _within(g.st_stderr, w.st_stderr, 1e-12)
+        assert np.all(g.s1_stderr > 0.0)
+
+
+def test_bootstrap_skips_the_resamples_the_reference_skips():
+    # f(A) and f(B) are zero but on one row each, so any resample that draws
+    # neither row has no spread and is skipped
+    n, rows = 128, 3
+    rng = np.random.default_rng(2)
+    f_a, f_b = np.zeros(n), np.zeros(n)
+    f_a[5], f_b[70] = 1.0, 2.0
+    f_ab = rng.normal(size=(rows, n))
+    got = sensitivity._pick_freeze(f_a, f_b, f_ab.copy(), 200, np.random.default_rng(3))
+    want = reference_pick_freeze(f_a, f_b, f_ab, 200, np.random.default_rng(3))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert got[2].shape == want[2].shape and 0 < len(want[2]) < 200
+    for g, w in zip(got[2:], want[2:]):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+    # a constant output is degenerate before any resample is drawn
+    for const in (0.0, 2.5):
+        flat = np.full(n, const)
+        assert sensitivity._pick_freeze(flat, flat, f_ab.copy(), 10, rng) is None
+        assert reference_pick_freeze(flat, flat, f_ab, 10, rng) is None
+
+
+def test_bootstrap_with_fewer_than_two_resamples_gives_nan_errors(monkeypatch):
+    # nonzero on the one LHS row of A, and of B, whose u0 lies in the top
+    # stratum: a resample that draws neither has no spread
+    f = lambda u: (u[:, 0] >= 127 / 128).astype(float) + 0.0 * u[:, 1]
+    seeds = range(200)
+    got = [sobol_indices(f, 2, 128, seed=s, n_bootstrap=2) for s in seeds]
+    monkeypatch.setattr(sensitivity, "_pick_freeze", reference_pick_freeze)
+    want = [sobol_indices(f, 2, 128, seed=s, n_bootstrap=2) for s in seeds]
+    nan_runs = 0
+    for g, w in zip(got, want):
+        assert not g.degenerate and g.st.tobytes() == w.st.tobytes()
+        _within(g.st_stderr, w.st_stderr, 1e-12)
+        _within(g.s1_stderr, w.s1_stderr, 1e-12)
+        nan_runs += bool(np.all(np.isnan(g.st_stderr)))
+    assert nan_runs > 0
 
 
 def test_sobol_dist_without_catalog_fails_before_evaluating():

@@ -12,6 +12,7 @@ from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.dataset import MECHANISMS, Dataset
 from rdsm.errors import SchemaError
 from rdsm.sampling import sample_lhs
+from rdsm.sensitivity import sobol_indices
 from rdsm.surrogate import NetworkSpec, SurrogateModel, TrainReport
 from rdsm.workflow import (
     EngagementGate,
@@ -256,6 +257,46 @@ def test_columns_outside_support_change_nothing(cat, box):
     low, high = x.copy(), x.copy()
     low[:, p], high[:, p] = lo[p], hi[p]
     assert not np.array_equal(summed.engaged(low), summed.engaged(high))
+
+
+def _counted(fn):
+    """fn with a running count of the rows it has evaluated."""
+    def counted(x):
+        counted.rows += len(x)
+        return fn(x)
+
+    counted.rows = 0
+    return counted
+
+
+@pytest.mark.parametrize("kind", ["uniform_pm20", "normal_10std"])
+def test_sobol_runs_each_summed_term_on_its_own_blocks(cat, box, kind):
+    members = {
+        m: _random_rdsm(m, params, cat, box, seed, full_width=m == "PM")
+        for seed, (m, params) in enumerate(
+            (("PL", ("E", "XS")), ("DL", ("sigmaY",)), ("DC", ("P", "C", "GS")),
+             ("DI", ("P", "GiI")), ("PM", ("XiT", "nu")))
+        )
+    }
+    summed = SummedRDSM(members, EngagementGate(), cat, box)
+    dist = getattr(SamplingDistribution, kind)()
+    n = 128
+    kwargs = dict(seed=6, dist=dist, catalog=cat, n_bootstrap=20)
+    # the reference evaluates predict on all 41 pick-freeze blocks
+    whole = _counted(summed.predict)
+    want = sobol_indices(whole, len(cat), n, **kwargs)
+    assert whole.rows == (2 + len(cat)) * n
+    for member in members.values():
+        member.predict = _counted(member.predict)
+    summed.engaged = _counted(summed.engaged)
+    got = sobol_indices(summed, len(cat), n, **kwargs)
+    for member in members.values():
+        assert member.predict.rows == (2 + len(member.support)) * n, member.mechanism
+    assert summed.engaged.rows == (2 + 3) * n
+    for attr in ("s1", "st", "s1_stderr", "st_stderr"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+    outside = [j for j in range(len(cat)) if j not in summed.support]
+    assert np.all(got.st[outside] == 0.0) and np.all(got.st[list(summed.support)] > 0.0)
 
 
 def test_mechanism_forward_and_shape_errors(summed_fit, cat):
