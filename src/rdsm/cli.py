@@ -73,7 +73,8 @@ _LIST_OPTIONS = ("hidden", "split", "subsets")
 # and the most rows a query draws: sobol's base size, whose design holds A,
 # B and the block buffer (3 * 41 * n_base floats), up to three tables of an
 # output row per block, and each term's f(A) and f(B), 12 * n_base floats on
-# a summed model; and uq's rows per subset
+# a summed model, while a forward pass holds at most one block of hidden
+# activations, under 4096 * 140 floats; and uq's rows per subset
 _MAX_THREADS = os.cpu_count() or 1
 _MAX_GRID = 100
 _MAX_BOOTSTRAP = 10_000

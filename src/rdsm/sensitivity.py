@@ -403,7 +403,9 @@ def sobol_indices(
 
     a, b = saltelli_matrices(n_base, dim, seed)
     if dist is not None:
-        a, b = dist.transform(a, catalog), dist.transform(b, catalog)
+        # one statement each, so each unit-cube matrix is freed once mapped
+        a = dist.transform(a, catalog)
+        b = dist.transform(b, catalog)
         a.setflags(write=False)
         b.setflags(write=False)
 

@@ -39,6 +39,7 @@ _ADAM_EPS = 1e-8
 _EARLY_STOP_DELTA = 0.05  # MAE percentage points
 _EARLY_STOP_PATIENCE = 200  # epochs
 _NEAR_ZERO_FRACTION = 1e-9  # of the training output range
+_PREDICT_ROWS = 2048  # rows per forward pass in predict; the last block takes the remainder
 
 _LOSSES = ("mse",)
 _SCALINGS = ("minmax", "identity")
@@ -129,14 +130,35 @@ class SurrogateModel:
         for arr in (self.input_lo, self.input_hi):
             arr.setflags(write=False)
 
-    def predict(self, x) -> np.ndarray:
+    def predict(self, x, pinned=None) -> np.ndarray:
+        """Outputs for (n, input_dim) rows.  pinned, a (columns, values)
+        pair, holds those inputs at the values on every row, whatever x has
+        there.
+
+        Rows run through the network in blocks of 2048, the last block
+        taking the remainder, so at most one block's hidden activations
+        (under 4096 rows) exist at a time.  BLAS picks its kernels from the
+        matrix size, so a row's output bits can depend on the size of the
+        block it sits in: a batch of at most 2048 rows, or a whole multiple
+        of 2048, matches one unblocked pass bit for bit, and any other size
+        within 1e-14 of the batch's largest output magnitude.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.spec.input_dim:
             raise ValueError(
                 f"input has {x.shape[1]} columns, model expects {self.spec.input_dim}"
             )
-        xs = _scale(x, self.input_lo, self.input_hi)
-        return _unscale(_forward(self.weights, self.biases, xs), self.output_lo, self.output_hi)
+        if pinned is not None:
+            cols, values = pinned
+            values = _scale(values, self.input_lo[cols], self.input_hi[cols])
+        out = np.empty(x.shape[0])
+        cuts = list(range(_PREDICT_ROWS, x.shape[0] - _PREDICT_ROWS + 1, _PREDICT_ROWS))
+        for rows, dest in zip(np.split(x, cuts), np.split(out, cuts)):
+            xs = _scale(rows, self.input_lo, self.input_hi)
+            if pinned is not None:
+                xs[:, cols] = values
+            dest[:] = _unscale(_forward(self.weights, self.biases, xs), self.output_lo, self.output_hi)
+        return out
 
 
 def _span(lo, hi):

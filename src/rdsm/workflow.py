@@ -146,6 +146,8 @@ class MechanismRDSM:
         self.catalog = catalog
         self._cols = cols
         self._reduced = d == len(retained)
+        others = np.delete(np.arange(len(catalog)), cols)
+        self._pinned = (others, base[others])
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -164,9 +166,7 @@ class MechanismRDSM:
         x = _catalog_rows(x, self.catalog)
         if self._reduced:
             return self.surrogate.predict(x[:, self._cols])
-        full = np.tile(self.baseline, (x.shape[0], 1))
-        full[:, self._cols] = x[:, self._cols]
-        return self.surrogate.predict(full)
+        return self.surrogate.predict(x, pinned=self._pinned)
 
     # -- persistence ---------------------------------------------------------
     def save(self, path) -> None:

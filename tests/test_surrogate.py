@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adam_reference import reference_train
 from gradcheck import gradient_check
+from rdsm import surrogate
 from rdsm.errors import NumericalFailureError, SchemaError
 from rdsm.surrogate import (
     NetworkSpec,
@@ -13,6 +15,8 @@ from rdsm.surrogate import (
     TrainReport,
     _batch_buffers,
     _forward,
+    _scale,
+    _unscale,
     deserialize_model,
     serialize_model,
     train_surrogate,
@@ -97,6 +101,82 @@ def test_forward_dimension_mismatch():
         model.predict(np.ones((4, 3)))
     with pytest.raises(ValueError, match="columns"):
         model.predict(np.ones(3))
+
+
+def _random_model(dims, seed):
+    """Untrained network with random weights and a nontrivial output scaling."""
+    rng = np.random.default_rng(seed)
+    spec = NetworkSpec(input_dim=dims[0], hidden_layers=dims[1:-1])
+    return SurrogateModel(
+        spec,
+        [rng.normal(0.0, 0.3, size=shape) for shape in zip(dims, dims[1:])],
+        [rng.normal(0.0, 0.3, size=w) for w in dims[1:]],
+        np.zeros(dims[0]),
+        np.full(dims[0], 2.0),
+        -2.0,
+        5.0,
+        _dummy_report(),
+    )
+
+
+def assert_matches_one_pass(got, want):
+    """A blocked prediction against one unblocked pass: bit for bit when
+    every block has the batch's row count modulo 2048 (at most 2048 rows, or
+    a whole multiple), else within 1e-14 of the largest output magnitude,
+    since BLAS may round a row differently with the size of its block."""
+    n = len(want)
+    if n <= 2048 or n % 2048 == 0:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+_BLOCK_SIZES = (1, 7, 2047, 2048, 2049, 4100, 5000, 6145, 16384)
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+@pytest.mark.parametrize("dims", [(41, 60, 80, 1), (3, 16, 16, 1)])
+def test_predict_in_blocks_matches_one_pass(dims, n, monkeypatch):
+    model = _random_model(dims, n)
+    x = np.random.default_rng(n + 1).uniform(0.0, 2.0, size=(n, dims[0]))
+    xs = _scale(x, model.input_lo, model.input_hi)
+    want = _unscale(_forward(model.weights, model.biases, xs), model.output_lo, model.output_hi)
+    blocks = []
+
+    def forward(weights, biases, a):
+        blocks.append(len(a))
+        return _forward(weights, biases, a)
+
+    monkeypatch.setattr(surrogate, "_forward", forward)
+    assert_matches_one_pass(model.predict(x), want)
+    # the last block takes the remainder: none is short unless the batch is
+    assert sum(blocks) == n and len(blocks) == max(n // 2048, 1)
+    assert all(2048 <= b < 4096 for b in blocks) or blocks == [n]
+
+
+def test_predict_pins_columns_on_every_block():
+    model = _random_model((5, 8, 1), 0)
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0.0, 2.0, size=(5000, 5))
+    cols, values = np.array([0, 3]), np.array([0.25, 1.5])
+    pinned = x.copy()
+    pinned[:, cols] = values
+    got = model.predict(x, pinned=(cols, values))
+    assert got.tobytes() == model.predict(pinned).tobytes()
+
+
+def test_predict_memory_stays_one_block():
+    # tracemalloc counts numpy's own allocations, so the peak repeats exactly;
+    # one unblocked pass over these rows peaks near 24 MB
+    model = _random_model((41, 60, 80, 1), 2)
+    x = np.random.default_rng(3).uniform(0.0, 2.0, size=(16384, 41))
+    tracemalloc.start()
+    try:
+        model.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 @pytest.fixture(scope="module")

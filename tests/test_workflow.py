@@ -1,19 +1,24 @@
 """Direct/summed workflow tests: gate geometry, frozen-parameter semantics,
 summation exactness, subspace resampling, UQ sweeps, and comparison reports."""
 
+import functools
 import json
 import math
+import operator
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_surrogate import assert_matches_one_pass
 from rdsm.bend import default_specimen, simulate_dataset
 from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.dataset import MECHANISMS, Dataset
 from rdsm.errors import SchemaError
 from rdsm.sampling import sample_lhs
 from rdsm.sensitivity import sobol_indices
-from rdsm.surrogate import NetworkSpec, SurrogateModel, TrainReport
+from rdsm.surrogate import NetworkSpec, SurrogateModel, TrainReport, _forward, _scale, _unscale
 from rdsm.workflow import (
     EngagementGate,
     MechanismRDSM,
@@ -297,6 +302,57 @@ def test_sobol_runs_each_summed_term_on_its_own_blocks(cat, box, kind):
         assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
     outside = [j for j in range(len(cat)) if j not in summed.support]
     assert np.all(got.st[outside] == 0.0) and np.all(got.st[list(summed.support)] > 0.0)
+
+
+def _one_pass(member, x):
+    """member.predict as one forward pass over the whole batch, a full-width
+    network's other columns tiled from the baseline."""
+    s = member.surrogate
+    cols = member.catalog.indices(member.retained_params)
+    if s.spec.input_dim == len(cols):
+        rows = x[:, cols]
+    else:
+        rows = np.tile(member.baseline, (len(x), 1))
+        rows[:, cols] = x[:, cols]
+    xs = _scale(rows, s.input_lo, s.input_hi)
+    return _unscale(_forward(s.weights, s.biases, xs), s.output_lo, s.output_hi)
+
+
+@pytest.mark.parametrize("n", (1, 7, 2047, 2048, 2049, 4100, 5000, 6145, 16384))
+def test_members_and_sum_predict_in_blocks(cat, box, n):
+    # PM is a full-width member, the others reduced
+    members = {
+        m: _random_rdsm(m, params, cat, box, seed, full_width=m == "PM")
+        for seed, (m, params) in enumerate(
+            (("PL", ("E", "XS")), ("DL", ("sigmaY",)), ("DC", ("P", "C", "GS")),
+             ("DI", ("P", "GiI")), ("PM", ("XiT", "nu", "A")))
+        )
+    }
+    summed = SummedRDSM(members, EngagementGate(), cat, box)
+    x = box.transform(np.random.default_rng(n).random((n, len(cat))), cat)
+    parts = summed.predict_breakdown(x)
+    engaged = summed.engaged(x)
+    for name, member in members.items():
+        want = _one_pass(member, x)
+        assert_matches_one_pass(member.predict(x), want)
+        assert_matches_one_pass(parts[name], np.where(engaged, want, 0.0) if name == "DI" else want)
+    total = functools.reduce(operator.add, (parts[m] for m in MECHANISMS))
+    assert total.tobytes() == summed.predict(x).tobytes()
+
+
+def test_sobol_memory_on_the_summed_fixture(cat, box):
+    # tracemalloc counts numpy's own allocations, so the peak repeats exactly;
+    # A, B and the block buffer alone take 16.1 MB here, and whole-batch
+    # forward passes took the peak to about 39 MB
+    fixture = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "summed"
+    summed = SummedRDSM.load(fixture, cat)
+    tracemalloc.start()
+    try:
+        sobol_indices(summed, len(cat), 16384, dist=box, catalog=cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak
 
 
 def test_mechanism_forward_and_shape_errors(summed_fit, cat):
