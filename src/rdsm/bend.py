@@ -28,6 +28,10 @@ keeps disbond energy zero over most of the sampling support.
 Every state variable advances through max() or nonnegative increments, so
 damage and dissipated energies are nondecreasing along the ramp.  The total
 is reported as the exact five-term sum.
+
+Rows are independent.  simulate_batch runs a batch as near-equal blocks of
+at most 2048 rows and holds one block's state at a time (per worker process
+under threads > 1), so the state's memory does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -409,27 +413,56 @@ class _CohesiveBank:
         return inc
 
 
+def _ply_columns(specimen: BendSpecimen, col) -> tuple[np.ndarray, ...]:
+    """(n, 12) ply modulus, strength, poisson and fracture energy, taking
+    each catalog column by name from col."""
+    return tuple(
+        np.column_stack([col(FABRICS[k][j]) for k in specimen.stacking]) for j in range(4)
+    )
+
+
+def _checked_inputs(specimen: BendSpecimen, x) -> np.ndarray:
+    """x as a 2-D float array in catalog units, or the first fault, naming
+    the sample by its row in x: a wrong column count, a non-finite value, a
+    nonpositive hardening exponent, or a ply whose damage law has no margin
+    over one characteristic length (the sample with the least margin)."""
+    cat = specimen.catalog
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != len(cat):
+        raise ValueError(f"inputs must have {len(cat)} columns, got {x.shape[1]}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("inputs contain non-finite values")
+    for name in ("P", "Aln"):  # hardening exponents; 0.0**n is inf for n < 0
+        bad = np.flatnonzero(x[:, cat.index(name)] <= 0.0)
+        if bad.size:
+            raise ValueError(f"sample {bad[0]}: hardening exponent {name} must be positive")
+    e_p, x_p, _, gf_p = _ply_columns(
+        specimen, lambda name: x[:, cat.index(name)] * _psi_factor(cat[name])
+    )
+    margin = cdm_margin(gf_p, x_p, e_p, specimen.characteristic_length)
+    if np.any(margin <= 0.0):
+        i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
+        raise AdmissibilityError(
+            f"sample {i}: ply fracture energy below the elastic energy over "
+            "one characteristic length",
+            layer=f"ply {j} ({specimen.stacking[j]})",
+        )
+    return x
+
+
 class BendState:
     """Mutable batch state advanced by one curvature step at a time.
 
     Exposed so tests can assert step-to-step monotonicity of damage and
-    dissipation; simulate_batch drives it to kappa_max.
+    dissipation; simulate_batch drives one block of rows at a time to
+    kappa_max.
     """
 
     def __init__(self, specimen: BendSpecimen, x: np.ndarray):
         cat = specimen.catalog
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != len(cat):
-            raise ValueError(f"inputs must have {len(cat)} columns, got {x.shape[1]}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("inputs contain non-finite values")
-        for name in ("P", "Aln"):  # hardening exponents; 0.0**n is inf for n < 0
-            bad = np.flatnonzero(x[:, cat.index(name)] <= 0.0)
-            if bad.size:
-                raise ValueError(f"sample {bad[0]}: hardening exponent {name} must be positive")
+        x = _checked_inputs(specimen, x) * [_psi_factor(spec) for spec in cat]  # stresses in psi
         self.specimen = specimen
         self.n = x.shape[0]
-        x = x * [_psi_factor(spec) for spec in cat]  # stresses in psi
         col = lambda name: x[:, cat.index(name)]
 
         # substrate
@@ -440,19 +473,9 @@ class BendState:
         self.n_m = col("Aln")
 
         # plies; balanced fabric, one in-plane direction resolved
-        self.e_p, self.x_p, self.v_p, self.gf_p = (
-            np.column_stack([col(FABRICS[k][j]) for k in specimen.stacking]) for j in range(4)
-        )
+        self.e_p, self.x_p, self.v_p, self.gf_p = _ply_columns(specimen, col)
 
         lc = specimen.characteristic_length
-        margin = cdm_margin(self.gf_p, self.x_p, self.e_p, lc)
-        if np.any(margin <= 0.0):
-            i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
-            raise AdmissibilityError(
-                f"sample {i}: ply fracture energy below the elastic energy over "
-                "one characteristic length",
-                layer=f"ply {j} ({specimen.stacking[j]})",
-            )
 
         # shared matrix shear set
         self.gs = col("GS")
@@ -608,7 +631,8 @@ class BendState:
         self.step += 1
 
     def run(self) -> np.ndarray:
-        """Drive the ramp to completion; returns (n, 6) energies."""
+        """Drive the ramp to completion; returns (n, 6) energies, which
+        simulate_batch checks for non-finite values."""
         while self.step < self.specimen.n_steps:
             self.advance_step()
         return self.energies()
@@ -616,28 +640,48 @@ class BendState:
     def energies(self) -> np.ndarray:
         pl, dl, dc = self.energy["PL"], self.energy["DL"], self.energy["DC"]
         di, pm = self.energy["DI"], self.energy["PM"]
-        ts = pl + dl + dc + di + pm
-        out = np.column_stack([pl, dl, dc, di, pm, ts])
-        if not np.all(np.isfinite(out)):
-            i, j = np.unravel_index(int(np.argmin(np.isfinite(out))), out.shape)
-            raise NumericalFailureError(f"non-finite intermediate at sample {i}, energy column {j}")
-        return out
+        return np.column_stack([pl, dl, dc, di, pm, pl + dl + dc + di + pm])
+
+
+# the most rows one BendState holds: its state, about 40 (n, 12) arrays, and
+# one step's temporaries peak near 10 MB for a full block.  2048 keeps the
+# 1555-row paper design in one block and runs the 3277-row disbond resample
+# as two, its fastest split; 1024-row blocks save about 3 MB more RSS but
+# add about 0.3 s to a paper pipeline pass
+_SIMULATE_ROWS = 2048
 
 
 def simulate_batch(X: np.ndarray, specimen: BendSpecimen, threads: int = 1) -> np.ndarray:
-    """Run a batch of samples; rows are independent, so chunked execution
-    under `threads` workers returns identical values to the serial path."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if threads <= 1 or X.shape[0] < 2 * threads:
-        return BendState(specimen, X).run()
-    from concurrent.futures import ProcessPoolExecutor
+    """Run a batch of samples; returns (n, 6) energies in row order.
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(_simulate_chunk, [specimen] * threads, np.array_split(X, threads))
-        return np.concatenate(list(parts))
+    The whole batch is checked first, so a fault names its row in X before
+    any step runs.  The rows then run as max(threads, ceil(n / 2048))
+    near-equal blocks, one BendState each: in this process, one block's
+    state at a time, or mapped over `threads` worker processes, each holding
+    one block's state at a time.  A batch of fewer than 2 * threads rows
+    runs in this process as if threads were 1.  Rows are independent, so
+    the energies are the same bits for any block split or thread count.
+    """
+    X = _checked_inputs(specimen, X)
+    n = X.shape[0]
+    if n < 2 * threads:
+        threads = 1
+    blocks = np.array_split(X, max(threads, -(-n // _SIMULATE_ROWS)))
+    if threads <= 1:
+        parts = [_simulate_block(specimen, block) for block in blocks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_simulate_block, [specimen] * len(blocks), blocks))
+    out = np.concatenate(parts)
+    if not np.all(np.isfinite(out)):
+        i, j = np.unravel_index(int(np.argmin(np.isfinite(out))), out.shape)
+        raise NumericalFailureError(f"non-finite intermediate at sample {i}, energy column {j}")
+    return out
 
 
-def _simulate_chunk(specimen, X):
+def _simulate_block(specimen, X):
     return BendState(specimen, X).run()
 
 

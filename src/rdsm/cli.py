@@ -74,7 +74,9 @@ _LIST_OPTIONS = ("hidden", "split", "subsets")
 # B and the block buffer (3 * 41 * n_base floats), up to three tables of an
 # output row per block, and each term's f(A) and f(B), 12 * n_base floats on
 # a summed model, while a forward pass holds at most one block of hidden
-# activations, under 4096 * 140 floats; and uq's rows per subset
+# activations, under 4096 * 140 floats; uq's rows per subset; and the rows
+# sample and simulate draw and the summed fit's disbond resample, whose bend
+# state is held one block of at most 2048 rows at a time
 _MAX_THREADS = os.cpu_count() or 1
 _MAX_GRID = 100
 _MAX_BOOTSTRAP = 10_000
@@ -92,6 +94,10 @@ _THREADS = _opt(
     "threads", 1, bounds=(1, _MAX_THREADS), type=int,
     help=f"worker processes, at most {_MAX_THREADS} (default: {{default}})",
 )
+_ROWS = _opt(
+    "n", 1555, bounds=(1, _MAX_QUERY_ROWS), type=int,
+    help=f"number of rows, in [1, {_MAX_QUERY_ROWS:,}] (default: {{default}})",
+)
 _OUTDIR = _opt(
     "outdir",
     help="output directory (default: $RDSM_OUTDIR, else the current directory)",
@@ -105,7 +111,7 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         _opt("out", help="output CSV path (default: catalog.csv)"),
     )),
     "sample": ("write a sampling design CSV", (
-        _opt("n", 1555, type=int, help="number of rows (default: {default})"),
+        _ROWS,
         _opt("seed", 0, type=int),
         _opt("method", "lhs", choices=("lhs", "mc", "lss")),
         _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
@@ -117,7 +123,7 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         _opt("out", help="output CSV path (default: design.csv)"),
     )),
     "simulate": ("run the bend source model over a design", (
-        _opt("n", 1555, type=int, help="number of rows (default: {default})"),
+        _ROWS,
         _opt("seed", 7, type=int),
         _opt("design", help="simulate this design CSV instead of sampling"),
         _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
@@ -157,8 +163,9 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         ),
         _opt("query_mode", "retrained", choices=("retrained", "frozen_full")),
         _opt(
-            "resample_n", RESAMPLE_N, type=int,
-            help="focused disbond design size (default: {default})",
+            "resample_n", RESAMPLE_N, bounds=(1, _MAX_QUERY_ROWS), type=int,
+            help=f"focused disbond design size, in [1, {_MAX_QUERY_ROWS:,}] "
+            "(default: {default})",
         ),
         _opt(
             "threshold", ENGAGEMENT_FRACTION, type=float,

@@ -143,7 +143,8 @@ class Dataset:
             ids = np.array(row_ids, dtype=int)
             if ids.shape != (x.shape[0],):
                 raise ValueError("row_ids length mismatch")
-            if len(np.unique(ids)) != len(ids):
+            ordered = np.sort(ids)  # np.unique would import numpy.ma
+            if np.any(ordered[1:] == ordered[:-1]):
                 raise ValueError("row_ids contain duplicates")
         x.setflags(write=False)
         y.setflags(write=False)

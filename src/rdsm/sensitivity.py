@@ -340,10 +340,16 @@ def _support_rows(support, dim: int) -> np.ndarray:
         raise ValueError(f"support indices must be integers, got {cols.dtype}")
     if np.any(cols < 0) or np.any(cols >= dim):
         raise ValueError(f"support indices must lie in [0, {dim - 1}]")
-    rows = np.unique(cols)
+    rows = _sorted_unique(cols)
     if rows.size != cols.size:
         raise ValueError("support contains duplicate indices")
     return rows
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array, without the numpy.ma import np.unique makes."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 def sobol_indices(
@@ -391,7 +397,7 @@ def sobol_indices(
     terms = getattr(model, "terms", ((range(dim), model),))
     combine = getattr(model, "combine", lambda values: values[0])
     terms = [(_support_rows(support, dim), fn) for support, fn in terms]
-    cols = np.unique(np.concatenate([support for support, _ in terms]))
+    cols = _sorted_unique(np.concatenate([support for support, _ in terms]))
     # the estimated rows are the read columns' blocks, then one stand-in for
     # every other column; where[i] is the estimated row column i reads
     where = np.full(dim, cols.size)

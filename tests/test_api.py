@@ -98,3 +98,29 @@ def test_cli_starts_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[:2] == ["[]", "[]"]
     assert (tmp_path / "screening_DC.csv").is_file() and (tmp_path / "uq.csv").is_file()
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on first use (about 20 ms and 1 MB); rdsm
+    # sorts and compares instead, in a dataset's row-id check and in Sobol'
+    probe = "\n".join([
+        "import sys",
+        "from rdsm.cli import main",
+        "from rdsm import Dataset, build_catalog",
+        "loaded = lambda: 'numpy.ma' in sys.modules",
+        "print(loaded())",
+        "for argv in (['simulate', '--n', '40', '--out', 'data.csv'],",
+        "             ['screen', '--data', 'data.csv', '--output', 'DC'],",
+        f"             ['sobol', '--model', {str(_ROOT / 'bench' / 'fixture' / 'summed')!r},",
+        "              '--n-base', '128', '--n-bootstrap', '2']):",
+        "    assert main(argv) == 0, argv",
+        "Dataset.load_csv('data.csv', build_catalog()).subset([3, 1, 2])",
+        "print(loaded())",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    env.pop("RDSM_OUTDIR", None)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["False", "False"]
+    assert (tmp_path / "sobol.csv").is_file()

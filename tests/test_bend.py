@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from rdsm.bend import (
 )
 from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.constitutive import bk_mixed_mode_gc, jc_stress
-from rdsm.errors import AdmissibilityError, SchemaError
+from rdsm.errors import AdmissibilityError, NumericalFailureError, SchemaError
 from rdsm.sampling import sample_lhs
 from rdsm.workflow import engagement_mask
 
@@ -141,6 +143,79 @@ def test_batch_deterministic_and_thread_invariant(cat, sp):
     np.testing.assert_array_equal(a, b)
     c = simulate_batch(X, sp, threads=2)
     np.testing.assert_array_equal(a, c)
+
+
+def test_blocks_match_one_state(cat, sp, monkeypatch):
+    # rows are independent, so any split into blocks gives one state's bits
+    sp = dataclasses.replace(sp, n_steps=20)
+    X = SamplingDistribution.uniform_pm20().transform(sample_lhs(10, len(cat), seed=9), cat)
+    whole = [BendState(sp, X[:n]).run() for n in range(11)]
+    monkeypatch.setattr(bend, "_SIMULATE_ROWS", 3)
+    sizes = []
+    block_fn = bend._simulate_block
+
+    def spy(specimen, block):
+        sizes.append(block.shape[0])
+        return block_fn(specimen, block)
+
+    # real worker processes: more blocks than workers, gathered in row order
+    for n in (4, 7, 10):
+        assert np.array_equal(simulate_batch(X[:n], sp, threads=2), whole[n])
+    monkeypatch.setattr(bend, "_simulate_block", spy)
+    # worker threads in this process, so the spy sees every block a pool gets
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        concurrent.futures.ThreadPoolExecutor)
+    for threads in (1, 2):
+        for n in range(1, 11):
+            sizes.clear()
+            assert np.array_equal(simulate_batch(X[:n], sp, threads=threads), whole[n])
+            # fewer than 2 * threads rows run here as one thread
+            workers = threads if n >= 2 * threads else 1
+            assert len(sizes) == max(workers, -(-n // 3)), (threads, n, sizes)
+            assert sum(sizes) == n and max(sizes) <= 3 and max(sizes) - min(sizes) <= 1
+
+
+def test_batch_faults_name_the_row_in_the_batch(cat, sp, monkeypatch):
+    # the whole batch is checked before a block runs, so a fault in a later
+    # block names its row in the batch, as one state over every row would
+    monkeypatch.setattr(bend, "_SIMULATE_ROWS", 3)
+    X = np.tile(cat.means, (8, 1))
+    X[6, cat.index("P")] = 0.0
+    with pytest.raises(ValueError, match="sample 6: hardening exponent P"):
+        simulate_batch(X, sp)
+    X = np.tile(cat.means, (8, 1))
+    X[7, cat.index("X7781")] = 700.0  # ksi, far beyond the damage-law margin
+    with pytest.raises(AdmissibilityError, match="sample 7: ply fracture energy"):
+        simulate_batch(X, sp, threads=2)
+
+    blocks = []
+
+    def overflow(specimen, block):
+        blocks.append(block)
+        out = BendState(specimen, block).run()
+        if len(blocks) == 2:
+            out[0, 3] = np.inf
+        return out
+
+    monkeypatch.setattr(bend, "_simulate_block", overflow)
+    with pytest.raises(NumericalFailureError, match="sample 3, energy column 3"):
+        simulate_batch(np.tile(cat.means, (5, 1)), dataclasses.replace(sp, n_steps=2))
+
+
+def test_simulate_memory_is_one_block(cat, sp):
+    # a state's size does not depend on the number of steps, so a short ramp
+    # measures it; tracemalloc counts numpy's own allocations.  One 2048-row
+    # block's state peaked at 10.2 MB on 8192 rows; one state over all 8192
+    # rows peaked at 39.2 MB
+    short = dataclasses.replace(sp, n_steps=3)
+    X = SamplingDistribution.uniform_pm20().transform(sample_lhs(4 * 2048, len(cat), seed=2), cat)
+    tracemalloc.start()
+    try:
+        simulate_batch(X, short)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def test_monotone_damage_and_dissipation(cat, sp):

@@ -271,6 +271,11 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
           for n in (0, 64, 127, too_big)),
         # one row per subset has no spread
         *(["uq", "--model", model, "--n", n, "--out", out] for n in (-1, 0, 1, too_big)),
+        # a design needs a row, and a bigger one than a query may draw is refused
+        *([command, "--n", n, "--out", out]
+          for command in ("sample", "simulate") for n in (-1, 0, too_big)),
+        *(["fit", "--data", data_csv, "--route", "summed", "--resample-n", n,
+           "--outdir", outdir] for n in (-1, 0, too_big)),
     ]
     for argv in cases:
         assert run(*argv) == EXIT_USAGE, argv
@@ -282,11 +287,17 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
                              (["sobol", "--model", model], "n_base", 64),
                              (["sobol", "--model", model], "n_base", too_big),
                              (["uq", "--model", model], "n", 1),
-                             (["uq", "--model", model], "n", too_big)):
+                             (["uq", "--model", model], "n", too_big),
+                             (["sample"], "n", 0),
+                             (["simulate"], "n", too_big)):
         config.write_text(json.dumps({key: value}))
         assert run(*argv, "--config", config, "--out", out) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("rdsm: error: usage:") and err.count("\n") == 1, err
+    config.write_text(json.dumps({"resample_n": 0}))
+    assert run("fit", "--data", data_csv, "--route", "summed", "--config", config,
+               "--outdir", outdir) == EXIT_USAGE
+    assert capsys.readouterr().err == "rdsm: error: usage: --resample-n must be at least 1, got 0\n"
     assert not out.parent.exists()
 
 
