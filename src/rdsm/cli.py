@@ -441,6 +441,20 @@ def _write_telemetry(path, report) -> None:
     write_csv(path, ("epoch", "train_loss", "holdout_mae_pct"), rows)
 
 
+def _training(model) -> dict:
+    """How one network's training ended: epochs run, the 1-based epoch whose
+    weights were kept, and why it stopped (early_stop, budget, or no_holdout
+    when it had no held-out rows to stop on)."""
+    report = model.report
+    if report.n_test == 0:
+        return {"epochs_run": report.epochs_run, "best_epoch": None, "stop": "no_holdout"}
+    return {
+        "epochs_run": report.epochs_run,
+        "best_epoch": int(np.argmin(report.mae_history)) + 1,
+        "stop": "early_stop" if report.epochs_run < model.spec.epochs else "budget",
+    }
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -533,6 +547,8 @@ def _write_direct_fit(fit, outdir) -> dict:
         "retained_params": list(fit.rdsm.retained_params),
         "full_model_test_mae_pct": _num(fit.full_model.report.test_mae_pct),
         "rdsm_test_mae_pct": _num(fit.rdsm.surrogate.report.test_mae_pct),
+        "full_model_training": _training(fit.full_model),
+        "rdsm_training": _training(fit.rdsm.surrogate),
         "model_file": "direct_rdsm.json",
     }
 
@@ -545,6 +561,7 @@ def _write_summed_fit(fit, outdir) -> dict:
         if mfit.rdsm is not None:
             entry["retained_params"] = list(mfit.rdsm.retained_params)
             entry["test_mae_pct"] = _num(mfit.rdsm.surrogate.report.test_mae_pct)
+            entry["training"] = _training(mfit.rdsm.surrogate)
             _write_telemetry(outdir / f"telemetry_{name}.csv",
                              mfit.rdsm.surrogate.report)
         if mfit.screening is not None:

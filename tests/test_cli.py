@@ -459,6 +459,18 @@ def test_fit_direct_artifacts(direct_dir, cat):
     assert header == ["epoch", "train_loss", "holdout_mae_pct"]
     assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
     assert all(float(r[1]) >= 0.0 for r in rows)
+    for key, telemetry in (("full_model_training", "telemetry_TS_full.csv"),
+                           ("rdsm_training", "telemetry_TS.csv")):
+        _check_training(report[key], direct_dir / telemetry, epochs=250)
+
+
+def _check_training(training, telemetry, epochs):
+    """fit_report.json's stop record agrees with the network's telemetry."""
+    _, rows = read_csv(telemetry)
+    mae = [float(r[2]) for r in rows]
+    assert training["epochs_run"] == len(rows)
+    assert training["best_epoch"] == int(np.argmin(mae)) + 1
+    assert training["stop"] == ("budget" if len(rows) == epochs else "early_stop")
 
 
 def test_fit_summed_artifacts(summed_dir, cat):
@@ -469,13 +481,28 @@ def test_fit_summed_artifacts(summed_dir, cat):
     assert sub["n_rows"] == 320
     assert 0 <= sub["n_engaged"] <= 320
     assert (summed_dir / "screening_DI_base.csv").is_file()
+    model = SummedRDSM.load(summed_dir / "model", cat)
     for mech in ("PL", "DL", "DC", "PM"):
         entry = report["mechanisms"][mech]
         assert not entry["needs_resampling"]
         assert (summed_dir / f"screening_{mech}.csv").is_file()
         assert (summed_dir / f"telemetry_{mech}.csv").is_file()
-    model = SummedRDSM.load(summed_dir / "model", cat)
+        _check_training(entry["training"], summed_dir / f"telemetry_{mech}.csv",
+                        epochs=model.members[mech].surrogate.spec.epochs)
     assert np.all(np.isfinite(model.predict(np.tile(cat.means, (3, 1)))))
+
+
+def test_fit_report_names_why_training_stopped(work, data_csv):
+    common = ("fit", "--data", data_csv, "--route", "direct", "--hidden", 4, "--epochs", 5)
+    budget, no_holdout = work / "stop_budget", work / "stop_no_holdout"
+    assert run(*common, "--outdir", budget) == EXIT_OK
+    assert run(*common, "--split", "1,0", "--outdir", no_holdout) == EXIT_OK
+    for outdir, best, stop in ((budget, int, "budget"), (no_holdout, type(None), "no_holdout")):
+        report = json.loads((outdir / "fit_report.json").read_text())
+        for key in ("full_model_training", "rdsm_training"):
+            training = report[key]
+            assert training["epochs_run"] == 5 and training["stop"] == stop, (key, training)
+            assert isinstance(training["best_epoch"], best), (key, training)
 
 
 def test_fit_validation_holdout_disjoint(direct_dir, cat, data_csv):

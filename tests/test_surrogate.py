@@ -1,15 +1,18 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import adam_reference
 from adam_reference import reference_train
 from gradcheck import gradient_check
 from rdsm import surrogate
 from rdsm.errors import NumericalFailureError, SchemaError
 from rdsm.surrogate import (
+    _EARLY_STOP_PATIENCE,
     NetworkSpec,
     SurrogateModel,
     TrainReport,
@@ -217,8 +220,32 @@ def test_early_stopping_bounds_epochs(linear_problem):
     model = train_surrogate(
         NetworkSpec(input_dim=1, hidden_layers=(8,), epochs=2000, seed=3), x, y
     )
-    assert 200 <= model.report.epochs_run < 2000
+    assert _EARLY_STOP_PATIENCE <= model.report.epochs_run < 2000
     assert len(model.report.loss_history) == model.report.epochs_run
+
+
+def test_longer_patience_replays_the_shorter_run(linear_problem, monkeypatch):
+    # a fit's trajectory does not depend on when it will stop: a longer
+    # patience trains through the shorter run's epochs unchanged, and keeps
+    # its weights when the best epoch falls inside them
+    x, y = linear_problem
+    spec = NetworkSpec(input_dim=1, hidden_layers=(8,), epochs=2000, seed=1)
+    short = train_surrogate(spec, x, y)
+    for module in (surrogate, adam_reference):
+        monkeypatch.setattr(module, "_EARLY_STOP_PATIENCE", 3 * _EARLY_STOP_PATIENCE)
+    long = train_surrogate(spec, x, y)
+    n = short.report.epochs_run
+    assert n < long.report.epochs_run
+    assert long.report.loss_history[:n] == short.report.loss_history
+    assert long.report.mae_history[:n] == short.report.mae_history
+    assert int(np.argmin(long.report.mae_history)) < n
+    for a, b in zip(long.weights + long.biases, short.weights + short.biases, strict=True):
+        assert np.array_equal(a, b)
+    # only the epoch count and the histories differ
+    assert replace(long.report, epochs_run=n, loss_history=long.report.loss_history[:n],
+                   mae_history=long.report.mae_history[:n]) == short.report
+    # the per-array reference reads the patience too, and stops where the library does
+    assert reference_train(spec, x, y).report.epochs_run == long.report.epochs_run
 
 
 def test_constant_target_flagged_and_learned():
