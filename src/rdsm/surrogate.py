@@ -6,6 +6,13 @@ output are min-max scaled from the training rows; the fitted affine maps are
 frozen on the model.  Training is deterministic for a fixed seed, including
 the train/test split and the per-epoch shuffle order.
 
+Training runs in float32: the scaled rows, the parameters, their gradient,
+the Adam moments and every scratch buffer.  Adam moments that fall below
+_ADAM_MOMENT_FLOOR are zeroed, so none decays into float32's subnormal
+range, where each arithmetic operation on them costs several times a normal
+one.  A trained model stores its weights as float64 values (each exactly a
+float32) and predicts in float64.
+
 Fit quality is reported as MAE%: the mean over held-out rows of
 |prediction - truth| / |truth| * 100.  Rows whose target magnitude falls
 below 1e-9 of the training output range carry no meaningful relative error
@@ -36,6 +43,12 @@ __all__ = [
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# moments below the floor are zeroed every _ADAM_FLOOR_STEPS steps.  Between
+# checks a moment that gets no gradient shrinks by _ADAM_BETA1**8 = 0.43, so
+# one above the floor stays far above float32's smallest normal, 1.2e-38
+_ADAM_MOMENT_FLOOR = 1e-30
+_ADAM_FLOOR_STEPS = 8
+_TRAIN_DTYPE = np.float32
 _EARLY_STOP_DELTA = 0.05  # MAE percentage points
 # epochs; 100 kept every member's validation MAE within 1% of a 200-epoch
 # window on three paper-scale designs, for 45% fewer epochs
@@ -201,21 +214,22 @@ def _layer_views(flat, dims):
 
 
 def _init_parameters(spec: NetworkSpec, rng: np.random.Generator):
-    """Flat parameter buffer with its (weights, biases) views: normal weights
-    drawn layer by layer, zero biases."""
+    """Flat float32 parameter buffer with its (weights, biases) views: normal
+    weights drawn in float64 layer by layer and rounded, zero biases."""
     dims = spec.layer_dims
-    flat = np.zeros(sum((a + 1) * b for a, b in zip(dims, dims[1:])))
+    flat = np.zeros(sum((a + 1) * b for a, b in zip(dims, dims[1:])), dtype=_TRAIN_DTYPE)
     weights, biases = _layer_views(flat, dims)
     for w in weights:
         w[...] = rng.normal(0.0, spec.init_std, size=w.shape)
     return flat, weights, biases
 
 
-def _batch_buffers(dims, rows):
-    """Scratch for a forward and backward pass over `rows` rows: each
-    layer's output, and each hidden layer's delta and ReLU mask."""
-    outs = [np.empty((rows, d)) for d in dims[1:]]
-    deltas = [np.empty((rows, d)) for d in dims[1:-1]]
+def _batch_buffers(dims, rows, dtype):
+    """Scratch of the given float dtype for a forward and backward pass over
+    `rows` rows: each layer's output, and each hidden layer's delta and ReLU
+    mask."""
+    outs = [np.empty((rows, d), dtype=dtype) for d in dims[1:]]
+    deltas = [np.empty((rows, d), dtype=dtype) for d in dims[1:-1]]
     masks = [np.empty((rows, d), dtype=bool) for d in dims[1:-1]]
     return outs, deltas, masks
 
@@ -232,6 +246,12 @@ def _backprop(weights, activations, delta_out, grads_w, grads_b, deltas, masks):
             delta = np.matmul(delta, weights[l].T, out=deltas[l - 1])
             # a = max(z, 0), so a > 0 exactly where the pre-activation z > 0
             delta *= np.greater(activations[l], 0.0, out=masks[l - 1])
+
+
+def _floor_moments(m, v):
+    """Zero the Adam moments below _ADAM_MOMENT_FLOOR in place."""
+    m[np.abs(m) < _ADAM_MOMENT_FLOOR] = 0.0
+    v[v < _ADAM_MOMENT_FLOOR] = 0.0
 
 
 def percent_error_rows(y, reference) -> np.ndarray:
@@ -269,7 +289,11 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     A non-finite epoch loss or held-out MAE% raises NumericalFailureError,
     and so does a fit whose held-out MAE% never falls below its value at the
     initial weights.  All parameters, their gradient and the Adam moments
-    each live in one flat buffer, updated in place once per minibatch.
+    each live in one flat float32 buffer, updated in place once per
+    minibatch; every _ADAM_FLOOR_STEPS (8) minibatches the moments below
+    _ADAM_MOMENT_FLOOR (1e-30) are zeroed.  The initial weights are drawn in
+    float64 and rounded.  MAE% is computed in float64 from the float32
+    forward pass, and the model keeps the trained weights as float64.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -303,8 +327,8 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     out_lo = float(y_train.min())
     out_hi = float(y_train.max())
 
-    xs_train = _scale(x_train, in_lo, in_hi)
-    ys_train = _scale(y_train, out_lo, out_hi)
+    xs_train = _scale(x_train, in_lo, in_hi).astype(_TRAIN_DTYPE)
+    ys_train = _scale(y_train, out_lo, out_hi).astype(_TRAIN_DTYPE)
     zero_variance = bool(np.ptp(y_train) == 0.0)
     # the near-zero cut scales with the raw training targets
     keep_train = percent_error_rows(y_train, y_train)
@@ -320,10 +344,11 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     s2 = np.empty_like(flat)
     t = 0
 
-    xs_test = _scale(x_test, in_lo, in_hi) if n_test else x_test
+    xs_test = _scale(x_test, in_lo, in_hi).astype(_TRAIN_DTYPE)
 
     def eval_mae(ws, bs, xs, y_raw, keep):
-        return _mae_pct(y_raw, _unscale(_forward(ws, bs, xs), out_lo, out_hi), keep)
+        pred = _forward(ws, bs, xs).astype(float)
+        return _mae_pct(y_raw, _unscale(pred, out_lo, out_hi), keep)
 
     # a fit whose held-out MAE% never beats the initial weights' has diverged
     init_mae = eval_mae(weights, biases, xs_test, y_test, keep_test)[0]
@@ -338,7 +363,7 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     # each epoch gathers its shuffled rows once; minibatches are slices of
     # them, run through the buffers for the full or the last partial size
     rows = min(spec.batch_size, n_train)
-    full = _batch_buffers(dims, rows)
+    full = _batch_buffers(dims, rows, _TRAIN_DTYPE)
     last = tuple([b[: n_train % rows] for b in group] for group in full) if n_train % rows else full
     xs_epoch = np.empty_like(xs_train)
     ys_epoch = np.empty_like(ys_train)
@@ -371,6 +396,8 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
             np.sqrt(s2, out=s2)
             s2 += _ADAM_EPS
             flat -= np.divide(s1, s2, out=s1)
+            if t % _ADAM_FLOOR_STEPS == 0:
+                _floor_moments(m, v)
         if not math.isfinite(epoch_loss):
             raise NumericalFailureError(f"training loss went non-finite in epoch {epoch + 1}")
         loss_history.append(epoch_loss / n_train)

@@ -4,9 +4,11 @@ A test helper: reference_train has the signature and results of
 rdsm.surrogate.train_surrogate, but keeps every weight matrix, bias vector and
 Adam moment as its own array and rebinds each one on every update, allocates
 every activation and delta afresh, and gathers each minibatch by fancy
-indexing.  It reuses the library's MAE helpers, so a test that compares the
-two isolates the initialization, forward, gradient and update arithmetic.  It
-has no divergence rule.
+indexing.  Like the library it trains in float32, zeroes the moments below
+_ADAM_MOMENT_FLOOR every _ADAM_FLOOR_STEPS steps, and scores MAE% in float64.
+It reuses the library's MAE helpers, so a test that compares the two isolates
+the initialization, forward, gradient and update arithmetic.  It has no
+divergence rule.
 """
 
 import math
@@ -17,6 +19,8 @@ from rdsm.surrogate import (
     _ADAM_BETA1,
     _ADAM_BETA2,
     _ADAM_EPS,
+    _ADAM_FLOOR_STEPS,
+    _ADAM_MOMENT_FLOOR,
     _EARLY_STOP_DELTA,
     _EARLY_STOP_PATIENCE,
     SurrogateModel,
@@ -80,25 +84,28 @@ def reference_train(spec, x, y) -> SurrogateModel:
 
     in_span = np.where(in_hi - in_lo > 0.0, in_hi - in_lo, 1.0)
     out_span = out_hi - out_lo if out_hi - out_lo > 0.0 else 1.0
-    xs_train = (x_train - in_lo) / in_span
-    ys_train = (y_train - out_lo) / out_span
+    xs_train = ((x_train - in_lo) / in_span).astype(np.float32)
+    ys_train = ((y_train - out_lo) / out_span).astype(np.float32)
     zero_variance = bool(np.ptp(y_train) == 0.0)
     keep_train = percent_error_rows(y_train, y_train)
     keep_test = percent_error_rows(y_test, y_train)
 
     dims = spec.layer_dims
-    weights = [rng.normal(0.0, spec.init_std, size=(a, b)) for a, b in zip(dims, dims[1:])]
-    biases = [np.zeros(b) for b in dims[1:]]
+    weights = [
+        rng.normal(0.0, spec.init_std, size=(a, b)).astype(np.float32)
+        for a, b in zip(dims, dims[1:])
+    ]
+    biases = [np.zeros(b, dtype=np.float32) for b in dims[1:]]
     n_layers = len(weights)
     params = weights + biases  # every weight matrix, then every bias vector
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     t = 0
 
-    xs_test = (x_test - in_lo) / in_span if n_test else x_test
+    xs_test = ((x_test - in_lo) / in_span).astype(np.float32)
 
     def eval_mae(ws, bs, xs, y_raw, keep):
-        pred = out_lo + _forward_lists(ws, bs, xs)[0] * out_span
+        pred = out_lo + _forward_lists(ws, bs, xs)[0].astype(float) * out_span
         return _mae_pct(y_raw, pred, keep)
 
     best_mae = math.inf
@@ -131,6 +138,9 @@ def reference_train(spec, x, y) -> SurrogateModel:
                 params[i] = params[i] - spec.learning_rate * (m[i] / corr1) / (
                     np.sqrt(v[i] / corr2) + _ADAM_EPS
                 )
+                if t % _ADAM_FLOOR_STEPS == 0:
+                    m[i] = np.where(np.abs(m[i]) < _ADAM_MOMENT_FLOOR, 0.0, m[i])
+                    v[i] = np.where(v[i] < _ADAM_MOMENT_FLOOR, 0.0, v[i])
         loss_history.append(epoch_loss / n_train)
         epochs_run = epoch + 1
 

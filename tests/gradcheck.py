@@ -51,7 +51,7 @@ def gradient_check(
     weights = [w.copy() for w in model.weights]
     biases = list(model.biases)
 
-    outs, deltas, masks = _batch_buffers(model.spec.layer_dims, 1)
+    outs, deltas, masks = _batch_buffers(model.spec.layer_dims, 1, float)
     _forward(weights, biases, xs, outs)
     acts = [xs, *outs[:-1]]
     gw = [np.empty_like(w) for w in weights]

@@ -83,7 +83,7 @@ def test_forward_in_place_matches_allocating_expression(dims):
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(x, before)  # the input batch is not written
     # the training path writes each layer into its buffer, with the same bits
-    outs = _batch_buffers(dims, len(x))[0]
+    outs = _batch_buffers(dims, len(x), float)[0]
     kept = _forward(model.weights, model.biases, x, outs)
     assert kept.tobytes() == want.tobytes()
     assert np.shares_memory(kept, outs[-1])
@@ -351,6 +351,31 @@ def test_flat_adam_matches_per_array_reference(case):
         assert got.report.zero_variance
 
 
+def test_paper_width_fit_leaves_no_subnormal_moment(monkeypatch):
+    # the first moment of a parameter that stops getting gradient shrinks by
+    # 0.9 a step; without the floor, 1,925 of this fit's first moments end
+    # as float32 subnormals
+    seen = []
+    floor_moments = surrogate._floor_moments
+
+    def spy(m, v):
+        seen.append((m, v))
+        floor_moments(m, v)
+
+    monkeypatch.setattr(surrogate, "_floor_moments", spy)
+    x, y = _oracle_problem(400, 41, seed=0)
+    spec = NetworkSpec(input_dim=41, hidden_layers=(60, 80), epochs=100, split=(1.0, 0.0))
+    model = train_surrogate(spec, x, y)
+    steps = spec.epochs * math.ceil(400 / spec.batch_size)
+    assert len(seen) == steps // surrogate._ADAM_FLOOR_STEPS
+    tiny = np.finfo(np.float32).tiny
+    for moment in seen[-1]:
+        assert moment.dtype == np.float32
+        assert not np.any((moment != 0.0) & (np.abs(moment) < tiny))
+    for w in model.weights + model.biases:
+        assert np.array_equal(w, w.astype(np.float32))
+
+
 def test_fit_that_never_beats_its_initial_weights_diverges(linear_problem):
     x, y = linear_problem
     with pytest.raises(NumericalFailureError, match="diverged"):
@@ -434,6 +459,12 @@ def test_round_trip_is_bit_exact(linear_problem):
     np.testing.assert_array_equal(model.predict(probe), clone.predict(probe))
     assert clone.report == model.report
     assert clone.spec == model.spec
+    # training runs in float32; the model stores each parameter as the
+    # float64 equal to it, and the document keeps every bit
+    for got, kept in zip(clone.weights + clone.biases, model.weights + model.biases, strict=True):
+        assert got.dtype == kept.dtype == np.float64
+        assert np.array_equal(kept, kept.astype(np.float32))
+        assert got.tobytes() == kept.tobytes()
 
 
 def test_round_trip_preserves_nan_test_mae(linear_problem):
