@@ -323,16 +323,13 @@ class _CohesiveBank:
     loading direction seen when the quadratic criterion first trips.
     """
 
-    def __init__(
-        self, n, m, k, t0_n, t0_s, gc_i, gc_ii, exponent, shear_split, label, feedback=0.0
-    ):
+    def __init__(self, n, m, k, t0_n, t0_s, gc_i, gc_ii, exponent, label, feedback=0.0):
         self.k = k  # (n,) penalty stiffness
         self.t0_n = t0_n
         self.t0_s = t0_s
         self.gc_i = gc_i
         self.gc_ii = gc_ii
         self.exponent = exponent
-        self.shear_split = shear_split  # True: split shear 50/50 into II/III
         self.label = label
         self.feedback = feedback  # driver amplification per unit damage
         shape = (n, m)
@@ -373,19 +370,9 @@ class _CohesiveBank:
             dm = delta_m[rows, cols]
             q = quad[rows, cols]
             shear_sq = np.where(dm > 0.0, (delta_s[rows, cols] / np.where(dm > 0.0, dm, 1.0)) ** 2, 0.0)
-            if self.shear_split:
-                g_ii = shear_sq / 2.0
-                g_iii = shear_sq / 2.0
-            else:
-                g_ii = shear_sq
-                g_iii = np.zeros_like(shear_sq)
+            # the BK mix reads only G_II + G_III, so all shear goes to mode II
             gcm = bk_mixed_mode_gc(
-                1.0 - shear_sq,
-                g_ii,
-                g_iii,
-                self.gc_i[rows],
-                self.gc_ii[rows],
-                self.exponent[rows],
+                1.0 - shear_sq, shear_sq, 0.0, self.gc_i[rows], self.gc_ii[rows], self.exponent[rows]
             )
             d0 = dm / np.sqrt(q)
             t0m = self.k[rows] * d0
@@ -490,11 +477,11 @@ class BendState:
         # cohesive banks (11 inter-ply layers, 1 bond-line interface)
         self.coh = _CohesiveBank(
             self.n, 11, col("EC") / lc, col("XT"), col("XS"), col("GI"), col("GII"), col("BK"),
-            shear_split=False, label="cohesive layer",
+            label="cohesive layer",
         )
         self.iface = _CohesiveBank(
             self.n, 1, col("EiC") / lc, col("XiT"), col("XiS"), col("GiI"), col("GiII"), col("BiK"),
-            shear_split=True, label="interface", feedback=specimen.interface_damage_feedback,
+            label="interface", feedback=specimen.interface_damage_feedback,
         )
 
         # elastic transformed-section neutral axis (undamaged moduli)

@@ -24,6 +24,7 @@ __all__ = [
     "ParameterCatalog",
     "SamplingDistribution",
     "build_catalog",
+    "DISTRIBUTIONS",
     "GROUPS",
 ]
 
@@ -90,9 +91,6 @@ class ParameterCatalog:
 
     def __iter__(self) -> Iterator[ParameterSpec]:
         return iter(self._specs)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._index
 
     def __getitem__(self, key: str | int) -> ParameterSpec:
         if isinstance(key, str):
@@ -181,7 +179,8 @@ def build_catalog() -> ParameterCatalog:
     return ParameterCatalog(ParameterSpec(*row) for row in _TABLE)
 
 
-_KINDS = ("uniform_pm20", "normal_10std")
+# each names the SamplingDistribution constructor it selects
+DISTRIBUTIONS = ("uniform_pm20", "normal_10std")
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ class SamplingDistribution:
     std_frac: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.is_bounded and not self.lo_frac < self.hi_frac:
             raise ValueError("uniform distribution needs lo_frac < hi_frac")

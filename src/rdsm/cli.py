@@ -15,14 +15,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bend import default_specimen, load_specimen_config, simulate_dataset
-from .catalog import SamplingDistribution, build_catalog
+from .catalog import DISTRIBUTIONS, SamplingDistribution, build_catalog
 from .dataset import ENERGY_COLUMNS, Dataset, read_csv, write_csv
 from .errors import NumericalFailureError, SchemaError, json_value, parse_json
 from .sampling import sample_lhs, sample_lss, sample_mc
@@ -62,8 +61,6 @@ exit codes:
   6  numerical failure during simulation or training
 """
 
-# each names the SamplingDistribution constructor it selects
-_DISTRIBUTIONS = ("uniform_pm20", "normal_10std")
 # untyped options whose config value may also be a JSON list
 _LIST_OPTIONS = ("hidden", "split", "subsets")
 
@@ -76,18 +73,23 @@ _LIST_OPTIONS = ("hidden", "split", "subsets")
 # a summed model, while a forward pass holds at most one block of hidden
 # activations, under 4096 * 140 floats; uq's rows per subset; and the rows
 # sample and simulate draw and the summed fit's disbond resample, whose bend
-# state is held one block of at most 2048 rows at a time
+# state is held one block of at most 2048 rows at a time; and the direct
+# network's size: its epochs, minibatch rows, and hidden layers and widths
 _MAX_THREADS = os.cpu_count() or 1
 _MAX_GRID = 100
 _MAX_BOOTSTRAP = 10_000
 _MAX_QUERY_ROWS = 2**20
+_MAX_EPOCHS = 100_000
+_MAX_LAYERS = 8
+_MAX_WIDTH = 1024
 
 
-def _opt(name, default=None, bounds=None, **kwargs):
+def _opt(name, default=None, bounds=None, route=None, **kwargs):
     """One option: config key and flag name, built-in default, inclusive
-    (lo, hi) bounds (either may be None), and argparse keywords.  A help
+    (lo, hi) bounds (either may be None), the fit route it alone applies
+    to (listed after route; None for all), and argparse keywords.  A help
     string may cite the default as {default}."""
-    return name, default, bounds, kwargs
+    return name, default, bounds, route, kwargs
 
 
 _THREADS = _opt(
@@ -107,14 +109,14 @@ _OUTDIR = _opt(
 # flags so a config file can fill the gap before the default applies
 _COMMANDS: dict[str, tuple[str, tuple]] = {
     "catalog": ("write the parameter table with bounds", (
-        _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
+        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
         _opt("out", help="output CSV path (default: catalog.csv)"),
     )),
     "sample": ("write a sampling design CSV", (
         _ROWS,
         _opt("seed", 0, type=int),
         _opt("method", "lhs", choices=("lhs", "mc", "lss")),
-        _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
+        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
         _opt("strata", type=int, help="coarse strata per dimension (lss)"),
         _opt(
             "unit", False, action="store_true",
@@ -126,7 +128,7 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         _ROWS,
         _opt("seed", 7, type=int),
         _opt("design", help="simulate this design CSV instead of sampling"),
-        _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
+        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
         _opt("specimen", help="specimen config JSON (default: built-in)"),
         _THREADS,
         _opt("out", help="output CSV path (default: data.csv)"),
@@ -152,27 +154,37 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
             "holdout", 0, type=int,
             help="rows to set aside as validation.csv before fitting (default: {default})",
         ),
-        _opt("hidden", help="hidden layer widths, e.g. 60,80 (direct route)"),
-        _opt("learning_rate", type=float),
-        _opt("epochs", type=int),
-        _opt("batch_size", type=int),
-        _opt("split", help="train,test fractions, e.g. 0.9,0.1"),
         _opt(
-            "max_retained", DIRECT_MAX_RETAINED, type=int,
+            "hidden", route="direct",
+            help=f"hidden layer widths, e.g. 60,80; at most {_MAX_LAYERS} layers, "
+            f"each in [1, {_MAX_WIDTH:,}] (direct route)",
+        ),
+        _opt("learning_rate", route="direct", type=float),
+        _opt(
+            "epochs", bounds=(1, _MAX_EPOCHS), route="direct", type=int,
+            help=f"training epochs, in [1, {_MAX_EPOCHS:,}]",
+        ),
+        _opt(
+            "batch_size", bounds=(1, _MAX_QUERY_ROWS), route="direct", type=int,
+            help=f"minibatch rows, in [1, {_MAX_QUERY_ROWS:,}]",
+        ),
+        _opt("split", route="direct", help="train,test fractions, e.g. 0.9,0.1"),
+        _opt(
+            "max_retained", DIRECT_MAX_RETAINED, route="direct", type=int,
             help="direct retention cap (default: {default})",
         ),
-        _opt("query_mode", "retrained", choices=("retrained", "frozen_full")),
+        _opt("query_mode", "retrained", route="direct", choices=("retrained", "frozen_full")),
         _opt(
-            "resample_n", RESAMPLE_N, bounds=(1, _MAX_QUERY_ROWS), type=int,
+            "resample_n", RESAMPLE_N, bounds=(1, _MAX_QUERY_ROWS), route="summed", type=int,
             help=f"focused disbond design size, in [1, {_MAX_QUERY_ROWS:,}] "
             "(default: {default})",
         ),
         _opt(
-            "threshold", ENGAGEMENT_FRACTION, type=float,
+            "threshold", ENGAGEMENT_FRACTION, route="summed", type=float,
             help="engagement threshold (default: {default})",
         ),
-        _opt("threshold_mode", "relative", choices=("relative", "absolute")),
-        _opt("specimen", help="specimen config JSON for resampling"),
+        _opt("threshold_mode", "relative", route="summed", choices=("relative", "absolute")),
+        _opt("specimen", route="summed", help="specimen config JSON for resampling"),
         _THREADS,
     )),
     "sobol": ("Sobol' indices of a saved model", (
@@ -182,7 +194,7 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
             help=f"base sample size, in [128, {_MAX_QUERY_ROWS:,}] (default: {{default}})",
         ),
         _opt("seed", 0, type=int),
-        _opt("distribution", "uniform_pm20", choices=_DISTRIBUTIONS),
+        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
         _opt(
             "n_bootstrap", 100, bounds=(2, _MAX_BOOTSTRAP), type=int,
             help=f"bootstrap resamples, in [2, {_MAX_BOOTSTRAP:,}] (default: {{default}})",
@@ -200,7 +212,7 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
             help=f"rows per subset, in [2, {_MAX_QUERY_ROWS:,}] (default: {{default}})",
         ),
         _opt("seed", 0, type=int),
-        _opt("distribution", "normal_10std", choices=_DISTRIBUTIONS),
+        _opt("distribution", "normal_10std", choices=DISTRIBUTIONS),
         _opt("strata", type=int, help="coarse strata per dimension"),
         _opt("out", help="output CSV path (default: uq.csv)"),
     )),
@@ -303,10 +315,14 @@ def _resolve(args) -> dict:
                 f"unknown config keys for {args.command}: {', '.join(unknown)}"
             )
     resolved = {"command": args.command}
-    for name, default, bounds, kwargs in options:
+    for name, default, bounds, route, kwargs in options:
         value = getattr(args, name)  # argparse checked every flag
         if value is None and config.get(name) is not None:
             value = _config_value(name, config[name], kwargs)
+        # a fit snapshot, replayed as a config, holds the other route's defaults
+        foreign = route not in (None, resolved.get("route"))
+        if foreign and (getattr(args, name) is not None or value not in (None, default)):
+            raise _UsageError(f"{_flag(name)} applies only to --route {route}")
         if value is None:
             value = default
         if bounds is not None:
@@ -458,8 +474,7 @@ def _training(model) -> dict:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_catalog(resolved) -> None:
-    catalog = build_catalog()
+def _cmd_catalog(resolved, catalog) -> None:
     dist = _distribution(resolved["distribution"])
     lo = hi = None
     if dist.is_bounded:
@@ -478,8 +493,7 @@ def _cmd_catalog(resolved) -> None:
     _write_snapshot(resolved, out)
 
 
-def _cmd_sample(resolved) -> None:
-    catalog = build_catalog()
+def _cmd_sample(resolved, catalog) -> None:
     n, seed, method = resolved["n"], resolved["seed"], resolved["method"]
     if method == "lss":
         values = sample_lss(n, len(catalog), seed, strata_per_dim=resolved["strata"])
@@ -492,8 +506,7 @@ def _cmd_sample(resolved) -> None:
     _write_snapshot(resolved, out)
 
 
-def _cmd_simulate(resolved) -> None:
-    catalog = build_catalog()
+def _cmd_simulate(resolved, catalog) -> None:
     specimen = _load_specimen(resolved, catalog)
     if resolved["design"] is not None:
         x = read_csv(_require_file(resolved["design"], "design file"), catalog.names)
@@ -506,33 +519,34 @@ def _cmd_simulate(resolved) -> None:
     _write_snapshot(resolved, out)
 
 
-def _cmd_screen(resolved) -> None:
-    catalog = build_catalog()
+def _cmd_screen(resolved, catalog) -> None:
     dataset = _load_dataset(resolved, "data", catalog)
     output = resolved["output"]
     max_k = resolved["max_k"]
     if max_k is None:
         max_k = DIRECT_MAX_RETAINED if output == "TS" else MECHANISM_MAX_RETAINED
-    result = screen_fdr_logworth(
-        dataset.inputs, dataset.energy(output), catalog.names, output, max_k=max_k
-    )
+    result = screen_fdr_logworth(dataset.inputs, dataset.energy(output), catalog.names, max_k=max_k)
     out = _out_path(resolved, f"screening_{output}.csv")
     _write_screening_csv(out, result)
     _write_snapshot(resolved, out)
 
 
-def _network_override(resolved, input_dim, seed):
-    keys = ("hidden", "learning_rate", "epochs", "batch_size", "split")
-    if all(resolved[k] is None for k in keys):
-        return None
+def _direct_network(resolved, input_dim, seed) -> NetworkSpec:
+    """The direct fit's network: NetworkSpec defaults under the set flags."""
     kwargs = {
         k: resolved[k] for k in ("learning_rate", "epochs", "batch_size") if resolved[k] is not None
     }
     if resolved["hidden"] is not None:
-        kwargs["hidden_layers"] = _parse_numbers(resolved["hidden"], int, "hidden")
+        widths = _parse_numbers(resolved["hidden"], int, "hidden")
+        if len(widths) > _MAX_LAYERS or not all(1 <= w <= _MAX_WIDTH for w in widths):
+            raise _UsageError(
+                f"--hidden takes at most {_MAX_LAYERS} widths, each in [1, {_MAX_WIDTH:,}], "
+                f"got {resolved['hidden']!r}"
+            )
+        kwargs["hidden_layers"] = widths
     if resolved["split"] is not None:
         kwargs["split"] = _parse_numbers(resolved["split"], float, "split")
-    return replace(NetworkSpec(input_dim=input_dim, seed=seed), **kwargs)
+    return NetworkSpec(input_dim=input_dim, seed=seed, **kwargs)
 
 
 def _write_direct_fit(fit, outdir) -> dict:
@@ -586,19 +600,18 @@ def _write_summed_fit(fit, outdir) -> dict:
     }
 
 
-def _cmd_fit(resolved) -> None:
-    catalog = build_catalog()
+def _cmd_fit(resolved, catalog) -> None:
+    seed, holdout, route = resolved["seed"], resolved["holdout"], resolved["route"]
+    network = _direct_network(resolved, len(catalog), seed) if route == "direct" else None
     dataset = _load_dataset(resolved, "data", catalog)
     outdir = _outdir(resolved)
-    seed, holdout = resolved["seed"], resolved["holdout"]
     validation = None
     if holdout > 0:
         dataset, validation = split_holdout(dataset, holdout, seed)
-    route = resolved["route"]
     if route == "direct":
         fit = fit_direct(
             dataset,
-            network=_network_override(resolved, len(catalog), seed),
+            network=network,
             max_retained=resolved["max_retained"],
             query_mode=resolved["query_mode"],
             seed=seed,
@@ -627,8 +640,7 @@ def _cmd_fit(resolved) -> None:
     _write_snapshot(resolved, outdir)
 
 
-def _cmd_sobol(resolved) -> None:
-    catalog = build_catalog()
+def _cmd_sobol(resolved, catalog) -> None:
     model = _load_model(_require_opt(resolved, "model"), catalog)
     dist = _distribution(resolved["distribution"])
     result = sobol_indices(
@@ -669,8 +681,7 @@ def _cmd_sobol(resolved) -> None:
     _write_snapshot(resolved, out)
 
 
-def _cmd_uq(resolved) -> None:
-    catalog = build_catalog()
+def _cmd_uq(resolved, catalog) -> None:
     model = _load_model(_require_opt(resolved, "model"), catalog)
     subsets = _parse_subsets(resolved["subsets"])
     if subsets is None:
@@ -700,7 +711,7 @@ def _cmd_uq(resolved) -> None:
     _write_snapshot(resolved, out)
 
 
-def _cmd_gate_check(resolved) -> None:
+def _cmd_gate_check(resolved, _catalog) -> None:
     gate = EngagementGate()
     if resolved["grid"] is not None:
         axis = np.linspace(0.0, 1.0, resolved["grid"])
@@ -774,8 +785,7 @@ def _write_comparison_csv(path, report) -> None:
     )
 
 
-def _cmd_compare(resolved) -> None:
-    catalog = build_catalog()
+def _cmd_compare(resolved, catalog) -> None:
     direct = _load_model(_require_opt(resolved, "direct"), catalog)
     summed_path = Path(_require_opt(resolved, "summed"))
     if not summed_path.is_dir():
@@ -789,8 +799,7 @@ def _cmd_compare(resolved) -> None:
     _write_snapshot(resolved, out)
 
 
-def _cmd_plot_data(resolved) -> None:
-    catalog = build_catalog()
+def _cmd_plot_data(resolved, catalog) -> None:
     kind = resolved["kind"]
     if kind == "parity":
         model = _load_model(_require_opt(resolved, "model"), catalog)
@@ -837,7 +846,7 @@ _HANDLERS = {
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_option(parser, name, default, bounds, kwargs) -> None:
+def _add_option(parser, name, default, bounds, route, kwargs) -> None:
     if "help" in kwargs:
         kwargs = dict(kwargs, help=kwargs["help"].format(default=default))
     parser.add_argument(_flag(name), default=None, **kwargs)
@@ -888,7 +897,7 @@ def _fail(code, kind, exc) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _HANDLERS[args.command](_resolve(args))
+        _HANDLERS[args.command](_resolve(args), build_catalog())
         return EXIT_OK
     except SystemExit as exc:  # --help and --version
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

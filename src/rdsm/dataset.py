@@ -83,7 +83,7 @@ def read_csv(path, columns) -> np.ndarray:
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise SchemaError(
-                    f"expected {len(header)} cells, found {len(row)}", row=rownum
+                    f"expected {len(header)} cells, found {len(row)} at row {rownum}"
                 )
             try:
                 vals = [float(c) for c in row]
@@ -93,7 +93,7 @@ def read_csv(path, columns) -> np.ndarray:
                         float(cell)
                     except ValueError:
                         raise SchemaError(
-                            f"non-numeric cell {cell!r}", row=rownum, column=header[c]
+                            f"non-numeric cell {cell!r} at row {rownum}, column {header[c]!r}"
                         ) from None
                 raise
             table.append([vals[p] for p in order])

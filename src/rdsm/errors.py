@@ -23,22 +23,11 @@ class RdsmError(Exception):
 class SchemaError(RdsmError, ValueError):
     """A file or document does not match its declared schema."""
 
-    def __init__(self, message: str, row: int | None = None, column: str | int | None = None):
-        self.row = row
-        self.column = column
-        loc = ""
-        if row is not None:
-            loc += f" at row {row}"
-        if column is not None:
-            loc += f", column {column!r}" if loc else f" at column {column!r}"
-        super().__init__(message + loc)
-
 
 class AdmissibilityError(RdsmError, ValueError):
     """Material state violates an admissibility bound (softening would be ill-posed)."""
 
     def __init__(self, message: str, layer: str | None = None):
-        self.layer = layer
         super().__init__(message if layer is None else f"{message} (layer {layer})")
 
 

@@ -58,7 +58,6 @@ class ScreeningResult:
     retention rule; retain_parameters re-derives it under another cap.
     """
 
-    output_name: str
     entries: tuple[ParameterScreen, ...]
     retained: tuple[str, ...]
 
@@ -227,7 +226,6 @@ def screen_fdr_logworth(
     x,
     y,
     names,
-    output_name: str,
     *,
     max_k: int,
 ) -> ScreeningResult:
@@ -264,9 +262,8 @@ def screen_fdr_logworth(
         )
         for j in order
     )
-    result = ScreeningResult(output_name=output_name, entries=entries, retained=())
-    retained = retain_parameters(result, max_k)
-    return ScreeningResult(output_name=output_name, entries=entries, retained=retained)
+    retained = retain_parameters(ScreeningResult(entries=entries, retained=()), max_k)
+    return ScreeningResult(entries=entries, retained=retained)
 
 
 # -- Sobol' indices ----------------------------------------------------------

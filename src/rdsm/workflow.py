@@ -406,21 +406,25 @@ class SummedRDSM:
         dist = fields_from(SamplingDistribution, doc["distribution"], "distribution")
         require_keys(doc["gate"], {"axes", "vertices"}, "gate")
         gate = fields_from(EngagementGate, {"axes": doc["gate"]["axes"]}, "gate")
-        if doc["gate"]["vertices"] != [list(v) for v in _GATE_VERTICES]:
+        vertices = doc["gate"]["vertices"]  # a JSON bool compares equal to 0 or 1
+        if vertices != [list(v) for v in _GATE_VERTICES] or any(
+            type(c) is bool for v in vertices for c in v
+        ):
             raise SchemaError("manifest gate vertices do not match the fixed geometry")
         require_keys(doc["mechanisms"], set(MECHANISMS), "manifest mechanisms")
         members = {}
         for name in MECHANISMS:
             entry = doc["mechanisms"][name]
             require_keys(entry, {"file", "retained_params"}, f"mechanism {name}")
-            if not isinstance(entry["file"], str):
+            file = entry["file"]
+            if not isinstance(file, str):
                 raise SchemaError(
-                    f"mechanism {name} file must be a string, got {type(entry['file']).__name__}"
+                    f"mechanism {name} file must be a string, got {type(file).__name__}"
                 )
-            model_path = directory / entry["file"]
-            if not model_path.is_file():
-                raise SchemaError(f"missing model file {entry['file']!r} for {name}")
-            model = deserialize_model(model_path.read_bytes())
+            # a bare name, so no member is read from outside the directory
+            if Path(file).name != file or not (directory / file).is_file():
+                raise SchemaError(f"mechanism {name} file {file!r} names no file in {directory}")
+            model = deserialize_model((directory / file).read_bytes())
             members[name] = _load_member(
                 name, entry["retained_params"], model, doc["baseline"], catalog, f"mechanism {name}"
             )
@@ -502,9 +506,7 @@ def fit_direct(
         )
     ts = dataset.energy("TS")
     full_model = train_surrogate(network, dataset.inputs, ts)
-    screening = screen_fdr_logworth(
-        dataset.inputs, ts, catalog.names, "TS", max_k=max_retained
-    )
+    screening = screen_fdr_logworth(dataset.inputs, ts, catalog.names, max_k=max_retained)
     retained, _ = _nonempty_retained(screening)
     if query_mode == "retrained":
         reduced_spec = replace(network, input_dim=len(retained))
@@ -518,7 +520,6 @@ def fit_direct(
 def fit_mechanism(
     dataset: Dataset,
     mechanism: str,
-    max_retained: int = MECHANISM_MAX_RETAINED,
     seed: int = 0,
 ) -> MechanismFit:
     """Screen one mechanism energy and fit a reduced model on the survivors.
@@ -538,9 +539,7 @@ def fit_mechanism(
             note=f"{mechanism} is constant over the dataset",
         )
     catalog = dataset.catalog
-    screening = screen_fdr_logworth(
-        dataset.inputs, y, catalog.names, mechanism, max_k=max_retained
-    )
+    screening = screen_fdr_logworth(dataset.inputs, y, catalog.names, max_k=MECHANISM_MAX_RETAINED)
     retained, note = _nonempty_retained(screening)
     hidden, rate, split = _MECHANISM_NETWORKS[mechanism]
     network = NetworkSpec(
@@ -707,7 +706,7 @@ def fit_summed(
     y_di = dataset.energy("DI")
     if np.ptp(y_di) > 0.0:
         base_screen = screen_fdr_logworth(
-            dataset.inputs, y_di, catalog.names, "DI", max_k=MECHANISM_MAX_RETAINED
+            dataset.inputs, y_di, catalog.names, max_k=MECHANISM_MAX_RETAINED
         )
         varied = tuple(
             e.name for e in base_screen.entries[:_SUBSPACE_VARIED] if not e.zero_variance
@@ -773,9 +772,6 @@ class UQReport:
 
     rows: tuple[UQRow, ...]
     diffs: tuple[tuple[float, float], ...]
-    n_samples: int
-    distribution: str
-    seed: int
 
 
 def _symmetric_pct(a: float, b: float) -> float:
@@ -839,13 +835,7 @@ def uq_sweep(
         (_symmetric_pct(a.mean, b.mean), _symmetric_pct(a.std, b.std))
         for a, b in zip(rows, rows[1:])
     )
-    return UQReport(
-        rows=tuple(rows),
-        diffs=diffs,
-        n_samples=n,
-        distribution=dist.kind,
-        seed=seed,
-    )
+    return UQReport(rows=tuple(rows), diffs=diffs)
 
 
 # -- comparison ------------------------------------------------------------------

@@ -272,7 +272,7 @@ def published_fit(published):
 def test_published_screening_ranks_substrate_first(published, cat):
     started = time.perf_counter()
     result = screen_fdr_logworth(
-        published.inputs, published.energy("TS"), cat.names, "TS", max_k=4
+        published.inputs, published.energy("TS"), cat.names, max_k=4
     )
     top4 = tuple(e.name for e in result.entries[:4])
     assert top4 == ("A", "E", "XS", "Aln")

@@ -293,7 +293,6 @@ def test_cohesive_bank_full_failure_dissipates_mixed_gc():
         np.array([7.6]),
         np.array([16.6]),
         np.array([2.6]),
-        shear_split=False,
         label="test",
     )
     # drive pure shear far past failure in many small steps
@@ -316,7 +315,6 @@ def test_cohesive_bank_mixed_mode_between_pure_modes():
             np.array([7.6]),
             np.array([16.6]),
             np.array([2.6]),
-            shear_split=False,
             label="test",
         )
         total = 0.0

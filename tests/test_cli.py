@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -299,6 +300,71 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
                "--outdir", outdir) == EXIT_USAGE
     assert capsys.readouterr().err == "rdsm: error: usage: --resample-n must be at least 1, got 0\n"
     assert not out.parent.exists()
+
+
+def test_network_flags_are_bounded(work, data_csv, monkeypatch, capsys):
+    def reached(dataset, network, **kwargs):
+        raise ValueError(f"reached with {network.hidden_layers}")
+
+    # an accepted size reaches fit_direct, which here allocates no network
+    monkeypatch.setattr(cli, "fit_direct", reached)
+    outdir = work / "network_bounds"
+    config = work / "network_bounds.json"
+    fit = ("fit", "--data", data_csv, "--outdir", outdir)
+    widest = ",".join([str(cli._MAX_WIDTH)] * cli._MAX_LAYERS)
+    for flags in (["--epochs", cli._MAX_EPOCHS], ["--batch-size", cli._MAX_QUERY_ROWS],
+                  ["--hidden", widest], ["--hidden", "1"]):
+        assert run(*fit, *flags) == EXIT_DATA, flags
+        assert "reached" in capsys.readouterr().err
+    for flags in (["--epochs", 0], ["--epochs", cli._MAX_EPOCHS + 1],
+                  ["--batch-size", 0], ["--batch-size", cli._MAX_QUERY_ROWS + 1],
+                  ["--hidden", widest + ",1"], ["--hidden", "60,0"],
+                  ["--hidden", f"60,{cli._MAX_WIDTH + 1}"]):
+        assert run(*fit, *flags) == EXIT_USAGE, flags
+        err = capsys.readouterr().err
+        assert err.startswith("rdsm: error: usage: " + flags[0]) and err.count("\n") == 1, err
+    for key, value in (("epochs", cli._MAX_EPOCHS + 1), ("batch_size", 0),
+                       ("hidden", [cli._MAX_WIDTH + 1])):
+        config.write_text(json.dumps({key: value}))
+        assert run(*fit, "--config", config) == EXIT_USAGE, key
+        err = capsys.readouterr().err
+        assert err.startswith("rdsm: error: usage:") and err.count("\n") == 1, err
+    assert not outdir.exists()
+
+
+# each route-specific fit option: its route, and a value it accepts
+_ROUTED = {
+    "hidden": ("direct", "8"), "learning_rate": ("direct", 0.01), "epochs": ("direct", 5),
+    "batch_size": ("direct", 8), "split": ("direct", "0.8,0.2"),
+    "max_retained": ("direct", 3), "query_mode": ("direct", "frozen_full"),
+    "resample_n": ("summed", 100), "threshold": ("summed", 0.1),
+    "threshold_mode": ("summed", "absolute"), "specimen": ("summed", "spec.json"),
+}
+
+
+def test_fit_rejects_options_of_the_other_route(work, data_csv, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a fit with a foreign option read a file")
+
+    monkeypatch.setattr(cli.Dataset, "load_csv", never)
+    options = cli._options("fit")
+    assert {name: route for name, _, _, route, _ in options if route} == {
+        name: route for name, (route, _) in _ROUTED.items()}
+    defaults = {name: default for name, default, *_ in options}
+    outdir = work / "foreign"
+    config = work / "foreign.json"
+    for name, (route, value) in _ROUTED.items():
+        other = "summed" if route == "direct" else "direct"
+        fit = ("fit", "--data", data_csv, "--route", other, "--outdir", outdir)
+        want = f"rdsm: error: usage: {cli._flag(name)} applies only to --route {route}\n"
+        # a flag is refused even at the default its own route would use
+        for flagged in {value, defaults[name]} - {None}:
+            assert run(*fit, cli._flag(name), flagged) == EXIT_USAGE, name
+            assert capsys.readouterr().err == want
+        config.write_text(json.dumps({"route": other, name: value}))
+        assert run("fit", "--data", data_csv, "--config", config, "--outdir", outdir) == EXIT_USAGE
+        assert capsys.readouterr().err == want
+    assert not outdir.exists()
 
 
 def test_flags_override_config_overrides_defaults(work):
@@ -992,18 +1058,19 @@ def _bad_model_text(draw, model_doc):
     """A model file that must not load: free text, a JSON value, the saved
     model with one field of it, of its network, or of the network's spec or
     report dropped, added, or given a value of another type, or with one
-    entry of its number arrays or bounds no JSON number."""
+    entry of its number arrays or bounds no JSON number.  A summed model's
+    member file is a network alone, with no baseline."""
     kind = draw(st.sampled_from(("text", "json") + ("mutated", "number") * 4))
     if kind == "text":
         return draw(st.text(max_size=80).filter(lambda t: not isinstance(_parsed(t), dict)))
     if kind == "json":
         return json.dumps(draw(_JSON))
     doc = json.loads(json.dumps(model_doc))
-    network = doc["model"]
+    network = doc.get("model", doc)
     typed = (network["spec"], network["report"])
     if kind == "number":
         target, key = draw(st.sampled_from(
-            [(doc, "baseline")]
+            [(doc, "baseline")] * ("baseline" in doc)
             + [(network, k) for k in ("weights", "biases", "input_lo", "input_hi",
                                       "output_lo", "output_hi")]
         ))
@@ -1072,6 +1139,96 @@ def test_model_reader_fails_on_one_line(work, model_doc, summed_dir):
     assert code == EXIT_SCHEMA, err
     _assert_one_line(err)
     assert not (work / "prop_sobol.csv").exists()
+
+
+@st.composite
+def _bad_summed_model(draw, manifest, members, model_dir):
+    """A summed model directory that must not load, as its manifest text and
+    an optional (mechanism, text) member file: the manifest with one field
+    of it, its distribution, gate, mechanism table or a member entry
+    dropped, added or given a value of another type; one baseline or gate
+    vertex entry no JSON number; a member file that is no bare file name
+    in model_dir; retained_params that no longer fit the member's network;
+    or one member file broken as a model file may be."""
+    kind = draw(st.sampled_from(("mutated", "number", "file", "retained", "member")))
+    doc = json.loads(json.dumps(manifest))
+    entries = [doc["mechanisms"][name] for name in sorted(doc["mechanisms"])]
+    entry = draw(st.sampled_from(entries))
+    names = entry["retained_params"]
+    if kind == "member":
+        name = draw(st.sampled_from(sorted(members)))
+        return json.dumps(doc), (name, draw(_bad_model_text(members[name])))
+    if kind == "mutated":
+        def bad_value(target, value):
+            if target is doc["distribution"]:
+                return _bad_field_value(draw, value)
+            return draw(_REPLACEMENTS[type(value).__name__])
+
+        _mutate(draw, (doc, doc["distribution"], doc["gate"], doc["mechanisms"], *entries),
+                bad_value)
+    elif kind == "number":
+        target, key = draw(st.sampled_from(((doc, "baseline"), (doc["gate"], "vertices"))))
+        target[key] = _bad_number_entry(draw, target[key])
+    elif kind == "file":
+        own = entry["file"]
+        entry["file"] = draw(st.sampled_from((
+            f"../outside/{own}", str(model_dir / own), f"./{own}", f"sub/{own}", f"{own}/",
+            "", ".", "..", "ghost.json",
+        )))
+    else:
+        i = draw(st.integers(0, len(names) - 1))
+        edit = draw(st.sampled_from(("letters", "unknown", "drop", "add", "repeat", "type")))
+        if edit == "letters":
+            entry["retained_params"] = _as_letters(names)
+        elif edit == "unknown":
+            names[i] = "nope"
+        elif edit == "drop":
+            del names[i]
+        elif edit == "add":
+            names.append(draw(st.sampled_from([n for n in build_catalog().names
+                                               if n not in names])))
+        elif edit == "repeat":
+            names.insert(i, names[i])
+        else:
+            names[i] = draw(st.none() | st.integers() | _JSON_LISTS | _JSON_OBJECTS)
+    return json.dumps(doc), None
+
+
+def test_summed_model_reader_fails_on_one_line(work, summed_dir):
+    source = summed_dir / "model"
+    manifest = json.loads((source / "manifest.json").read_text())
+    members = {name: json.loads((source / entry["file"]).read_text())
+               for name, entry in manifest["mechanisms"].items()}
+    root = work / "prop_summed"
+    model_dir = root / "model"
+    shutil.copytree(source, root / "outside")  # valid member files beside the model
+    out = root / "out"
+    escaped = json.loads(json.dumps(manifest))
+    escaped["mechanisms"]["DI"]["file"] = "../outside/DI.json"
+    boolean = json.loads(json.dumps(manifest))
+    boolean["gate"]["vertices"][0][2] = False  # equals 0.0 but is no number
+
+    @_PROPERTY
+    @given(case=_bad_summed_model(manifest, members, model_dir))
+    @example(case=(json.dumps(escaped), None))
+    @example(case=(json.dumps(boolean), None))
+    def check(case):
+        text, member = case
+        shutil.rmtree(model_dir, ignore_errors=True)
+        shutil.copytree(source, model_dir)
+        (model_dir / "manifest.json").write_text(text, encoding="utf-8")
+        if member is not None:
+            (model_dir / f"{member[0]}.json").write_text(member[1], encoding="utf-8")
+        for argv in (("sobol", "--model", model_dir, "--n-base", 128, "--n-bootstrap", 2,
+                      "--out", out / "sobol.csv"),
+                     ("uq", "--model", model_dir, "--subsets", "P;P,GS", "--n", 50,
+                      "--out", out / "uq.csv")):
+            code, err = _run_quiet(*argv)
+            assert code == EXIT_SCHEMA, (case, err)
+            assert err.startswith("rdsm: error: schema: ") and err.count("\n") == 1, err
+
+    check()
+    assert not out.exists()
 
 
 _SAMPLE_KEYS = {name for name, *_ in cli._options("sample")}

@@ -88,7 +88,7 @@ def test_screen_finds_planted_signal():
     rng = np.random.default_rng(2)
     x = rng.uniform(0.0, 1.0, size=(300, 41))
     y = 5.0 * x[:, 7] + rng.normal(0.0, 0.3, 300)
-    res = screen_fdr_logworth(x, y, _names(), "Y", max_k=4)
+    res = screen_fdr_logworth(x, y, _names(), max_k=4)
     assert res.entries[0].name == "p7"
     assert res.retained[0] == "p7"
     assert res.entries[0].logworth > 10.0
@@ -106,7 +106,7 @@ def test_screen_null_columns_rarely_pass():
         rng = np.random.default_rng(100 + seed)
         x = rng.uniform(0.0, 1.0, size=(200, 41))
         y = 5.0 * x[:, 0] + rng.normal(0.0, 0.25, 200)
-        res = screen_fdr_logworth(x, y, _names(), "Y", max_k=3)
+        res = screen_fdr_logworth(x, y, _names(), max_k=3)
         for e in res.entries:
             if e.name != "p0":
                 total += 1
@@ -119,7 +119,7 @@ def test_screen_zero_variance_column_flagged():
     x = rng.uniform(0.0, 1.0, size=(50, 5))
     x[:, 2] = 0.7
     y = 2.0 * x[:, 0] + rng.normal(0.0, 0.1, 50)
-    res = screen_fdr_logworth(x, y, _names(5), "Y", max_k=3)
+    res = screen_fdr_logworth(x, y, _names(5), max_k=3)
     e = {entry.name: entry for entry in res.entries}["p2"]
     assert e.zero_variance
     assert e.raw_p == 1.0
@@ -211,7 +211,7 @@ def test_t_tail_monotone_in_unit_interval(df, t):
 def test_screen_constant_output():
     rng = np.random.default_rng(4)
     x = rng.uniform(0.0, 1.0, size=(60, 4))
-    res = screen_fdr_logworth(x, np.full(60, 3.3), _names(4), "Y", max_k=3)
+    res = screen_fdr_logworth(x, np.full(60, 3.3), _names(4), max_k=3)
     assert all(e.raw_p == 1.0 for e in res.entries)
     assert res.retained == ()
 
@@ -220,27 +220,27 @@ def test_screen_validation():
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(29, 3))
     with pytest.raises(ValueError, match="30 rows"):
-        screen_fdr_logworth(x, np.ones(29), _names(3), "Y", max_k=3)
+        screen_fdr_logworth(x, np.ones(29), _names(3), max_k=3)
     x = rng.uniform(size=(40, 3))
     with pytest.raises(ValueError, match="names"):
-        screen_fdr_logworth(x, np.ones(40), _names(4), "Y", max_k=3)
+        screen_fdr_logworth(x, np.ones(40), _names(4), max_k=3)
     y = np.ones(40)
     y[3] = math.inf
     with pytest.raises(ValueError, match="finite"):
-        screen_fdr_logworth(x, y, _names(3), "Y", max_k=3)
+        screen_fdr_logworth(x, y, _names(3), max_k=3)
     with pytest.raises(TypeError, match="max_k"):  # the cap has no default
-        screen_fdr_logworth(x, np.ones(40), _names(3), "Y")
+        screen_fdr_logworth(x, np.ones(40), _names(3))
 
 
 def test_screen_scale_invariance():
     rng = np.random.default_rng(6)
     x = rng.uniform(0.0, 1.0, size=(120, 8))
     y = 3.0 * x[:, 1] - 2.0 * x[:, 5] + rng.normal(0.0, 0.2, 120)
-    base = screen_fdr_logworth(x, y, _names(8), "Y", max_k=3)
+    base = screen_fdr_logworth(x, y, _names(8), max_k=3)
     # power-of-two rescale reproduces the t-statistics bit for bit
     x2 = x.copy()
     x2[:, 1] *= 2.0**13
-    scaled = screen_fdr_logworth(x2, y, _names(8), "Y", max_k=3)
+    scaled = screen_fdr_logworth(x2, y, _names(8), max_k=3)
     assert [e.name for e in scaled.entries] == [e.name for e in base.entries]
     np.testing.assert_array_equal(
         [e.logworth for e in scaled.entries], [e.logworth for e in base.entries]
@@ -249,7 +249,7 @@ def test_screen_scale_invariance():
     # affine shift leaves the retained set and ranking unchanged
     x3 = x.copy()
     x3[:, 5] = 100.0 + 7.0 * x3[:, 5]
-    shifted = screen_fdr_logworth(x3, y, _names(8), "Y", max_k=3)
+    shifted = screen_fdr_logworth(x3, y, _names(8), max_k=3)
     assert [e.name for e in shifted.entries] == [e.name for e in base.entries]
     assert shifted.retained == base.retained
     np.testing.assert_allclose(
@@ -262,7 +262,7 @@ def test_screen_scale_invariance():
 def _ladder(values, floor_names=None):
     names = floor_names or [f"q{i}" for i in range(len(values))]
     entries = tuple(ParameterScreen(n, 0.0, 0.0, v) for n, v in zip(names, values))
-    return ScreeningResult("TS", entries, ())
+    return ScreeningResult(entries, ())
 
 
 def test_retention_ladder_with_cliff():
