@@ -29,6 +29,12 @@ Every state variable advances through max() or nonnegative increments, so
 damage and dissipated energies are nondecreasing along the ramp.  The total
 is reported as the exact five-term sum.
 
+A step runs one kernel per mechanism.  Each evaluates its law only at the
+points the law reaches that step (the radial-return solve at flowing points,
+with the flow stresses carried as state; damage where a stress ratio reaches
+1; dissipation at initiated cohesive points) and adds exact zeros for the
+rest, so the energies are the bits of evaluating every law everywhere.
+
 Rows are independent.  simulate_batch runs a batch as near-equal blocks of
 at most 2048 rows and holds one block's state at a time (per worker process
 under threads > 1), so the state's memory does not grow with the batch.
@@ -253,6 +259,7 @@ def default_specimen(catalog: ParameterCatalog) -> BendSpecimen:
 
 
 _NEWTON_CAP = 50  # steps per solve; the catalog's points converge in at most 7
+_NEWTON_TOL = 4.0 * np.finfo(float).eps  # a point stops once its step is below this times v
 
 
 def _newton_power(v, moving, top, weight, shift, scale, pw, gain):
@@ -261,17 +268,33 @@ def _newton_power(v, moving, top, weight, shift, scale, pw, gain):
     gain*base**pw is the slope of weight*base**(pw + 1) in v.  With pw >= 0 the
     residual is concave and decreasing, so from at or above the root the iterates
     fall onto it with no bracket.  Each point stops once its own step is a few
-    ulp, so its root ignores the rest of the batch.  Returns v, base**(pw + 1), slope.
+    ulp, so its root ignores the rest of the batch; the caller passes only the
+    flowing points, and every iteration runs over all of them, since gathering
+    the still-moving ones costs more than it saves.  Returns v, base**(pw + 1),
+    slope.
     """
+    base, q, step, slope = (np.empty_like(v) for _ in range(4))
+    still = np.empty_like(moving)
     for _ in range(_NEWTON_CAP + 1):
-        base = np.maximum(v - shift, 0.0) / scale
-        q = base**pw
+        np.subtract(v, shift, out=base)
+        np.maximum(base, 0.0, out=base)
+        base /= scale
+        np.power(base, pw, out=q)
         if not moving.any():
             return v, base * q, gain * q
-        step = (weight * (top - base * q) - v) / (gain * q + 1.0)
-        step[~moving] = 0.0
+        # step = (weight*(top - base*q) - v) / (gain*q + 1), zero where stopped
+        np.multiply(base, q, out=step)
+        np.subtract(top, step, out=step)
+        step *= weight
+        step -= v
+        np.multiply(gain, q, out=slope)
+        slope += 1.0
+        step /= slope
+        np.putmask(step, np.logical_not(moving, out=still), 0.0)
         v += step
-        moving &= np.abs(step) > 4.0 * np.finfo(float).eps * v
+        np.abs(step, out=step)
+        np.multiply(v, _NEWTON_TOL, out=q)
+        moving &= np.greater(step, q, out=still)
     raise NumericalFailureError(f"return map still moving after {_NEWTON_CAP} Newton steps")
 
 
@@ -292,35 +315,55 @@ def _solve_power_hardening(total, stiffness, y0, coef, expo, lo):
     return np.clip(e, lo, total)
 
 
-def _return_map(strain, eps_p, stiffness, y0, coef, expo, active):
-    """One power-hardening return-map step over (n, m) points.
+# Points are addressed by flat index into C-contiguous (n, m) arrays, whose
+# ravel() is a view: writing through it is about twice as fast as put, which
+# checks every index.
+def _row_sums(shape, idx, values) -> np.ndarray:
+    """Row sums of an (n, m) array of zeros holding values at the flat
+    indices idx: the bits of summing the increments of every point, since
+    the points outside idx add exact zeros."""
+    full = np.zeros(shape)
+    full.ravel()[idx] = values
+    return full.sum(axis=1)
 
-    stiffness and the hardening constants are (n, 1) columns; points flow
-    only where active and the elastic trial stress exceeds the current flow
-    stress.  Returns the trial stress, the plastic mask, the new plastic
-    strain, the new flow stress and the trapezoid plastic work per row.
+
+def _return_map(strain, eps_p, flow, stiffness, y0, coef, expo, failed=None):
+    """One power-hardening return-map step over (n, m) points, in place.
+
+    eps_p and flow are state carried from step to step: the plastic strain
+    and its flow stress y0 + coef*eps_p**expo, evaluated once at the start
+    and then only where a point flows, since neither moves elsewhere.
+    stiffness and the hardening constants are (n,) per row, gathered by row
+    at the flowing points.  Points flow where the elastic trial stress
+    exceeds the flow stress, unless failed.  Updates eps_p and flow and
+    returns the trial stress, the flat indices of the flowing points and the
+    trapezoid plastic work per row.
     """
-    trial = stiffness * (strain - eps_p)
-    flow_old = jc_stress(eps_p, y0, coef, expo)
-    plastic = active & (trial > flow_old)
-    eps_p_new = eps_p.copy()
-    flow_new = flow_old.copy()  # eps_p, hence the flow stress, moves only where plastic
-    if np.any(plastic):
-        k, y, c, n = (np.broadcast_to(a, strain.shape)[plastic] for a in (stiffness, y0, coef, expo))
-        e = _solve_power_hardening(strain[plastic], k, y, c, n, eps_p[plastic])
-        eps_p_new[plastic] = e
-        flow_new[plastic] = jc_stress(e, y, c, n)
-    work = (
-        np.where(plastic, 0.5 * (flow_old + flow_new) * (eps_p_new - eps_p), 0.0)
-    ).sum(axis=1)
-    return trial, plastic, eps_p_new, flow_new, work
+    trial = np.subtract(strain, eps_p)
+    trial *= stiffness[:, None]
+    plastic = np.greater(trial, flow)
+    if failed is not None:
+        plastic &= ~failed
+    idx = np.flatnonzero(plastic)
+    work = np.zeros(strain.shape[0])
+    if idx.size:
+        rows = idx // strain.shape[1]
+        lo, f_old = eps_p.take(idx), flow.take(idx)
+        k, y, c, n = stiffness[rows], y0[rows], coef[rows], expo[rows]
+        e = _solve_power_hardening(strain.take(idx), k, y, c, n, lo)
+        f_new = jc_stress(e, y, c, n)
+        eps_p.ravel()[idx] = e
+        flow.ravel()[idx] = f_new
+        work = _row_sums(strain.shape, idx, 0.5 * (f_old + f_new) * (e - lo))
+    return trial, idx, work
 
 
 class _CohesiveBank:
     """Vectorized state for a set of cohesive points sharing resin properties.
 
     Mode mix, initiation separation, and mixed toughness freeze at the
-    loading direction seen when the quadratic criterion first trips.
+    loading direction seen when the quadratic criterion first trips.  The
+    initiation traction is k * delta0_m, recomputed where it is needed.
     """
 
     def __init__(self, n, m, k, t0_n, t0_s, gc_i, gc_ii, exponent, label, feedback=0.0):
@@ -337,7 +380,6 @@ class _CohesiveBank:
         self.delta_max = np.zeros(shape)
         self.delta0_m = np.zeros(shape)
         self.delta_f_m = np.zeros(shape)
-        self.t0_m = np.zeros(shape)
         self.dissipated = np.zeros(shape)
 
     def damage(self):
@@ -350,6 +392,11 @@ class _CohesiveBank:
     def advance(self, delta_n, delta_s):
         """Advance to new separations; returns the dissipation increment per point.
 
+        delta_s is (n, m); delta_n is the same shape or a scalar shared by
+        every point.  Separation, damage and dissipation move only at
+        initiated points, so they are computed there alone; every other
+        point's increment is an exact zero.
+
         A positive feedback coefficient amplifies the incoming driver by
         (1 + feedback * damage), so initiated points race toward full failure
         while uninitiated points are untouched.  delta_max only ever grows, so
@@ -359,17 +406,21 @@ class _CohesiveBank:
             amp = 1.0 + self.feedback * self.damage()
             delta_n = delta_n * amp
             delta_s = delta_s * amp
+        shape, m = delta_s.shape, delta_s.shape[1]
+
+        def normal_at(idx):
+            return delta_n if np.ndim(delta_n) == 0 else delta_n.take(idx)
+
         k = self.k[:, None]
-        delta_m = np.hypot(delta_n, delta_s)
-        quad = (k * delta_n / self.t0_n[:, None]) ** 2 + (
-            k * delta_s / self.t0_s[:, None]
-        ) ** 2
-        fresh = (~self.initiated) & (quad >= 1.0)
-        if np.any(fresh):
-            rows, cols = np.nonzero(fresh)
-            dm = delta_m[rows, cols]
-            q = quad[rows, cols]
-            shear_sq = np.where(dm > 0.0, (delta_s[rows, cols] / np.where(dm > 0.0, dm, 1.0)) ** 2, 0.0)
+        quad = np.square(k * delta_s / self.t0_s[:, None])
+        quad += (k * delta_n / self.t0_n[:, None]) ** 2
+        fresh = np.flatnonzero((quad >= 1.0) & ~self.initiated)
+        if fresh.size:
+            rows, cols = np.divmod(fresh, m)
+            ds = delta_s.take(fresh)
+            dm = np.hypot(normal_at(fresh), ds)
+            q = quad.take(fresh)
+            shear_sq = np.where(dm > 0.0, (ds / np.where(dm > 0.0, dm, 1.0)) ** 2, 0.0)
             # the BK mix reads only G_II + G_III, so all shear goes to mode II
             gcm = bk_mixed_mode_gc(
                 1.0 - shear_sq, shear_sq, 0.0, self.gc_i[rows], self.gc_ii[rows], self.exponent[rows]
@@ -383,20 +434,20 @@ class _CohesiveBank:
                     "cohesive toughness below initiation energy",
                     layer=f"{self.label} {cols[j]}",
                 )
-            self.delta0_m[rows, cols] = d0
-            self.t0_m[rows, cols] = t0m
-            self.delta_f_m[rows, cols] = dfm
-            self.initiated[rows, cols] = True
-        self.delta_max = np.where(
-            self.initiated, np.maximum(self.delta_max, delta_m), self.delta_max
-        )
-        new_diss = np.where(
-            self.initiated,
-            czm_dissipated(self.delta_max, self.t0_m, self.delta0_m, self.delta_f_m),
-            0.0,
-        )
-        inc = new_diss - self.dissipated
-        self.dissipated = new_diss
+            self.delta0_m.ravel()[fresh] = d0
+            self.delta_f_m.ravel()[fresh] = dfm
+            self.initiated.ravel()[fresh] = True
+        inc = np.zeros(shape)
+        idx = np.flatnonzero(self.initiated)
+        if idx.size:
+            d_max = np.maximum(
+                self.delta_max.take(idx), np.hypot(normal_at(idx), delta_s.take(idx))
+            )
+            d0 = self.delta0_m.take(idx)
+            new_diss = czm_dissipated(d_max, self.k[idx // m] * d0, d0, self.delta_f_m.take(idx))
+            inc.ravel()[idx] = new_diss - self.dissipated.take(idx)
+            self.delta_max.ravel()[idx] = d_max
+            self.dissipated.ravel()[idx] = new_diss
         return inc
 
 
@@ -501,121 +552,139 @@ class BendState:
         self.area_coh = sp.width * sp.cohesive_process_length
         self.area_int = sp.width * sp.interface_process_length
 
-        # evolving state
+        # evolving state; the flow stresses are the power laws at the plastic
+        # strains, carried so that a step evaluates them only where points flow
         self.step = 0
         self.d11 = np.zeros((self.n, 12))
         self.d12 = np.zeros((self.n, 12))
         self.eps12_p = np.zeros((self.n, 12))
+        self.flow12 = jc_stress(self.eps12_p, self.sig_y[:, None], self.c_h[:, None], self.p_h[:, None])
         self.sig12_eff = np.zeros((self.n, 12))
         self.failed = np.zeros((self.n, 12), dtype=bool)
         self.eps_p_m = np.zeros((self.n, sp.metal_sublayers))
+        self.flow_m = jc_stress(self.eps_p_m, self.a_m[:, None], self.b_m[:, None], self.n_m[:, None])
         self.energy = {k: np.zeros(self.n) for k in ("PL", "DL", "DC", "DI", "PM")}
 
-    # -- drivers ---------------------------------------------------------
-    def _ply_strain(self, kappa):
-        return kappa * (self.ybar[:, None] - self.specimen.ply_mid_y[None, :])
-
     def advance_step(self) -> None:
-        """Advance the ramp by one curvature increment."""
+        """Advance the ramp by one curvature increment.
+
+        Each kernel runs its law only at the points the law reaches this
+        step (fiber or shear stress ratio at least 1, flowing points,
+        initiated cohesive points) and adds exact zeros for the rest, so the
+        energies are the bits of evaluating every law at every point.  Each
+        kernel's temporaries are freed when it returns, so the substrate's
+        solve runs beside no ply array.
+        """
         sp = self.specimen
         if self.step >= sp.n_steps:
             raise RuntimeError("ramp already complete")
         kappa_new = sp.kappa_max * (self.step + 1) / sp.n_steps
         kappa_mid = sp.kappa_max * (self.step + 0.5) / sp.n_steps
-
-        eps = self._ply_strain(kappa_new)
-        eps_mid = self._ply_strain(kappa_mid)
+        eps = np.subtract(self.ybar[:, None], sp.ply_mid_y)
+        eps *= kappa_new
         abs_eps = np.abs(eps)
+        self._fiber_damage(abs_eps, kappa_mid)
+        self._matrix_shear(abs_eps)
+        gamma_tot = np.multiply(self.sf, eps, out=eps)  # signed total shear proxy per ply
+        self._cohesive_layers(gamma_tot, abs_eps, kappa_new)
+        self._interface(gamma_tot, abs_eps)
+        del eps, abs_eps, gamma_tot
+        self._substrate(kappa_new)
+        self.step += 1
 
-        # --- ply fiber damage (DL) ---------------------------------------
-        k11 = self.e_p * abs_eps / self.x_p
-        hit = k11 >= 1.0
-        d_new = self.d11.copy()
-        if np.any(hit):
-            d_new[hit] = np.maximum(
-                self.d11[hit],
-                cdm_damage_evolution(
-                    k11[hit],
-                    self.x_p[hit],
-                    self.e_p[hit],
-                    self.gf_p[hit],
-                    sp.characteristic_length,
-                ),
-            )
-        release = 0.5 * self.e_p * eps_mid**2
-        self.energy["DL"] += ((d_new - self.d11) * release).sum(axis=1) * self.vol_ply
-        self.d11 = d_new
+    def _fiber_damage(self, abs_eps, kappa_mid) -> None:
+        """Ply fiber damage (DL), where the fiber stress ratio reaches 1."""
+        sp = self.specimen
+        k11 = np.multiply(self.e_p, abs_eps)
+        k11 /= self.x_p
+        hit = np.flatnonzero(k11 >= 1.0)
+        if not hit.size:
+            return
+        e_p, d_old = self.e_p.take(hit), self.d11.take(hit)
+        d_new = np.maximum(
+            d_old,
+            cdm_damage_evolution(
+                k11.take(hit), self.x_p.take(hit), e_p, self.gf_p.take(hit),
+                sp.characteristic_length,
+            ),
+        )
+        rows, cols = np.divmod(hit, 12)
+        eps_mid = kappa_mid * (self.ybar[rows] - sp.ply_mid_y[cols])
+        release = 0.5 * e_p * eps_mid**2
+        self.energy["DL"] += _row_sums(k11.shape, hit, (d_new - d_old) * release) * self.vol_ply
+        self.d11.ravel()[hit] = d_new
 
-        # --- ply matrix shear (PL) ----------------------------------------
-        gs = self.gs[:, None]
-        trial, plastic, eps_p_new, flow_new, work = _return_map(
-            self.sf[None, :] * abs_eps, self.eps12_p, gs,
-            self.sig_y[:, None], self.c_h[:, None], self.p_h[:, None], ~self.failed,
+    def _matrix_shear(self, abs_eps) -> None:
+        """Ply matrix shear plasticity and damage (PL), then matrix failure."""
+        trial, flowing, work = _return_map(
+            np.multiply(self.sf, abs_eps), self.eps12_p, self.flow12,
+            self.gs, self.sig_y, self.c_h, self.p_h, self.failed,
         )
         self.energy["PL"] += work * self.vol_ply
 
         # effective shear stress: on the yield surface while flowing,
         # elastic trial otherwise; frozen at failure
-        sig_eff = np.where(plastic, flow_new, np.where(self.failed, self.sig12_eff, np.maximum(trial, 0.0)))
+        sig_eff = np.maximum(trial, 0.0, out=trial)
+        sig_eff.ravel()[flowing] = self.flow12.take(flowing)
+        np.copyto(sig_eff, self.sig12_eff, where=self.failed)
 
-        k12 = sig_eff / self.ss[:, None]
-        dmg_hit = (~self.failed) & (k12 >= 1.0)
-        d12_new = self.d12.copy()
-        if np.any(dmg_hit):
-            cand = cdm_shear_damage(
-                k12[dmg_hit],
-                np.broadcast_to(self.alpha12[:, None], k12.shape)[dmg_hit],
-                np.broadcast_to(self.d12_max[:, None], k12.shape)[dmg_hit],
+        k12 = np.divide(sig_eff, self.ss[:, None])
+        hit = np.flatnonzero((k12 >= 1.0) & ~self.failed)
+        if hit.size:
+            rows = hit // 12
+            d_old = self.d12.take(hit)
+            d_new = np.maximum(
+                d_old, cdm_shear_damage(k12.take(hit), self.alpha12[rows], self.d12_max[rows])
             )
-            d12_new[dmg_hit] = np.maximum(self.d12[dmg_hit], cand)
-        sig_mid = 0.5 * (self.sig12_eff + sig_eff)
-        self.energy["PL"] += (
-            (d12_new - self.d12) * (sig_mid**2 / (2.0 * gs))
-        ).sum(axis=1) * self.vol_ply
-        self.d12 = d12_new
-        self.eps12_p = eps_p_new
+            sig_mid = 0.5 * (self.sig12_eff.take(hit) + sig_eff.take(hit))
+            inc = (d_new - d_old) * (sig_mid**2 / (2.0 * self.gs[rows]))
+            self.energy["PL"] += _row_sums(k12.shape, hit, inc) * self.vol_ply
+            self.d12.ravel()[hit] = d_new
         self.sig12_eff = sig_eff
         self.failed |= (self.eps12_p >= self.eps_max[:, None]) | (
             self.d12 >= self.d12_max[:, None] - 1e-15
         )
 
-        # --- cohesive layers (DC) -----------------------------------------
-        gamma_tot = self.sf[None, :] * eps  # signed total shear proxy per ply
-        jump = np.abs(gamma_tot[:, :-1] - gamma_tot[:, 1:])
-        dmg_amp = sp.damage_slip_amplification * (
-            self.d11[:, :-1] + self.d11[:, 1:]
-        ) * 0.5 * (np.abs(eps[:, :-1]) + np.abs(eps[:, 1:])) * 0.5
-        delta_s = sp.cohesive_shear_coupling * sp.ply_thickness * (jump + dmg_amp)
-        peel = kappa_new * sp.ply_thickness * (
-            1.0 + sp.damage_slip_amplification * 0.5 * (self.d11[:, :-1] + self.d11[:, 1:])
-        )
+    def _cohesive_layers(self, gamma_tot, abs_eps, kappa) -> None:
+        """Inter-ply cohesive layers (DC), driven by the strain jumps."""
+        sp = self.specimen
+        jump = np.subtract(gamma_tot[:, :-1], gamma_tot[:, 1:])
+        np.abs(jump, out=jump)
+        coupling = sp.cohesive_shear_coupling * sp.ply_thickness
+        if self.d11.any():
+            pair = self.d11[:, :-1] + self.d11[:, 1:]
+            dmg_amp = sp.damage_slip_amplification * pair * 0.5 * (
+                abs_eps[:, :-1] + abs_eps[:, 1:]
+            ) * 0.5
+            delta_s = coupling * (jump + dmg_amp)
+            peel = kappa * sp.ply_thickness * (1.0 + sp.damage_slip_amplification * 0.5 * pair)
+        else:  # no fiber damage yet: both damage terms are exact zeros
+            delta_s = np.multiply(jump, coupling, out=jump)
+            peel = kappa * sp.ply_thickness
         delta_n = sp.cohesive_peel_coupling * sp.ply_thickness * peel
         self.energy["DC"] += self.coh.advance(delta_n, delta_s).sum(axis=1) * self.area_coh
 
-        # --- bond-line interface (DI) -------------------------------------
+    def _interface(self, gamma_tot, abs_eps) -> None:
+        """Bond-line interface (DI), driven by the inner ply and the slip."""
+        sp = self.specimen
         slip = self.eps12_p.mean(axis=1)
-        delta_s_i = (
+        delta_s = (
             sp.interface_shear_coupling * sp.ply_thickness * np.abs(gamma_tot[:, -1])
             + sp.interface_slip_coupling * sp.composite_thickness * slip
         )
         mismatch = np.abs(self.nu_m - self.v_p[:, -1])
-        delta_n_i = (
-            sp.interface_peel_coupling * sp.ply_thickness * mismatch * np.abs(eps[:, -1])
-        )
+        delta_n = sp.interface_peel_coupling * sp.ply_thickness * mismatch * abs_eps[:, -1]
         self.energy["DI"] += (
-            self.iface.advance(delta_n_i[:, None], delta_s_i[:, None]).sum(axis=1)
-            * self.area_int
+            self.iface.advance(delta_n[:, None], delta_s[:, None]).sum(axis=1) * self.area_int
         )
 
-        # --- substrate plasticity (PM) ------------------------------------
-        eps_m = np.abs(kappa_new * (self.ybar[:, None] - sp.metal_mid_y[None, :]))
-        _, _, self.eps_p_m, _, work_m = _return_map(
-            eps_m, self.eps_p_m,
-            self.e_m[:, None], self.a_m[:, None], self.b_m[:, None], self.n_m[:, None], True,
-        )
-        self.energy["PM"] += work_m * self.vol_metal
-
-        self.step += 1
+    def _substrate(self, kappa) -> None:
+        """Substrate plasticity (PM) through the metal sublayers."""
+        eps_m = np.subtract(self.ybar[:, None], self.specimen.metal_mid_y)
+        eps_m *= kappa
+        np.abs(eps_m, out=eps_m)
+        work = _return_map(eps_m, self.eps_p_m, self.flow_m, self.e_m, self.a_m, self.b_m, self.n_m)[2]
+        self.energy["PM"] += work * self.vol_metal
 
     def run(self) -> np.ndarray:
         """Drive the ramp to completion; returns (n, 6) energies, which

@@ -404,6 +404,9 @@ class SummedRDSM:
             directory / _MANIFEST_NAME, "manifest", keys, _SUMMED_FORMAT, _SUMMED_VERSION, catalog
         )
         dist = fields_from(SamplingDistribution, doc["distribution"], "distribution")
+        # a kind leaves some fields unread, so each field must be the kind's own
+        if dist not in (SamplingDistribution.uniform_pm20(), SamplingDistribution.normal_10std()):
+            raise SchemaError("manifest distribution does not match its kind")
         require_keys(doc["gate"], {"axes", "vertices"}, "gate")
         gate = fields_from(EngagementGate, {"axes": doc["gate"]["axes"]}, "gate")
         vertices = doc["gate"]["vertices"]  # a JSON bool compares equal to 0 or 1

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bend_reference import ReferenceBendState
 from bisection import bisect_power_hardening
 
 from rdsm import bend
@@ -23,7 +24,7 @@ from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.constitutive import bk_mixed_mode_gc, jc_stress
 from rdsm.errors import AdmissibilityError, NumericalFailureError, SchemaError
 from rdsm.sampling import sample_lhs
-from rdsm.workflow import engagement_mask
+from rdsm.workflow import _subspace_design, engagement_mask
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +219,25 @@ def test_simulate_memory_is_one_block(cat, sp):
     assert peak < 16e6, peak
 
 
+def test_step_memory_of_a_resample_block(cat, sp):
+    # one 1639-row block of a 3277-row disbond-style resample, over the
+    # whole ramp, since the solver's working set grows with the plastic
+    # points.  It peaked at 7.97 MB under tracemalloc when one step held
+    # every kernel's temporaries to its end and recomputed the flow
+    # stresses; 5.72 MB with the flow stresses carried and each kernel's
+    # temporaries freed on return
+    varied = ("P", "GS", "C", "sigmaY", "EiC", "XiT", "XiS", "GiII")
+    unit = sample_lhs(3277, len(varied), 0)
+    x = _subspace_design(unit, varied, cat, SamplingDistribution.uniform_pm20(), cat.means)[:1639]
+    tracemalloc.start()
+    try:
+        BendState(sp, x).run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.97e6, peak
+
+
 def test_monotone_damage_and_dissipation(cat, sp):
     # push a harsh sample so several mechanisms are active
     u = sample_lhs(16, len(cat), seed=3)
@@ -362,28 +382,84 @@ def test_input_shape_validation(cat, sp):
 
 @pytest.mark.parametrize("layer", ["ply", "substrate"])
 def test_return_map_flow_stress_matches_full_evaluation(cat, layer):
-    # the flow stress is re-evaluated only where points flow; everywhere it
-    # must equal the power law at the new plastic strain, bit for bit
+    # the carried flow stress is re-evaluated only where points flow; everywhere
+    # it must equal the power law at the new plastic strain, bit for bit
     rng = np.random.default_rng(3)
     n, m = 64, 12
     names = ("GS", "sigmaY", "C", "P") if layer == "ply" else ("E", "A", "B", "Aln")
     units = (1e6, 1e3, 1e6, 1.0) if layer == "ply" else (1e6, 1e3, 1e3, 1.0)
     stiffness, y0, coef, expo = (
-        cat[k].mean * u * rng.uniform(0.8, 1.2, (n, 1)) for k, u in zip(names, units)
+        cat[k].mean * u * rng.uniform(0.8, 1.2, n) for k, u in zip(names, units)
     )
+    columns = tuple(a[:, None] for a in (y0, coef, expo))
     eps_p = np.where(rng.random((n, m)) < 0.5, 0.0, 10.0 ** rng.uniform(-6.0, -2.0, (n, m)))
-    flow_old = jc_stress(eps_p, y0, coef, expo)
-    strain = eps_p + flow_old / stiffness * rng.uniform(0.5, 2.0, (n, m))
-    active = rng.random((n, m)) < 0.8 if layer == "ply" else True
-    _, plastic, eps_p_new, flow_new, work = bend._return_map(
-        strain, eps_p, stiffness, y0, coef, expo, active
+    flow_old = jc_stress(eps_p, *columns)
+    strain = eps_p + flow_old / stiffness[:, None] * rng.uniform(0.5, 2.0, (n, m))
+    failed = rng.random((n, m)) >= 0.8 if layer == "ply" else None
+    eps_p_new, flow_new = eps_p.copy(), flow_old.copy()
+    _, flowing, work = bend._return_map(
+        strain, eps_p_new, flow_new, stiffness, y0, coef, expo, failed
     )
+    plastic = np.zeros((n, m), dtype=bool)
+    plastic.flat[flowing] = True
     assert plastic.any() and not plastic.all()
-    full = jc_stress(eps_p_new, y0, coef, expo)
+    if failed is not None:
+        assert not (plastic & failed).any()
+    full = jc_stress(eps_p_new, *columns)
     np.testing.assert_array_equal(flow_new, full)
     np.testing.assert_array_equal(eps_p_new[~plastic], eps_p[~plastic])
     trapezoid = np.where(plastic, 0.5 * (flow_old + full) * (eps_p_new - eps_p), 0.0)
     np.testing.assert_array_equal(work, trapezoid.sum(axis=1))
+
+
+def _state_arrays(state):
+    """Every evolving array of a bend state and of its cohesive banks, by name."""
+    arrays = {name: getattr(state, name)
+              for name in ("d11", "d12", "eps12_p", "sig12_eff", "failed", "eps_p_m")}
+    arrays.update({f"energy {k}": v for k, v in state.energy.items()})
+    for bank in ("coh", "iface"):
+        for name in ("initiated", "delta_max", "delta0_m", "delta_f_m", "dissipated"):
+            arrays[f"{bank}.{name}"] = getattr(getattr(state, bank), name)
+    return arrays
+
+
+def _reference_design(cat, design, n=120):
+    box = SamplingDistribution.uniform_pm20()
+    if design == "pinned":  # the disbond resample's shape: a few columns varied, the rest at means
+        varied = ("P", "GS", "C", "sigmaY", "EiC", "XiT", "XiS", "GiII")
+        return _subspace_design(sample_lhs(n, len(varied), 5), varied, cat, box, cat.means)
+    if design == "normal_10std":
+        return SamplingDistribution.normal_10std().transform(sample_lhs(n, len(cat), 6), cat)
+    x = box.transform(sample_lhs(n, len(cat), 4), cat)
+    if design == "failing":  # matrix failure mid-ramp, by plastic strain and by shear damage
+        x[0::3, cat.index("epsilon")] *= 0.01
+        x[1::3, cat.index("d12")] *= 0.05
+    return x
+
+
+@pytest.mark.parametrize("design", ["uniform", "normal_10std", "pinned", "failing"])
+def test_step_matches_full_array_reference(cat, sp, design):
+    # the kernels run each law only where it reaches and carry the flow
+    # stresses; after every step each state array and energy must be the
+    # bits of the reference, which evaluates every law at every point
+    x = _reference_design(cat, design)
+    state, ref = BendState(sp, x), ReferenceBendState(sp, x)
+    for _ in range(sp.n_steps):
+        state.advance_step()
+        ref.advance_step()
+        got, want = _state_arrays(state), _state_arrays(ref)
+        for name, a in want.items():
+            assert got[name].shape == a.shape and got[name].tobytes() == a.tobytes(), (
+                design, state.step, name)
+    ply = (state.sig_y[:, None], state.c_h[:, None], state.p_h[:, None])
+    metal = (state.a_m[:, None], state.b_m[:, None], state.n_m[:, None])
+    np.testing.assert_array_equal(state.flow12, jc_stress(state.eps12_p, *ply))
+    np.testing.assert_array_equal(state.flow_m, jc_stress(state.eps_p_m, *metal))
+    # every branch ran: fiber and shear damage, both banks initiated, and
+    # matrix failure on the failing design alone
+    assert (state.d11 > 0.0).any() and (state.d12 > 0.0).any() and (state.eps_p_m > 0.0).any()
+    assert state.coh.initiated.any() and state.iface.initiated.any()
+    assert state.failed.any() == (design == "failing")
 
 
 def _hardening_points(cat, expo, n=4000, seed=0):

@@ -1207,11 +1207,14 @@ def test_summed_model_reader_fails_on_one_line(work, summed_dir):
     escaped["mechanisms"]["DI"]["file"] = "../outside/DI.json"
     boolean = json.loads(json.dumps(manifest))
     boolean["gate"]["vertices"][0][2] = False  # equals 0.0 but is no number
+    unread = json.loads(json.dumps(manifest))
+    unread["distribution"].update(mean_frac=None, std_frac=-7.5)  # fields its kind never reads
 
     @_PROPERTY
     @given(case=_bad_summed_model(manifest, members, model_dir))
     @example(case=(json.dumps(escaped), None))
     @example(case=(json.dumps(boolean), None))
+    @example(case=(json.dumps(unread), None))
     def check(case):
         text, member = case
         shutil.rmtree(model_dir, ignore_errors=True)
