@@ -337,8 +337,11 @@ def _return_map(strain, eps_p, flow, stiffness, y0, coef, expo, failed=None):
     at the flowing points.  Points flow where the elastic trial stress
     exceeds the flow stress, unless failed.  Updates eps_p and flow and
     returns the trial stress, the flat indices of the flowing points and the
-    trapezoid plastic work per row.
+    trapezoid plastic work per row.  eps_p and flow must be C-contiguous,
+    since they are written through ravel() views.
     """
+    if not (eps_p.flags.c_contiguous and flow.flags.c_contiguous):
+        raise ValueError("return map state must be C-contiguous")
     trial = np.subtract(strain, eps_p)
     trial *= stiffness[:, None]
     plastic = np.greater(trial, flow)
@@ -392,8 +395,7 @@ class _CohesiveBank:
     def advance(self, delta_n, delta_s):
         """Advance to new separations; returns the dissipation increment per point.
 
-        delta_s is (n, m); delta_n is the same shape or a scalar shared by
-        every point.  Separation, damage and dissipation move only at
+        delta_n and delta_s are (n, m).  Separation, damage and dissipation move only at
         initiated points, so they are computed there alone; every other
         point's increment is an exact zero.
 
@@ -407,10 +409,6 @@ class _CohesiveBank:
             delta_n = delta_n * amp
             delta_s = delta_s * amp
         shape, m = delta_s.shape, delta_s.shape[1]
-
-        def normal_at(idx):
-            return delta_n if np.ndim(delta_n) == 0 else delta_n.take(idx)
-
         k = self.k[:, None]
         quad = np.square(k * delta_s / self.t0_s[:, None])
         quad += (k * delta_n / self.t0_n[:, None]) ** 2
@@ -418,7 +416,7 @@ class _CohesiveBank:
         if fresh.size:
             rows, cols = np.divmod(fresh, m)
             ds = delta_s.take(fresh)
-            dm = np.hypot(normal_at(fresh), ds)
+            dm = np.hypot(delta_n.take(fresh), ds)
             q = quad.take(fresh)
             shear_sq = np.where(dm > 0.0, (ds / np.where(dm > 0.0, dm, 1.0)) ** 2, 0.0)
             # the BK mix reads only G_II + G_III, so all shear goes to mode II
@@ -441,7 +439,7 @@ class _CohesiveBank:
         idx = np.flatnonzero(self.initiated)
         if idx.size:
             d_max = np.maximum(
-                self.delta_max.take(idx), np.hypot(normal_at(idx), delta_s.take(idx))
+                self.delta_max.take(idx), np.hypot(delta_n.take(idx), delta_s.take(idx))
             )
             d0 = self.delta0_m.take(idx)
             new_diss = czm_dissipated(d_max, self.k[idx // m] * d0, d0, self.delta_f_m.take(idx))
@@ -650,17 +648,12 @@ class BendState:
         sp = self.specimen
         jump = np.subtract(gamma_tot[:, :-1], gamma_tot[:, 1:])
         np.abs(jump, out=jump)
-        coupling = sp.cohesive_shear_coupling * sp.ply_thickness
-        if self.d11.any():
-            pair = self.d11[:, :-1] + self.d11[:, 1:]
-            dmg_amp = sp.damage_slip_amplification * pair * 0.5 * (
-                abs_eps[:, :-1] + abs_eps[:, 1:]
-            ) * 0.5
-            delta_s = coupling * (jump + dmg_amp)
-            peel = kappa * sp.ply_thickness * (1.0 + sp.damage_slip_amplification * 0.5 * pair)
-        else:  # no fiber damage yet: both damage terms are exact zeros
-            delta_s = np.multiply(jump, coupling, out=jump)
-            peel = kappa * sp.ply_thickness
+        pair = self.d11[:, :-1] + self.d11[:, 1:]
+        dmg_amp = sp.damage_slip_amplification * pair * 0.5 * (
+            abs_eps[:, :-1] + abs_eps[:, 1:]
+        ) * 0.5
+        delta_s = sp.cohesive_shear_coupling * sp.ply_thickness * (jump + dmg_amp)
+        peel = kappa * sp.ply_thickness * (1.0 + sp.damage_slip_amplification * 0.5 * pair)
         delta_n = sp.cohesive_peel_coupling * sp.ply_thickness * peel
         self.energy["DC"] += self.coh.advance(delta_n, delta_s).sum(axis=1) * self.area_coh
 

@@ -412,6 +412,19 @@ def test_return_map_flow_stress_matches_full_evaluation(cat, layer):
     np.testing.assert_array_equal(work, trapezoid.sum(axis=1))
 
 
+def test_return_map_refuses_state_it_cannot_write_in_place():
+    # the state is written through ravel(), which copies a non-C-contiguous
+    # array, so such a state would lose its updates
+    n, m = 4, 3
+    ones = np.ones(n)
+    strain = np.full((n, m), 1e-2)
+    for order in ("eps_p", "flow"):
+        state = {"eps_p": np.zeros((n, m)), "flow": np.ones((n, m))}
+        state[order] = np.asfortranarray(state[order])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            bend._return_map(strain, state["eps_p"], state["flow"], ones, ones, ones, ones)
+
+
 def _state_arrays(state):
     """Every evolving array of a bend state and of its cohesive banks, by name."""
     arrays = {name: getattr(state, name)
