@@ -55,6 +55,7 @@ from .constitutive import (
     cdm_initiation_energy,
     cdm_margin,
     cdm_shear_damage,
+    czm_damage,
     czm_dissipated,
     jc_stress,
 )
@@ -366,7 +367,9 @@ class _CohesiveBank:
 
     Mode mix, initiation separation, and mixed toughness freeze at the
     loading direction seen when the quadratic criterion first trips.  The
-    initiation traction is k * delta0_m, recomputed where it is needed.
+    initiation traction is k * delta0_m, recomputed where it is needed.  A
+    point has initiated exactly where delta_f_m is nonzero: it is 0 before,
+    and the admissibility check keeps it above delta0_m > 0 after.
     """
 
     def __init__(self, n, m, k, t0_n, t0_s, gc_i, gc_ii, exponent, label, feedback=0.0):
@@ -379,7 +382,6 @@ class _CohesiveBank:
         self.label = label
         self.feedback = feedback  # driver amplification per unit damage
         shape = (n, m)
-        self.initiated = np.zeros(shape, dtype=bool)
         self.delta_max = np.zeros(shape)
         self.delta0_m = np.zeros(shape)
         self.delta_f_m = np.zeros(shape)
@@ -387,10 +389,7 @@ class _CohesiveBank:
 
     def damage(self):
         """Stiffness-loss damage of the triangular law at the current state."""
-        d = np.clip(self.delta_max, self.delta0_m, self.delta_f_m)
-        span = np.where(self.delta_f_m > self.delta0_m, self.delta_f_m - self.delta0_m, 1.0)
-        frac = self.delta_f_m * (d - self.delta0_m) / (np.maximum(d, 1e-300) * span)
-        return np.where(self.initiated, np.clip(frac, 0.0, 1.0), 0.0)
+        return czm_damage(self.delta_max, self.delta0_m, self.delta_f_m)
 
     def advance(self, delta_n, delta_s):
         """Advance to new separations; returns the dissipation increment per point.
@@ -412,7 +411,7 @@ class _CohesiveBank:
         k = self.k[:, None]
         quad = np.square(k * delta_s / self.t0_s[:, None])
         quad += (k * delta_n / self.t0_n[:, None]) ** 2
-        fresh = np.flatnonzero((quad >= 1.0) & ~self.initiated)
+        fresh = np.flatnonzero((quad >= 1.0) & (self.delta_f_m == 0.0))
         if fresh.size:
             rows, cols = np.divmod(fresh, m)
             ds = delta_s.take(fresh)
@@ -434,9 +433,8 @@ class _CohesiveBank:
                 )
             self.delta0_m.ravel()[fresh] = d0
             self.delta_f_m.ravel()[fresh] = dfm
-            self.initiated.ravel()[fresh] = True
         inc = np.zeros(shape)
-        idx = np.flatnonzero(self.initiated)
+        idx = np.flatnonzero(self.delta_f_m)
         if idx.size:
             d_max = np.maximum(
                 self.delta_max.take(idx), np.hypot(delta_n.take(idx), delta_s.take(idx))

@@ -140,7 +140,7 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
             help="energy column to screen (default: {default})",
         ),
         _opt(
-            "max_k", type=int,
+            "max_k", bounds=(1, None), type=int,
             help=f"retention cap (default: {DIRECT_MAX_RETAINED} for TS, "
             f"{MECHANISM_MAX_RETAINED} for mechanisms)",
         ),
@@ -151,7 +151,7 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         _opt("route", "direct", choices=("direct", "summed")),
         _opt("seed", 0, type=int),
         _opt(
-            "holdout", 0, type=int,
+            "holdout", 0, bounds=(0, None), type=int,
             help="rows to set aside as validation.csv before fitting (default: {default})",
         ),
         _opt(
@@ -170,7 +170,7 @@ _COMMANDS: dict[str, tuple[str, tuple]] = {
         ),
         _opt("split", route="direct", help="train,test fractions, e.g. 0.9,0.1"),
         _opt(
-            "max_retained", DIRECT_MAX_RETAINED, route="direct", type=int,
+            "max_retained", DIRECT_MAX_RETAINED, bounds=(1, None), route="direct", type=int,
             help="direct retention cap (default: {default})",
         ),
         _opt("query_mode", "retrained", route="direct", choices=("retrained", "frozen_full")),
@@ -319,10 +319,11 @@ def _resolve(args) -> dict:
         value = getattr(args, name)  # argparse checked every flag
         if value is None and config.get(name) is not None:
             value = _config_value(name, config[name], kwargs)
-        # a fit snapshot, replayed as a config, holds the other route's defaults
-        foreign = route not in (None, resolved.get("route"))
-        if foreign and (getattr(args, name) is not None or value not in (None, default)):
-            raise _UsageError(f"{_flag(name)} applies only to --route {route}")
+        # an older fit snapshot, replayed as a config, holds the other route's defaults
+        if route not in (None, resolved.get("route")):
+            if getattr(args, name) is not None or value not in (None, default):
+                raise _UsageError(f"{_flag(name)} applies only to --route {route}")
+            continue  # the route never reads it, so the snapshot leaves it out
         if value is None:
             value = default
         if bounds is not None:

@@ -13,7 +13,8 @@ fixed fracture energy is dissipated regardless of mesh scale.  An
 admissibility bound (fracture energy must exceed the elastic energy stored in
 one characteristic length at initiation) keeps the law monotone.  Cohesive
 layers use a triangular traction-separation law with quadratic stress
-initiation and a power-law mix of mode I and shear toughness.
+initiation and a power-law mix of mode I and shear toughness; its
+stiffness-loss damage, traction and dissipation are written here once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "cdm_margin",
     "cdm_damage_evolution",
     "cdm_shear_damage",
+    "czm_damage",
     "czm_traction",
     "czm_dissipated",
     "bk_mixed_mode_gc",
@@ -39,8 +41,7 @@ def jc_stress(eps_p, a, b, n):
     eps_p = np.asarray(eps_p, dtype=float)
     if np.any(eps_p < 0.0):
         raise ValueError("plastic strain must be nonnegative")
-    out = a + b * eps_p**n
-    return float(out) if out.ndim == 0 else out
+    return a + b * eps_p**n
 
 
 def cdm_initiation_energy(x, e):
@@ -74,8 +75,7 @@ def cdm_damage_evolution(k, x, e, g_f, l_c):
             "fracture energy does not exceed the elastic energy over one "
             "characteristic length; damage law would not soften"
         )
-    out = 1.0 - (1.0 / k) * np.exp(-2.0 * u0 * l_c * (k - 1.0) / margin)
-    return float(out) if out.ndim == 0 else out
+    return 1.0 - (1.0 / k) * np.exp(-2.0 * u0 * l_c * (k - 1.0) / margin)
 
 
 def cdm_shear_damage(k12, alpha12, d12_max=1.0):
@@ -83,19 +83,17 @@ def cdm_shear_damage(k12, alpha12, d12_max=1.0):
     k12 = np.asarray(k12, dtype=float)
     if np.any(k12 < 1.0):
         raise ValueError("shear stress ratio k12 must be >= 1 at and after initiation")
-    out = np.clip(alpha12 * np.log(k12), 0.0, d12_max)
-    return float(out) if out.ndim == 0 else out
+    return np.clip(alpha12 * np.log(k12), 0.0, d12_max)
 
 
-def _czm_lengths(k, t0, gc):
-    delta0 = np.asarray(t0, dtype=float) / np.asarray(k, dtype=float)
-    delta_f = 2.0 * np.asarray(gc, dtype=float) / np.asarray(t0, dtype=float)
-    if np.any(delta_f <= delta0):
-        raise AdmissibilityError(
-            "cohesive failure separation does not exceed the initiation "
-            "separation; triangular law is degenerate"
-        )
-    return delta0, delta_f
+def czm_damage(delta_max, delta0, delta_f):
+    """Stiffness-loss damage of the triangular law at delta_max, one minus the
+    secant stiffness over the initial one: 0 up to delta0, 1 from delta_f on,
+    and exactly 0 where the law has not initiated (all lengths 0)."""
+    d = np.clip(delta_max, delta0, delta_f)
+    span = np.where(delta_f > delta0, delta_f - delta0, 1.0)
+    frac = delta_f * (d - delta0) / (np.maximum(d, 1e-300) * span)
+    return np.clip(frac, 0.0, 1.0)
 
 
 def czm_traction(delta, k, t0, gc, delta_max=None):
@@ -110,23 +108,15 @@ def czm_traction(delta, k, t0, gc, delta_max=None):
     delta = np.asarray(delta, dtype=float)
     if np.any(delta < 0.0):
         raise ValueError("separation must be nonnegative")
-    delta0, delta_f = _czm_lengths(k, t0, gc)
-
-    def envelope(d):
-        rising = k * d
-        descending = t0 * (d - delta_f) / (delta0 - delta_f)
-        return np.where(
-            d <= delta0, rising, np.where(d >= delta_f, 0.0, descending)
+    delta0 = np.asarray(t0, dtype=float) / np.asarray(k, dtype=float)
+    delta_f = 2.0 * np.asarray(gc, dtype=float) / np.asarray(t0, dtype=float)
+    if np.any(delta_f <= delta0):
+        raise AdmissibilityError(
+            "cohesive failure separation does not exceed the initiation "
+            "separation; triangular law is degenerate"
         )
-
-    if delta_max is None:
-        out = envelope(delta)
-    else:
-        dmax = np.maximum(np.asarray(delta_max, dtype=float), delta)
-        secant = np.where(dmax > 0.0, envelope(dmax) / np.where(dmax > 0.0, dmax, 1.0), k)
-        out = secant * delta
-    out = np.asarray(out, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    dmax = delta if delta_max is None else np.maximum(delta_max, delta)
+    return k * (1.0 - czm_damage(dmax, delta0, delta_f)) * delta
 
 
 def czm_dissipated(delta_max, t0, delta0, delta_f):
@@ -156,5 +146,4 @@ def bk_mixed_mode_gc(g_i, g_ii, g_iii, gc_i, gc_ii, exponent):
     if np.any(total <= 0.0):
         raise ValueError("total energy release rate must be positive")
     frac = (g_ii + g_iii) / total
-    out = gc_i + (gc_ii - gc_i) * frac**exponent
-    return float(out) if out.ndim == 0 else out
+    return gc_i + (gc_ii - gc_i) * frac**exponent

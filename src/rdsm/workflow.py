@@ -333,11 +333,6 @@ class SummedRDSM:
         gate = (tuple(sorted(int(i) for i in self._axis_cols)), self.engaged)
         return (*((m.support, m.predict) for m in members), gate)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Sorted catalog columns predict reads: every term's support."""
-        return tuple(sorted({i for support, _ in self.terms for i in support}))
-
     def gate_coordinates(self, x) -> np.ndarray:
         """Normalized (n, 3) gate coordinates, clipped into the unit cube."""
         x = _catalog_rows(x, self.catalog)
@@ -876,7 +871,6 @@ class ComparisonReport:
 
     all_rows: ComparisonSection
     engaged: ComparisonSection | None
-    n_validation: int
 
 
 def _std1(values: np.ndarray) -> float:
@@ -939,7 +933,6 @@ def compare_approaches(
     return ComparisonReport(
         all_rows=all_rows,
         engaged=engaged,
-        n_validation=len(validation),
     )
 
 

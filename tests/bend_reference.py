@@ -54,7 +54,7 @@ class ReferenceCohesiveBank:
     def __init__(self, bank):
         for name in ("k", "t0_n", "t0_s", "gc_i", "gc_ii", "exponent", "label", "feedback"):
             setattr(self, name, getattr(bank, name))
-        shape = bank.initiated.shape
+        shape = bank.delta_max.shape
         self.initiated = np.zeros(shape, dtype=bool)
         self.delta_max = np.zeros(shape)
         self.delta0_m = np.zeros(shape)

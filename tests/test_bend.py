@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bend_reference import ReferenceBendState
+from bend_reference import ReferenceBendState, ReferenceCohesiveBank
 from bisection import bisect_power_hardening
 
 from rdsm import bend
@@ -21,7 +21,7 @@ from rdsm.bend import (
     simulate_dataset,
 )
 from rdsm.catalog import SamplingDistribution, build_catalog
-from rdsm.constitutive import bk_mixed_mode_gc, jc_stress
+from rdsm.constitutive import bk_mixed_mode_gc, czm_damage, jc_stress
 from rdsm.errors import AdmissibilityError, NumericalFailureError, SchemaError
 from rdsm.sampling import sample_lhs
 from rdsm.workflow import _subspace_design, engagement_mask
@@ -324,6 +324,30 @@ def test_cohesive_bank_full_failure_dissipates_mixed_gc():
     assert bank.damage()[0, 0] == pytest.approx(1.0)
 
 
+def test_cohesive_bank_damage_matches_reference():
+    # a random bank state: initiated points at every stage of the law,
+    # uninitiated ones with all lengths zero, as the bank leaves them
+    rng = np.random.default_rng(3)
+    n, m = 40, 11
+    ones = np.ones(n)
+    bank = _CohesiveBank(n, m, ones, ones, ones, ones, ones, ones, label="test")
+    ref = ReferenceCohesiveBank(bank)
+    initiated = rng.random((n, m)) < 0.6
+    delta0 = rng.uniform(1e-5, 1e-3, (n, m))
+    delta_f = delta0 * rng.uniform(1.01, 50.0, (n, m))
+    delta_max = delta_f * rng.uniform(0.0, 1.5, (n, m))
+    delta_max[:, 0] = delta0[:, 0]
+    delta_max[:, 1] = delta_f[:, 1]
+    for b in (bank, ref):
+        b.delta0_m = np.where(initiated, delta0, 0.0)
+        b.delta_f_m = np.where(initiated, delta_f, 0.0)
+        b.delta_max = np.where(initiated, delta_max, 0.0)
+    ref.initiated = initiated
+    got = czm_damage(bank.delta_max, bank.delta0_m, bank.delta_f_m)
+    assert got.tobytes() == ref.damage().tobytes() == bank.damage().tobytes()
+    assert np.all(got[~initiated] == 0.0) and 0.0 < got[initiated].max() <= 1.0
+
+
 def test_cohesive_bank_mixed_mode_between_pure_modes():
     def run(ratio):
         bank = _CohesiveBank(
@@ -430,9 +454,13 @@ def _state_arrays(state):
     arrays = {name: getattr(state, name)
               for name in ("d11", "d12", "eps12_p", "sig12_eff", "failed", "eps_p_m")}
     arrays.update({f"energy {k}": v for k, v in state.energy.items()})
-    for bank in ("coh", "iface"):
-        for name in ("initiated", "delta_max", "delta0_m", "delta_f_m", "dissipated"):
-            arrays[f"{bank}.{name}"] = getattr(getattr(state, bank), name)
+    for label in ("coh", "iface"):
+        bank = getattr(state, label)
+        for name in ("delta_max", "delta0_m", "delta_f_m", "dissipated"):
+            arrays[f"{label}.{name}"] = getattr(bank, name)
+        # the oracle keeps an initiated mask; the bank reads it from delta_f_m
+        initiated = bank.initiated if isinstance(bank, ReferenceCohesiveBank) else bank.delta_f_m > 0.0
+        arrays[f"{label}.initiated"] = initiated
     return arrays
 
 
@@ -471,7 +499,7 @@ def test_step_matches_full_array_reference(cat, sp, design):
     # every branch ran: fiber and shear damage, both banks initiated, and
     # matrix failure on the failing design alone
     assert (state.d11 > 0.0).any() and (state.d12 > 0.0).any() and (state.eps_p_m > 0.0).any()
-    assert state.coh.initiated.any() and state.iface.initiated.any()
+    assert state.coh.delta_f_m.any() and state.iface.delta_f_m.any()
     assert state.failed.any() == (design == "failing")
 
 

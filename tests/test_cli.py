@@ -227,7 +227,10 @@ def test_help_config_and_snapshot_agree(work, data_csv, direct_dir, summed_dir, 
         assert run(command, *extra, "--outdir", outdir) == EXIT_OK, command
         snapshot = json.loads(next(outdir.glob("*run*.json")).read_text())
         options = snapshot["options"]
-        assert set(options) == _help_keys(command, capsys), command
+        keys = _help_keys(command, capsys)
+        if command == "fit":  # a direct fit's snapshot holds no summed-route option
+            keys -= {name for name, _, _, route, _ in cli._options(command) if route == "summed"}
+        assert set(options) == keys, command
         # every snapshot key is a config key: the snapshot replays as a config
         replay = dict(options, outdir=str(work / "agree" / f"{command}_replay"))
         config = work / "agree" / f"{command}.json"
@@ -300,6 +303,55 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
                "--outdir", outdir) == EXIT_USAGE
     assert capsys.readouterr().err == "rdsm: error: usage: --resample-n must be at least 1, got 0\n"
     assert not out.parent.exists()
+
+
+def test_fit_and_screen_sizes_are_bounded(work, data_csv, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("an out-of-range size read a file")
+
+    # a negative holdout once fitted every row; a zero cap failed only after training
+    monkeypatch.setattr(cli.Dataset, "load_csv", never)
+    outdir = work / "sizes"
+    config = work / "sizes.json"
+    for command, name, value, lo, extra in (
+        ("fit", "holdout", -5, 0, ()),
+        ("fit", "holdout", -1, 0, ("--route", "summed")),
+        ("fit", "max_retained", 0, 1, ()),
+        ("fit", "max_retained", -3, 1, ()),
+        ("screen", "max_k", 0, 1, ()),
+        ("screen", "max_k", -1, 1, ()),
+    ):
+        want = f"rdsm: error: usage: {cli._flag(name)} must be at least {lo}, got {value}\n"
+        base = (command, "--data", data_csv, *extra, "--outdir", outdir)
+        assert run(*base, cli._flag(name), value) == EXIT_USAGE, (name, value)
+        assert capsys.readouterr().err == want
+        config.write_text(json.dumps({name: value}))
+        assert run(*base, "--config", config) == EXIT_USAGE, (name, value)
+        assert capsys.readouterr().err == want
+    assert not outdir.exists()
+
+
+def test_fit_snapshot_holds_its_route_options(work, direct_dir, summed_dir):
+    options = cli._options("fit")
+    routes = {name: route for name, _, _, route, _ in options if route}
+    defaults = {name: default for name, default, *_ in options}
+    snapshots = {
+        route: json.loads((outdir / "run_config.json").read_text())["options"]
+        for route, outdir in (("direct", direct_dir), ("summed", summed_dir))
+    }
+    assert "query_mode" not in snapshots["summed"] and "hidden" not in snapshots["summed"]
+    assert "resample_n" not in snapshots["direct"] and "specimen" not in snapshots["direct"]
+    for route, snapshot in snapshots.items():
+        assert snapshot["route"] == route
+        assert {name for name, r in routes.items() if r == route} <= set(snapshot)
+        assert not {name for name, r in routes.items() if r != route} & set(snapshot)
+        # a snapshot that also holds the other route's defaults, as older
+        # snapshots do, still replays to the same options
+        old = dict(snapshot, **{name: defaults[name] for name, r in routes.items() if r != route})
+        config = work / f"old_snapshot_{route}.json"
+        config.write_text(json.dumps(old))
+        args = cli._build_parser().parse_args(["fit", "--config", str(config)])
+        assert cli._resolve(args) == {"command": "fit", **snapshot}, route
 
 
 def test_network_flags_are_bounded(work, data_csv, monkeypatch, capsys):
@@ -617,7 +669,7 @@ def test_sobol_support_writes_the_full_design_bytes(work, direct_dir, summed_dir
     seen = []
 
     def every_block(model, *args, **kwargs):
-        seen.append(model.support)
+        seen.append({i for support, _ in model.terms for i in support})
         return real(model.predict, *args, **kwargs)  # all 41 pick-freeze blocks
 
     models = (direct_dir / "direct_rdsm.json", summed_dir / "model")

@@ -81,6 +81,40 @@ def test_czm_traction_envelope_and_unloading():
         czm_traction(-1e-6, k, t0, gc)
 
 
+def _envelope_secant_traction(delta, k, t0, gc, delta_max=None):
+    """The law as a piecewise envelope and a secant through the origin."""
+    delta0, delta_f = t0 / k, 2.0 * gc / t0
+
+    def envelope(d):
+        descending = t0 * (d - delta_f) / (delta0 - delta_f)
+        return np.where(d <= delta0, k * d, np.where(d >= delta_f, 0.0, descending))
+
+    if delta_max is None:
+        return envelope(delta)
+    dmax = np.maximum(delta_max, delta)
+    return np.where(dmax > 0.0, envelope(dmax) / np.where(dmax > 0.0, dmax, 1.0), k) * delta
+
+
+@pytest.mark.parametrize(
+    "k, t0, gc", [(1e7, 7.6e3, 7.6), (2.5e8, 4.9e3, 16.6), (3.1e5, 55.0, 0.4), (1e4, 7.6e3, 5e3)]
+)
+def test_czm_traction_matches_envelope_and_secant(k, t0, gc):
+    delta0, delta_f = t0 / k, 2.0 * gc / t0
+    grid = np.union1d(np.linspace(0.0, 1.25 * delta_f, 20001), [delta0, delta_f])
+    np.testing.assert_allclose(
+        czm_traction(grid, k, t0, gc), _envelope_secant_traction(grid, k, t0, gc),
+        rtol=0.0, atol=1e-12 * t0,
+    )
+    # unloading below every largest separation, from before the peak to past failure
+    for dmax in (0.0, 0.5 * delta0, delta0, 0.5 * (delta0 + delta_f), delta_f, 1.1 * delta_f):
+        below = np.linspace(0.0, dmax, 2001)
+        np.testing.assert_allclose(
+            czm_traction(below, k, t0, gc, delta_max=dmax),
+            _envelope_secant_traction(below, k, t0, gc, delta_max=dmax),
+            rtol=0.0, atol=1e-12 * t0,
+        )
+
+
 def test_czm_softening_area_equals_gc():
     k, t0, gc = 1e7, 7.6e3, 7.6
     delta_f = 2.0 * gc / t0

@@ -223,6 +223,11 @@ def _random_rdsm(mechanism, retained, catalog, box, seed, full_width=False):
     return MechanismRDSM(mechanism, retained, model, catalog.means, catalog)
 
 
+def _support(model) -> tuple[int, ...]:
+    """Sorted catalog columns a model's predict reads: every term's support."""
+    return tuple(sorted({i for support, _ in model.terms for i in support}))
+
+
 def test_columns_outside_support_change_nothing(cat, box):
     members = {
         m: _random_rdsm(m, params, cat, box, seed)
@@ -246,8 +251,8 @@ def test_columns_outside_support_change_nothing(cat, box):
     x = box.transform(rng.random((300, len(cat))), cat)
     other = box.transform(rng.random((300, len(cat))), cat)
     for model, names in expect.items():
-        assert model.support == tuple(sorted(set(cat.indices(names).tolist())))
-        outside = [j for j in range(len(cat)) if j not in model.support]
+        assert _support(model) == tuple(sorted(set(cat.indices(names).tolist())))
+        outside = [j for j in range(len(cat)) if j not in _support(model)]
         assert np.ptp(model.predict(x)) > 0.0
         base = model.predict(x).tobytes()
         for cols in (*([j] for j in outside), outside):
@@ -302,8 +307,8 @@ def test_sobol_runs_each_summed_term_on_its_own_blocks(cat, box, kind):
     assert summed.engaged.rows == (2 + 3) * n
     for attr in ("s1", "st", "s1_stderr", "st_stderr"):
         assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
-    outside = [j for j in range(len(cat)) if j not in summed.support]
-    assert np.all(got.st[outside] == 0.0) and np.all(got.st[list(summed.support)] > 0.0)
+    outside = [j for j in range(len(cat)) if j not in _support(summed)]
+    assert np.all(got.st[outside] == 0.0) and np.all(got.st[list(_support(summed))] > 0.0)
 
 
 def _one_pass(member, x):
@@ -817,7 +822,6 @@ def test_compare_basic_report(direct_fit, summed_fit, splits):
         held,
         train_keys=splits[0].row_keys(),
     )
-    assert rep.n_validation == len(held)
     assert rep.all_rows.n_rows == len(held)
     assert rep.all_rows.direct.mae_pct < 15.0
     assert rep.all_rows.summed.mae_pct < 15.0
@@ -868,7 +872,7 @@ def test_compare_accepts_fresh_rows_with_training_ids(
     rep = compare_approaches(
         direct_fit.rdsm, summed_fit.summed, fresh, train_keys=train.row_keys()
     )
-    assert rep.n_validation == 40
+    assert rep.all_rows.n_rows == 40
 
 
 def test_compare_rejects_training_row_under_new_id(direct_fit, summed_fit, splits):
