@@ -362,6 +362,26 @@ def _return_map(strain, eps_p, flow, stiffness, y0, coef, expo, failed=None):
     return trial, idx, work
 
 
+def _feedback_separation(r, h, d0, df, fb):
+    """Separation x = r*(1 + fb*D(max(h, x))) at initiated points, per point.
+
+    D is the triangular law's damage with lengths d0 < df and largest
+    separation so far h.  x is the fixed point that iterating the map from
+    max(h, d0) reaches.  Where r*(1 + fb*D(h)) <= h that is the first iterate,
+    and h does not move; otherwise it is the smallest root at or above
+    max(h, d0) of (df - d0)*x**2 - r*(df - d0 + fb*df)*x + r*fb*df*d0, taken
+    in the cancellation-free form, or, with no such root up to df, the failed
+    point's r*(1 + fb).
+    """
+    stay = r * (1.0 + fb * czm_damage(h, d0, df))
+    a, b, c = df - d0, r * (df - d0 + fb * df), r * fb * df * d0
+    q = 0.5 * (b + np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)))
+    lo, start = c / q, np.maximum(h, d0)
+    x = np.where(lo >= start, lo, q / a)
+    x = np.where((x >= start) & (x <= df), x, r * (1.0 + fb))
+    return np.where(stay <= h, stay, x)
+
+
 class _CohesiveBank:
     """Vectorized state for a set of cohesive points sharing resin properties.
 
@@ -380,67 +400,64 @@ class _CohesiveBank:
         self.gc_ii = gc_ii
         self.exponent = exponent
         self.label = label
-        self.feedback = feedback  # driver amplification per unit damage
+        self.feedback = feedback  # separation amplification per unit damage
         shape = (n, m)
         self.delta_max = np.zeros(shape)
         self.delta0_m = np.zeros(shape)
         self.delta_f_m = np.zeros(shape)
         self.dissipated = np.zeros(shape)
 
-    def damage(self):
-        """Stiffness-loss damage of the triangular law at the current state."""
-        return czm_damage(self.delta_max, self.delta0_m, self.delta_f_m)
-
     def advance(self, delta_n, delta_s):
         """Advance to new separations; returns the dissipation increment per point.
 
-        delta_n and delta_s are (n, m).  Separation, damage and dissipation move only at
-        initiated points, so they are computed there alone; every other
-        point's increment is an exact zero.
+        delta_n and delta_s are (n, m).  Points initiate on these drivers,
+        and the criterion is evaluated only where a point has not initiated.
+        Separation, damage and dissipation move only at initiated points, so
+        they are computed there alone; every other point's increment is an
+        exact zero.
 
-        A positive feedback coefficient amplifies the incoming driver by
-        (1 + feedback * damage), so initiated points race toward full failure
-        while uninitiated points are untouched.  delta_max only ever grows, so
-        the amplification preserves monotonicity.
+        A positive feedback coefficient amplifies an initiated point's
+        separation r = hypot(delta_n, delta_s) by its own damage, solved
+        implicitly in the step (_feedback_separation), so initiated points
+        race toward full failure while uninitiated points are untouched.
+        delta_max only ever grows, so the amplification preserves
+        monotonicity.
         """
-        if self.feedback:
-            amp = 1.0 + self.feedback * self.damage()
-            delta_n = delta_n * amp
-            delta_s = delta_s * amp
         shape, m = delta_s.shape, delta_s.shape[1]
-        k = self.k[:, None]
-        quad = np.square(k * delta_s / self.t0_s[:, None])
-        quad += (k * delta_n / self.t0_n[:, None]) ** 2
-        fresh = np.flatnonzero((quad >= 1.0) & (self.delta_f_m == 0.0))
-        if fresh.size:
-            rows, cols = np.divmod(fresh, m)
-            ds = delta_s.take(fresh)
-            dm = np.hypot(delta_n.take(fresh), ds)
-            q = quad.take(fresh)
+        idx = np.flatnonzero(self.delta_f_m == 0.0)
+        rows = idx // m
+        dn, ds, k = delta_n.take(idx), delta_s.take(idx), self.k[rows]
+        quad = np.square(k * ds / self.t0_s[rows])
+        quad += (k * dn / self.t0_n[rows]) ** 2
+        hit = quad >= 1.0
+        if hit.any():
+            fresh, rows, ds = idx[hit], rows[hit], ds[hit]
+            dm = np.hypot(dn[hit], ds)
             shear_sq = np.where(dm > 0.0, (ds / np.where(dm > 0.0, dm, 1.0)) ** 2, 0.0)
             # the BK mix reads only G_II + G_III, so all shear goes to mode II
             gcm = bk_mixed_mode_gc(
                 1.0 - shear_sq, shear_sq, 0.0, self.gc_i[rows], self.gc_ii[rows], self.exponent[rows]
             )
-            d0 = dm / np.sqrt(q)
+            d0 = dm / np.sqrt(quad[hit])
             t0m = self.k[rows] * d0
             dfm = 2.0 * gcm / t0m
             if np.any(dfm <= d0):
                 j = int(np.argmax(dfm <= d0))
                 raise AdmissibilityError(
                     "cohesive toughness below initiation energy",
-                    layer=f"{self.label} {cols[j]}",
+                    layer=f"{self.label} {fresh[j] % m}",
                 )
             self.delta0_m.ravel()[fresh] = d0
             self.delta_f_m.ravel()[fresh] = dfm
         inc = np.zeros(shape)
         idx = np.flatnonzero(self.delta_f_m)
         if idx.size:
-            d_max = np.maximum(
-                self.delta_max.take(idx), np.hypot(delta_n.take(idx), delta_s.take(idx))
-            )
-            d0 = self.delta0_m.take(idx)
-            new_diss = czm_dissipated(d_max, self.k[idx // m] * d0, d0, self.delta_f_m.take(idx))
+            h, d0, dfm = (a.take(idx) for a in (self.delta_max, self.delta0_m, self.delta_f_m))
+            x = np.hypot(delta_n.take(idx), delta_s.take(idx))
+            if self.feedback:
+                x = _feedback_separation(x, h, d0, dfm, self.feedback)
+            d_max = np.maximum(h, x)
+            new_diss = czm_dissipated(d_max, self.k[idx // m] * d0, d0, dfm)
             inc.ravel()[idx] = new_diss - self.dissipated.take(idx)
             self.delta_max.ravel()[idx] = d_max
             self.dissipated.ravel()[idx] = new_diss

@@ -45,12 +45,16 @@ def _fmt(value) -> str:
 
 def write_csv(path, header, rows) -> None:
     """A header line and one line per row; floats in shortest round-trip
-    text, bools as true/false, None as an empty cell."""
+    text, bools as true/false, None as an empty cell.  A float array skips
+    _fmt: the csv module writes each float of its tolist() as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            writer.writerows(rows.tolist())
+        else:
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def read_csv(path, columns) -> np.ndarray:

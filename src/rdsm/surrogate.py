@@ -66,9 +66,9 @@ class NetworkSpec:
 
     input_dim: int
     hidden_layers: tuple[int, ...] = (60, 80)
-    learning_rate: float = 0.001
+    learning_rate: float = 0.002
     epochs: int = 2000
-    batch_size: int = 32
+    batch_size: int = 128
     seed: int = 0
     split: tuple[float, float] = (0.9, 0.1)  # (train_fraction, test_fraction)
     loss: str = "mse"

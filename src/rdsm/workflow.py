@@ -79,11 +79,11 @@ RESAMPLE_N = 3277  # rows in the summed route's focused disbond design
 
 # default hidden layers, learning rate, and (train, test) split per mechanism
 _MECHANISM_NETWORKS = {
-    "PL": ((65, 70), 0.001, (0.9, 0.1)),
-    "DL": ((55, 55), 0.001, (0.9, 0.1)),
-    "DC": ((50,), 0.001, (0.9, 0.1)),
-    "DI": ((16, 16), 0.0015, (0.8, 0.2)),
-    "PM": ((60, 80), 0.001, (0.9, 0.1)),
+    "PL": ((65, 70), 0.002, (0.9, 0.1)),
+    "DL": ((55, 55), 0.002, (0.9, 0.1)),
+    "DC": ((50,), 0.002, (0.9, 0.1)),
+    "DI": ((16, 16), 0.003, (0.8, 0.2)),
+    "PM": ((60, 80), 0.002, (0.9, 0.1)),
 }
 
 # how many parameters the disbond resampling varies: the top of the disbond

@@ -4,15 +4,21 @@ oracle for rdsm.bend.BendState.advance_step.
 A test helper: ReferenceBendState builds its constants through BendState,
 then steps with the earlier kernels, which evaluate every law over every
 point on every step: the flow stress recomputed from the plastic strain,
-the trapezoid work, the fiber and shear damage increments and the cohesive
-dissipation all over the full (n, m) arrays, and the state arrays replaced,
-not updated in place.  A test can step it beside BendState and compare the
-state bit for bit.
+the trapezoid work, the fiber and shear damage increments, the cohesive
+initiation criterion and the cohesive dissipation all over the full (n, m)
+arrays, and the state arrays replaced, not updated in place.  A test can
+step it beside BendState and compare the state bit for bit.
+
+The interface's damage feedback is the one law taken from the current
+kernel: the oracle initiates on the raw drivers and then applies
+rdsm.bend._feedback_separation at its initiated points, so that the
+comparison keeps checking every other kernel bit for bit.
+tests/test_bend.py checks that closed form against a per-point bisection.
 """
 
 import numpy as np
 
-from rdsm.bend import BendState, _solve_power_hardening
+from rdsm.bend import BendState, _feedback_separation, _solve_power_hardening
 from rdsm.constitutive import (
     bk_mixed_mode_gc,
     cdm_damage_evolution,
@@ -69,10 +75,6 @@ class ReferenceCohesiveBank:
         return np.where(self.initiated, np.clip(frac, 0.0, 1.0), 0.0)
 
     def advance(self, delta_n, delta_s):
-        if self.feedback:
-            amp = 1.0 + self.feedback * self.damage()
-            delta_n = delta_n * amp
-            delta_s = delta_s * amp
         k = self.k[:, None]
         delta_m = np.hypot(delta_n, delta_s)
         quad = (k * delta_n / self.t0_n[:, None]) ** 2 + (
@@ -100,6 +102,11 @@ class ReferenceCohesiveBank:
             self.t0_m[rows, cols] = t0m
             self.delta_f_m[rows, cols] = dfm
             self.initiated[rows, cols] = True
+        if self.feedback:  # the same closed form over the initiated points
+            delta_m[self.initiated] = _feedback_separation(
+                delta_m[self.initiated], self.delta_max[self.initiated],
+                self.delta0_m[self.initiated], self.delta_f_m[self.initiated], self.feedback,
+            )
         self.delta_max = np.where(
             self.initiated, np.maximum(self.delta_max, delta_m), self.delta_max
         )

@@ -1,10 +1,15 @@
-"""The 52-step bisection return map, kept as a reference for the Newton solve.
+"""Bisection references for the bend model's closed-form solves.
 
-A test helper: it has the signature of rdsm.bend._solve_power_hardening, so a
-test can patch it in and run the bend model against it.
+Test helpers: bisect_power_hardening is the 52-step bisection return map,
+kept as a reference for the Newton solve; it has the signature of
+rdsm.bend._solve_power_hardening, so a test can patch it in and run the bend
+model against it.  bisect_feedback_separation is a reference for the
+interface's implicit damage feedback, rdsm.bend._feedback_separation.
 """
 
 import numpy as np
+
+from rdsm.constitutive import czm_damage
 
 
 def bisect_power_hardening(total, stiffness, y0, coef, expo, lo):
@@ -22,3 +27,26 @@ def bisect_power_hardening(total, stiffness, y0, coef, expo, lo):
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def bisect_feedback_separation(r, h, d0, df, fb, steps=200):
+    """Smallest root x >= 0 of x - r*(1 + fb*D(max(h, x))), bisected per point.
+
+    D is the triangular damage, czm_damage(., d0, df), and r > 0.  The
+    residual is -r*(1 + fb*D(h)) < 0 at x = 0 and stays negative up to its
+    smallest root: linear in x up to h, and convex from max(h, d0) on, where
+    D is concave.  So the bracket is [0, h] where the residual at h is
+    nonnegative, else [0, r*(1 + fb)], whose top is nonnegative since D <= 1.
+    """
+
+    def residual(x):
+        return x - r * (1.0 + fb * czm_damage(np.maximum(h, x), d0, df))
+
+    lo = np.zeros_like(r)
+    hi = np.where(residual(h) >= 0.0, h, r * (1.0 + fb))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = residual(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bend_reference import ReferenceBendState, ReferenceCohesiveBank
-from bisection import bisect_power_hardening
+from bisection import bisect_feedback_separation, bisect_power_hardening
 
 from rdsm import bend
 from rdsm.bend import (
@@ -269,14 +269,27 @@ def test_schedule_convergence_at_means(cat, sp):
 
 
 def test_schedule_convergence_sampled(cat, sp):
-    # random rows may race the interface feedback across a step boundary,
-    # so the sampled bound is looser than the means bound
+    # per row, doubling the step count moves the total by less than 0.5%;
+    # random rows reach the cohesive layers' initiation, whose step error
+    # is the largest left, so the bound is looser than at the means
     u = sample_lhs(12, len(cat), seed=11)
     X = SamplingDistribution.uniform_pm20().transform(u, cat)
     coarse = simulate_batch(X, sp)
     fine = simulate_batch(X, dataclasses.replace(sp, n_steps=2 * sp.n_steps))
     rel = np.abs(coarse[:, 5] - fine[:, 5]) / np.maximum(np.abs(fine[:, 5]), 1e-12)
-    assert np.max(rel) < 0.03
+    assert np.max(rel) < 0.005
+
+
+def test_disbond_converges_in_the_step_count(cat, sp):
+    # the interface's damage feedback is solved within each step, so the
+    # disbond energy at the shipped step count is within 0.25% (relative L1
+    # over rows) of a run with four times as many steps
+    u = sample_lhs(400, len(cat), seed=2024)
+    X = SamplingDistribution.uniform_pm20().transform(u, cat)
+    coarse = simulate_batch(X, sp)[:, 3]
+    fine = simulate_batch(X, dataclasses.replace(sp, n_steps=4 * sp.n_steps))[:, 3]
+    assert np.count_nonzero(fine) > 100
+    assert np.abs(coarse - fine).sum() / fine.sum() < 0.0025
 
 
 def test_disbond_engages_sparsely(cat, sp):
@@ -321,7 +334,7 @@ def test_cohesive_bank_full_failure_dissipates_mixed_gc():
         total += float(bank.advance(np.zeros((1, 1)), np.full((1, 1), delta))[0, 0])
     want = bk_mixed_mode_gc(0.0, 1.0, 0.0, 7.6, 16.6, 2.6)
     assert total == pytest.approx(want, rel=1e-9)
-    assert bank.damage()[0, 0] == pytest.approx(1.0)
+    assert czm_damage(bank.delta_max, bank.delta0_m, bank.delta_f_m)[0, 0] == pytest.approx(1.0)
 
 
 def test_cohesive_bank_damage_matches_reference():
@@ -344,8 +357,52 @@ def test_cohesive_bank_damage_matches_reference():
         b.delta_max = np.where(initiated, delta_max, 0.0)
     ref.initiated = initiated
     got = czm_damage(bank.delta_max, bank.delta0_m, bank.delta_f_m)
-    assert got.tobytes() == ref.damage().tobytes() == bank.damage().tobytes()
+    assert got.tobytes() == ref.damage().tobytes()
     assert np.all(got[~initiated] == 0.0) and 0.0 < got[initiated].max() <= 1.0
+
+
+def test_feedback_separation_matches_bisection():
+    # a random interface bank state, fb = 60 as shipped: points initiated at
+    # every stage of the law and points not yet initiated, driven so that
+    # some stay put, some settle on the quadratic's root, some snap to
+    # failure and some initiate in this very step
+    rng = np.random.default_rng(7)
+    n, m, fb = 400, 3, 60.0
+    k = rng.uniform(0.5e8, 2e8, n)
+    t0_n, t0_s = rng.uniform(3e3, 9e3, n), rng.uniform(3e3, 9e3, n)
+    bank = _CohesiveBank(n, m, k, t0_n, t0_s, rng.uniform(3, 8, n), rng.uniform(10, 20, n),
+                         rng.uniform(1, 3, n), label="interface", feedback=fb)
+    initiated = rng.random((n, m)) < 0.7
+    d0 = rng.uniform(2e-5, 1e-4, (n, m))
+    df = d0 * rng.uniform(1.5, 200.0, (n, m))
+    h = d0 + (1.3 * df - d0) * rng.random((n, m))
+    bank.delta0_m = np.where(initiated, d0, 0.0)
+    bank.delta_f_m = np.where(initiated, df, 0.0)
+    bank.delta_max = np.where(initiated, h, 0.0)
+    # initiated points: r around the largest that keeps delta_max in place;
+    # the rest: a quadratic criterion from 0.25 to 4
+    held = h / (1.0 + fb * czm_damage(h, d0, df))
+    r = np.where(initiated, held * 10.0 ** rng.uniform(-0.3, 1.0, (n, m)),
+                 np.sqrt(rng.uniform(0.25, 4.0, (n, m))) * t0_s[:, None] / k[:, None])
+    angle = rng.uniform(0.0, np.pi / 2, (n, m))
+    before = bank.delta_max.copy()
+    bank.advance(r * np.cos(angle), r * np.sin(angle))
+
+    now = bank.delta_f_m > 0.0
+    fresh = now & ~initiated
+    d0, df, got = bank.delta0_m[now], bank.delta_f_m[now], bank.delta_max[now]
+    r = np.hypot(r * np.cos(angle), r * np.sin(angle))[now]
+    want = np.maximum(before[now], bisect_feedback_separation(r, before[now], d0, df, fb))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(bank.delta_max[~now], 0.0)
+    # every branch ran, on more than a handful of points
+    stay = got == before[now]
+    snap = ~stay & (got > df)
+    root = ~stay & ~snap
+    assert min(fresh.sum(), (~fresh[now] & stay).sum(), snap.sum(), root.sum()) > 20, (
+        fresh.sum(), stay.sum(), snap.sum(), root.sum())
+    assert np.all(got[fresh[now] & root] >= d0[fresh[now] & root])
+    np.testing.assert_allclose(got[snap], (r * (1.0 + fb))[snap], rtol=1e-15)
 
 
 def test_cohesive_bank_mixed_mode_between_pure_modes():

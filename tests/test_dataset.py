@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rdsm.catalog import build_catalog
-from rdsm.dataset import ENERGY_COLUMNS, Dataset
+from rdsm.dataset import ENERGY_COLUMNS, Dataset, _fmt, write_csv
 from rdsm.errors import SchemaError
 
 
@@ -68,6 +68,24 @@ def test_csv_round_trip_bit_exact(catalog, tmp_path):
     back = Dataset.load_csv(path, catalog)
     np.testing.assert_array_equal(back.inputs, ds.inputs)
     np.testing.assert_array_equal(back.energies, ds.energies)
+
+
+def test_float_table_writes_the_bytes_of_fmt(tmp_path):
+    # a float array takes write_csv's tolist() path; each cell must be the
+    # text _fmt gives it, subnormals, signed zero and large magnitudes included
+    rng = np.random.default_rng(4)
+    table = rng.standard_normal((40, 7)) * 10.0 ** rng.uniform(-300.0, 300.0, (40, 7))
+    table[0] = [5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, -0.0, 0.0, 1e16, -1e16]
+    table[1] = [1e15, 9007199254740993.0, 0.1 + 0.2, 1.0 / 3.0, 1e-5, 1e-4, 123456789.0]
+    single = (rng.standard_normal((10, 7)) * 10.0 ** rng.uniform(-44.0, 37.0, (10, 7))).astype(np.float32)
+    for values in (table, single):
+        header = [f"c{j}" for j in range(values.shape[1])]
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_csv(fast, header, values)
+        write_csv(slow, header, [tuple(row) for row in values])  # every cell through _fmt
+        assert fast.read_bytes() == slow.read_bytes()
+        lines = slow.read_bytes().decode().split("\r\n")
+        assert lines[1].split(",") == [_fmt(v) for v in values[0]]
 
 
 def test_csv_column_order_free(catalog, tmp_path):
