@@ -86,171 +86,23 @@ _MAX_WIDTH = 1024
 
 def _opt(name, default=None, bounds=None, route=None, **kwargs):
     """One option: config key and flag name, built-in default, inclusive
-    (lo, hi) bounds (either may be None), the fit route it alone applies
-    to (listed after route; None for all), and argparse keywords.  A help
-    string may cite the default as {default}."""
+    (lo, hi) bounds (hi None for no upper bound), the fit route it alone
+    applies to (listed after route; None for all), and argparse keywords.
+    Its --help line states the bounds and the default."""
     return name, default, bounds, route, kwargs
 
 
-_THREADS = _opt(
-    "threads", 1, bounds=(1, _MAX_THREADS), type=int,
-    help=f"worker processes, at most {_MAX_THREADS} (default: {{default}})",
-)
-_ROWS = _opt(
-    "n", 1555, bounds=(1, _MAX_QUERY_ROWS), type=int,
-    help=f"number of rows, in [1, {_MAX_QUERY_ROWS:,}] (default: {{default}})",
-)
+_THREADS = _opt("threads", 1, bounds=(1, _MAX_THREADS), type=int, help="worker processes")
+_ROWS = _opt("n", 1555, bounds=(1, _MAX_QUERY_ROWS), type=int, help="number of rows")
 _OUTDIR = _opt(
     "outdir",
     help="output directory (default: $RDSM_OUTDIR, else the current directory)",
 )
 
-# each subcommand's help line and options; argparse stores None for omitted
-# flags so a config file can fill the gap before the default applies
-_COMMANDS: dict[str, tuple[str, tuple]] = {
-    "catalog": ("write the parameter table with bounds", (
-        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
-        _opt("out", help="output CSV path (default: catalog.csv)"),
-    )),
-    "sample": ("write a sampling design CSV", (
-        _ROWS,
-        _opt("seed", 0, type=int),
-        _opt("method", "lhs", choices=("lhs", "mc", "lss")),
-        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
-        _opt("strata", type=int, help="coarse strata per dimension (lss)"),
-        _opt(
-            "unit", False, action="store_true",
-            help="emit the unit-cube design instead of parameter space",
-        ),
-        _opt("out", help="output CSV path (default: design.csv)"),
-    )),
-    "simulate": ("run the bend source model over a design", (
-        _ROWS,
-        _opt("seed", 7, type=int),
-        _opt("design", help="simulate this design CSV instead of sampling"),
-        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
-        _opt("specimen", help="specimen config JSON (default: built-in)"),
-        _THREADS,
-        _opt("out", help="output CSV path (default: data.csv)"),
-    )),
-    "screen": ("rank parameters by FDR logworth", (
-        _opt("data", help="dataset CSV"),
-        _opt(
-            "output", "TS", choices=ENERGY_COLUMNS,
-            help="energy column to screen (default: {default})",
-        ),
-        _opt(
-            "max_k", bounds=(1, None), type=int,
-            help=f"retention cap (default: {DIRECT_MAX_RETAINED} for TS, "
-            f"{MECHANISM_MAX_RETAINED} for mechanisms)",
-        ),
-        _opt("out", help="output CSV path (default: screening_<output>.csv)"),
-    )),
-    "fit": ("fit a direct or summed model to a dataset", (
-        _opt("data", help="dataset CSV"),
-        _opt("route", "direct", choices=("direct", "summed")),
-        _opt("seed", 0, type=int),
-        _opt(
-            "holdout", 0, bounds=(0, None), type=int,
-            help="rows to set aside as validation.csv before fitting (default: {default})",
-        ),
-        _opt(
-            "hidden", route="direct",
-            help=f"hidden layer widths, e.g. 60,80; at most {_MAX_LAYERS} layers, "
-            f"each in [1, {_MAX_WIDTH:,}] (direct route)",
-        ),
-        _opt("learning_rate", route="direct", type=float),
-        _opt(
-            "epochs", bounds=(1, _MAX_EPOCHS), route="direct", type=int,
-            help=f"training epochs, in [1, {_MAX_EPOCHS:,}]",
-        ),
-        _opt(
-            "batch_size", bounds=(1, _MAX_QUERY_ROWS), route="direct", type=int,
-            help=f"minibatch rows, in [1, {_MAX_QUERY_ROWS:,}]",
-        ),
-        _opt("split", route="direct", help="train,test fractions, e.g. 0.9,0.1"),
-        _opt(
-            "max_retained", DIRECT_MAX_RETAINED, bounds=(1, None), route="direct", type=int,
-            help="direct retention cap (default: {default})",
-        ),
-        _opt("query_mode", "retrained", route="direct", choices=("retrained", "frozen_full")),
-        _opt(
-            "resample_n", RESAMPLE_N, bounds=(1, _MAX_QUERY_ROWS), route="summed", type=int,
-            help=f"focused disbond design size, in [1, {_MAX_QUERY_ROWS:,}] "
-            "(default: {default})",
-        ),
-        _opt(
-            "threshold", ENGAGEMENT_FRACTION, route="summed", type=float,
-            help="engagement threshold (default: {default})",
-        ),
-        _opt("threshold_mode", "relative", route="summed", choices=("relative", "absolute")),
-        _opt("specimen", route="summed", help="specimen config JSON for resampling"),
-        _THREADS,
-    )),
-    "sobol": ("Sobol' indices of a saved model", (
-        _opt("model", help="model file or summed model directory"),
-        _opt(
-            "n_base", 512, bounds=(128, _MAX_QUERY_ROWS), type=int,
-            help=f"base sample size, in [128, {_MAX_QUERY_ROWS:,}] (default: {{default}})",
-        ),
-        _opt("seed", 0, type=int),
-        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
-        _opt(
-            "n_bootstrap", 100, bounds=(2, _MAX_BOOTSTRAP), type=int,
-            help=f"bootstrap resamples, in [2, {_MAX_BOOTSTRAP:,}] (default: {{default}})",
-        ),
-        _opt("out", help="output CSV path (default: sobol.csv)"),
-    )),
-    "uq": ("prediction spread over nested parameter subsets", (
-        _opt("model", help="model file or summed model directory"),
-        _opt(
-            "subsets",
-            help="nested subsets, e.g. 'A;A,E;A,E,XS' (default: the retained ladder)",
-        ),
-        _opt(
-            "n", 5000, bounds=(2, _MAX_QUERY_ROWS), type=int,
-            help=f"rows per subset, in [2, {_MAX_QUERY_ROWS:,}] (default: {{default}})",
-        ),
-        _opt("seed", 0, type=int),
-        _opt("distribution", "normal_10std", choices=DISTRIBUTIONS),
-        _opt("strata", type=int, help="coarse strata per dimension"),
-        _opt("out", help="output CSV path (default: uq.csv)"),
-    )),
-    "gate-check": ("disbond engagement test in normalized coordinates", (
-        _opt("p", type=float, help="first gate coordinate in [0, 1]"),
-        _opt("xis", type=float, help="second gate coordinate in [0, 1]"),
-        _opt("giii", type=float, help="third gate coordinate in [0, 1]"),
-        _opt(
-            "grid", bounds=(2, _MAX_GRID), type=int,
-            help=f"write margins over an N x N x N grid instead of one point; "
-            f"N is in [2, {_MAX_GRID}] (at most {_MAX_GRID**3:,} rows)",
-        ),
-        _opt("out", help="grid CSV path (default: gate_grid.csv)"),
-    )),
-    "compare": ("direct vs summed accuracy on a validation set", (
-        _opt("direct", help="direct model file"),
-        _opt("summed", help="summed model directory"),
-        _opt("validation", help="validation dataset CSV"),
-        _opt(
-            "train_rows",
-            help="fit_report.json (or a JSON key list) rejecting validation rows "
-            "that appeared in training",
-        ),
-        _opt("out", help="output CSV path (default: comparison.csv)"),
-    )),
-    "plot-data": ("emit plot-ready CSV series", (
-        _opt("kind", "parity", choices=("parity", "energy-stack")),
-        _opt("model", help="model file or summed model directory (parity)"),
-        _opt("validation", help="validation dataset CSV (parity)"),
-        _opt("data", help="dataset CSV (energy-stack)"),
-        _opt("out", help="output CSV path"),
-    )),
-}
-
 
 def _options(command) -> tuple:
     """Every resolved option of a subcommand, the shared --outdir last."""
-    return _COMMANDS[command][1] + (_OUTDIR,)
+    return _COMMANDS[command][2] + (_OUTDIR,)
 
 
 def _flag(name) -> str:
@@ -265,9 +117,7 @@ class _UsageError(Exception):
 
 
 def _load_config_file(path) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"config file {p} not found")
+    p = _require_file(path, "config file")
     doc = parse_json(p.read_bytes(), f"config file {p}")
     if not isinstance(doc, dict):
         raise SchemaError(f"config file {p} must hold a JSON object")
@@ -278,7 +128,7 @@ def _check_bounds(name, value, bounds) -> None:
     if value is None:
         return  # an unset option has no size
     lo, hi = bounds
-    if lo is not None and value < lo:
+    if value < lo:
         raise _UsageError(f"{_flag(name)} must be at least {lo}, got {value!r}")
     if hi is not None and value > hi:
         raise _UsageError(f"{_flag(name)} must be at most {hi}, got {value!r}")
@@ -475,7 +325,7 @@ def _training(model) -> dict:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_catalog(resolved, catalog) -> None:
+def _cmd_catalog(resolved, catalog) -> Path:
     dist = _distribution(resolved["distribution"])
     lo = hi = None
     if dist.is_bounded:
@@ -491,10 +341,10 @@ def _cmd_catalog(resolved, catalog) -> None:
     ]
     out = _out_path(resolved, "catalog.csv")
     write_csv(out, ("parameter", "mean", "lo", "hi"), rows)
-    _write_snapshot(resolved, out)
+    return out
 
 
-def _cmd_sample(resolved, catalog) -> None:
+def _cmd_sample(resolved, catalog) -> Path:
     n, seed, method = resolved["n"], resolved["seed"], resolved["method"]
     if method == "lss":
         values = sample_lss(n, len(catalog), seed, strata_per_dim=resolved["strata"])
@@ -504,10 +354,10 @@ def _cmd_sample(resolved, catalog) -> None:
         values = _distribution(resolved["distribution"]).transform(values, catalog)
     out = _out_path(resolved, "design.csv")
     write_csv(out, catalog.names, values)
-    _write_snapshot(resolved, out)
+    return out
 
 
-def _cmd_simulate(resolved, catalog) -> None:
+def _cmd_simulate(resolved, catalog) -> Path:
     specimen = _load_specimen(resolved, catalog)
     if resolved["design"] is not None:
         x = read_csv(_require_file(resolved["design"], "design file"), catalog.names)
@@ -517,10 +367,10 @@ def _cmd_simulate(resolved, catalog) -> None:
     dataset = simulate_dataset(x, specimen, threads=resolved["threads"])
     out = _out_path(resolved, "data.csv")
     dataset.save_csv(out)
-    _write_snapshot(resolved, out)
+    return out
 
 
-def _cmd_screen(resolved, catalog) -> None:
+def _cmd_screen(resolved, catalog) -> Path:
     dataset = _load_dataset(resolved, "data", catalog)
     output = resolved["output"]
     max_k = resolved["max_k"]
@@ -529,7 +379,7 @@ def _cmd_screen(resolved, catalog) -> None:
     result = screen_fdr_logworth(dataset.inputs, dataset.energy(output), catalog.names, max_k=max_k)
     out = _out_path(resolved, f"screening_{output}.csv")
     _write_screening_csv(out, result)
-    _write_snapshot(resolved, out)
+    return out
 
 
 def _direct_network(resolved, input_dim, seed) -> NetworkSpec:
@@ -601,7 +451,7 @@ def _write_summed_fit(fit, outdir) -> dict:
     }
 
 
-def _cmd_fit(resolved, catalog) -> None:
+def _cmd_fit(resolved, catalog) -> Path:
     seed, holdout, route = resolved["seed"], resolved["holdout"], resolved["route"]
     network = _direct_network(resolved, len(catalog), seed) if route == "direct" else None
     dataset = _load_dataset(resolved, "data", catalog)
@@ -638,10 +488,10 @@ def _cmd_fit(resolved, catalog) -> None:
     (outdir / "fit_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True), encoding="utf-8"
     )
-    _write_snapshot(resolved, outdir)
+    return outdir
 
 
-def _cmd_sobol(resolved, catalog) -> None:
+def _cmd_sobol(resolved, catalog) -> Path:
     model = _load_model(_require_opt(resolved, "model"), catalog)
     dist = _distribution(resolved["distribution"])
     result = sobol_indices(
@@ -679,10 +529,10 @@ def _cmd_sobol(resolved, catalog) -> None:
         ),
         rows,
     )
-    _write_snapshot(resolved, out)
+    return out
 
 
-def _cmd_uq(resolved, catalog) -> None:
+def _cmd_uq(resolved, catalog) -> Path:
     model = _load_model(_require_opt(resolved, "model"), catalog)
     subsets = _parse_subsets(resolved["subsets"])
     if subsets is None:
@@ -709,10 +559,10 @@ def _cmd_uq(resolved, catalog) -> None:
             rows.append(("% difference", dm, dstd))
     out = _out_path(resolved, "uq.csv")
     write_csv(out, ("parameters", "mean", "std"), rows)
-    _write_snapshot(resolved, out)
+    return out
 
 
-def _cmd_gate_check(resolved, _catalog) -> None:
+def _cmd_gate_check(resolved, _catalog) -> Path | None:
     gate = EngagementGate()
     if resolved["grid"] is not None:
         axis = np.linspace(0.0, 1.0, resolved["grid"])
@@ -721,14 +571,14 @@ def _cmd_gate_check(resolved, _catalog) -> None:
         rows = zip(*points, gate.boundary_margin(*points), gate.engaged(*points))
         out = _out_path(resolved, "gate_grid.csv")
         write_csv(out, ("p", "xis", "giii", "margin", "engaged"), rows)
-        _write_snapshot(resolved, out)
-        return
+        return out
     for key in ("p", "xis", "giii"):
         if resolved[key] is None:
             raise _UsageError("gate-check needs --p, --xis, and --giii (or --grid)")
     point = (resolved["p"], resolved["xis"], resolved["giii"])
     engaged = "true" if gate.engaged(*point) else "false"
     print(f"engaged={engaged} margin={gate.boundary_margin(*point)!r}")
+    return None
 
 
 def _load_train_keys(path):
@@ -786,7 +636,7 @@ def _write_comparison_csv(path, report) -> None:
     )
 
 
-def _cmd_compare(resolved, catalog) -> None:
+def _cmd_compare(resolved, catalog) -> Path:
     direct = _load_model(_require_opt(resolved, "direct"), catalog)
     summed_path = Path(_require_opt(resolved, "summed"))
     if not summed_path.is_dir():
@@ -797,10 +647,10 @@ def _cmd_compare(resolved, catalog) -> None:
     report = compare_approaches(direct, summed, validation, train_keys=train_keys)
     out = _out_path(resolved, "comparison.csv")
     _write_comparison_csv(out, report)
-    _write_snapshot(resolved, out)
+    return out
 
 
-def _cmd_plot_data(resolved, catalog) -> None:
+def _cmd_plot_data(resolved, catalog) -> Path:
     kind = resolved["kind"]
     if kind == "parity":
         model = _load_model(_require_opt(resolved, "model"), catalog)
@@ -827,20 +677,127 @@ def _cmd_plot_data(resolved, catalog) -> None:
         rows = [(dataset.row_ids[i], *dataset.energies[i]) for i in order]
         out = _out_path(resolved, "energy_stack.csv")
         write_csv(out, ("row_id", *ENERGY_COLUMNS), rows)
-    _write_snapshot(resolved, out)
+    return out
 
 
-_HANDLERS = {
-    "catalog": _cmd_catalog,
-    "sample": _cmd_sample,
-    "simulate": _cmd_simulate,
-    "screen": _cmd_screen,
-    "fit": _cmd_fit,
-    "sobol": _cmd_sobol,
-    "uq": _cmd_uq,
-    "gate-check": _cmd_gate_check,
-    "compare": _cmd_compare,
-    "plot-data": _cmd_plot_data,
+# each subcommand's help line, handler, and options; the handler returns the
+# file or directory its outputs sit beside, or None when it wrote none.
+# argparse stores None for omitted flags so a config file can fill the gap
+# before the default applies
+_COMMANDS: dict[str, tuple] = {
+    "catalog": ("write the parameter table with bounds", _cmd_catalog, (
+        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
+        _opt("out", help="output CSV path (default: catalog.csv)"),
+    )),
+    "sample": ("write a sampling design CSV", _cmd_sample, (
+        _ROWS,
+        _opt("seed", 0, type=int),
+        _opt("method", "lhs", choices=("lhs", "mc", "lss")),
+        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
+        _opt("strata", bounds=(1, _MAX_QUERY_ROWS), type=int,
+             help="coarse strata per dimension (lss)"),
+        _opt(
+            "unit", False, action="store_true",
+            help="emit the unit-cube design instead of parameter space",
+        ),
+        _opt("out", help="output CSV path (default: design.csv)"),
+    )),
+    "simulate": ("run the bend source model over a design", _cmd_simulate, (
+        _ROWS,
+        _opt("seed", 7, type=int),
+        _opt("design", help="simulate this design CSV instead of sampling"),
+        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
+        _opt("specimen", help="specimen config JSON (default: built-in)"),
+        _THREADS,
+        _opt("out", help="output CSV path (default: data.csv)"),
+    )),
+    "screen": ("rank parameters by FDR logworth", _cmd_screen, (
+        _opt("data", help="dataset CSV"),
+        _opt("output", "TS", choices=ENERGY_COLUMNS, help="energy column to screen"),
+        _opt(
+            "max_k", bounds=(1, None), type=int,
+            help=f"retention cap (default: {DIRECT_MAX_RETAINED} for TS, "
+            f"{MECHANISM_MAX_RETAINED} for mechanisms)",
+        ),
+        _opt("out", help="output CSV path (default: screening_<output>.csv)"),
+    )),
+    "fit": ("fit a direct or summed model to a dataset", _cmd_fit, (
+        _opt("data", help="dataset CSV"),
+        _opt("route", "direct", choices=("direct", "summed")),
+        _opt("seed", 0, type=int),
+        _opt("holdout", 0, bounds=(0, None), type=int,
+             help="rows to set aside as validation.csv before fitting"),
+        _opt(
+            "hidden", route="direct",
+            help=f"hidden layer widths, e.g. 60,80; at most {_MAX_LAYERS} layers, "
+            f"each in [1, {_MAX_WIDTH:,}] (direct route)",
+        ),
+        _opt("learning_rate", route="direct", type=float),
+        _opt("epochs", bounds=(1, _MAX_EPOCHS), route="direct", type=int, help="training epochs"),
+        _opt("batch_size", bounds=(1, _MAX_QUERY_ROWS), route="direct", type=int,
+             help="minibatch rows"),
+        _opt("split", route="direct", help="train,test fractions, e.g. 0.9,0.1"),
+        _opt("max_retained", DIRECT_MAX_RETAINED, bounds=(1, None), route="direct", type=int,
+             help="direct retention cap"),
+        _opt("query_mode", "retrained", route="direct", choices=("retrained", "frozen_full")),
+        _opt("resample_n", RESAMPLE_N, bounds=(1, _MAX_QUERY_ROWS), route="summed", type=int,
+             help="focused disbond design size"),
+        _opt("threshold", ENGAGEMENT_FRACTION, route="summed", type=float,
+             help="engagement threshold"),
+        _opt("threshold_mode", "relative", route="summed", choices=("relative", "absolute")),
+        _opt("specimen", route="summed", help="specimen config JSON for resampling"),
+        _THREADS,
+    )),
+    "sobol": ("Sobol' indices of a saved model", _cmd_sobol, (
+        _opt("model", help="model file or summed model directory"),
+        _opt("n_base", 512, bounds=(128, _MAX_QUERY_ROWS), type=int, help="base sample size"),
+        _opt("seed", 0, type=int),
+        _opt("distribution", "uniform_pm20", choices=DISTRIBUTIONS),
+        _opt("n_bootstrap", 100, bounds=(2, _MAX_BOOTSTRAP), type=int, help="bootstrap resamples"),
+        _opt("out", help="output CSV path (default: sobol.csv)"),
+    )),
+    "uq": ("prediction spread over nested parameter subsets", _cmd_uq, (
+        _opt("model", help="model file or summed model directory"),
+        _opt(
+            "subsets",
+            help="nested subsets, e.g. 'A;A,E;A,E,XS' (default: the retained ladder)",
+        ),
+        _opt("n", 5000, bounds=(2, _MAX_QUERY_ROWS), type=int, help="rows per subset"),
+        _opt("seed", 0, type=int),
+        _opt("distribution", "normal_10std", choices=DISTRIBUTIONS),
+        _opt("strata", bounds=(1, _MAX_QUERY_ROWS), type=int,
+             help="coarse strata per dimension"),
+        _opt("out", help="output CSV path (default: uq.csv)"),
+    )),
+    "gate-check": ("disbond engagement test in normalized coordinates", _cmd_gate_check, (
+        _opt("p", type=float, help="first gate coordinate in [0, 1]"),
+        _opt("xis", type=float, help="second gate coordinate in [0, 1]"),
+        _opt("giii", type=float, help="third gate coordinate in [0, 1]"),
+        _opt(
+            "grid", bounds=(2, _MAX_GRID), type=int,
+            help="write margins over an N x N x N grid instead of one point "
+            f"(at most {_MAX_GRID**3:,} rows)",
+        ),
+        _opt("out", help="grid CSV path (default: gate_grid.csv)"),
+    )),
+    "compare": ("direct vs summed accuracy on a validation set", _cmd_compare, (
+        _opt("direct", help="direct model file"),
+        _opt("summed", help="summed model directory"),
+        _opt("validation", help="validation dataset CSV"),
+        _opt(
+            "train_rows",
+            help="fit_report.json (or a JSON key list) rejecting validation rows "
+            "that appeared in training",
+        ),
+        _opt("out", help="output CSV path (default: comparison.csv)"),
+    )),
+    "plot-data": ("emit plot-ready CSV series", _cmd_plot_data, (
+        _opt("kind", "parity", choices=("parity", "energy-stack")),
+        _opt("model", help="model file or summed model directory (parity)"),
+        _opt("validation", help="validation dataset CSV (parity)"),
+        _opt("data", help="dataset CSV (energy-stack)"),
+        _opt("out", help="output CSV path"),
+    )),
 }
 
 
@@ -848,9 +805,15 @@ _HANDLERS = {
 
 
 def _add_option(parser, name, default, bounds, route, kwargs) -> None:
-    if "help" in kwargs:
-        kwargs = dict(kwargs, help=kwargs["help"].format(default=default))
-    parser.add_argument(_flag(name), default=None, **kwargs)
+    """One flag, its help ending in the declared bounds and default."""
+    notes = [kwargs["help"]] if "help" in kwargs else []
+    if bounds is not None:
+        lo, hi = bounds
+        notes.append(f"at least {lo:,}" if hi is None else f"in [{lo:,}, {hi:,}]")
+    text = ", ".join(notes)
+    if default is not None and default is not False:  # 0 == False, yet 0 prints
+        text = f"{text} (default: {default})".lstrip()
+    parser.add_argument(_flag(name), default=None, **dict(kwargs, help=text or None))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -876,7 +839,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    for command, (help_line, options) in _COMMANDS.items():
+    for command, (help_line, _, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         for option in options:
             _add_option(p, *option)
@@ -898,7 +861,10 @@ def _fail(code, kind, exc) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _HANDLERS[args.command](_resolve(args), build_catalog())
+        resolved = _resolve(args)
+        anchor = _COMMANDS[args.command][1](resolved, build_catalog())
+        if anchor is not None:  # a failed command raised before this, so leaves none
+            _write_snapshot(resolved, anchor)
         return EXIT_OK
     except SystemExit as exc:  # --help and --version
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

@@ -288,18 +288,12 @@ class SummedRDSM:
     The disbond term is zeroed exactly on rows the gate calls nonengaged.
     The total is always accumulated in the fixed order PL + DL + DC + DI +
     PM, so re-summing a breakdown reproduces the total bit for bit.  Gate
-    coordinates are the gate-axis columns normalized over the sampling
-    box; query points beyond the box are gated as if projected onto its
-    surface.
+    coordinates are the gate-axis columns normalized over the uniform_pm20
+    box (the means +-20%); query points beyond the box are gated as if
+    projected onto its surface.
     """
 
-    def __init__(
-        self,
-        members,
-        gate: EngagementGate,
-        catalog: ParameterCatalog,
-        dist: SamplingDistribution,
-    ):
+    def __init__(self, members, gate: EngagementGate, catalog: ParameterCatalog):
         members = dict(members)
         if set(members) != set(MECHANISMS):
             raise ValueError(f"members must cover exactly {sorted(MECHANISMS)}")
@@ -310,8 +304,7 @@ class SummedRDSM:
                 )
             if member.catalog.names != catalog.names:
                 raise ValueError(f"member {name!r} is bound to a different catalog")
-        if not dist.is_bounded:
-            raise ValueError("gate normalization needs a bounded distribution")
+        dist = SamplingDistribution.uniform_pm20()
         axis_cols = catalog.indices(gate.axes)
         lo, hi = dist.bounds(catalog)
         baseline = np.array(catalog.means, dtype=float)
@@ -398,10 +391,10 @@ class SummedRDSM:
         doc = _read_artifact(
             directory / _MANIFEST_NAME, "manifest", keys, _SUMMED_FORMAT, _SUMMED_VERSION, catalog
         )
-        dist = fields_from(SamplingDistribution, doc["distribution"], "distribution")
-        # a kind leaves some fields unread, so each field must be the kind's own
-        if dist not in (SamplingDistribution.uniform_pm20(), SamplingDistribution.normal_10std()):
-            raise SchemaError("manifest distribution does not match its kind")
+        # a kind leaves some fields unread, so each field must be the box's own
+        box = SamplingDistribution.uniform_pm20()
+        if fields_from(SamplingDistribution, doc["distribution"], "distribution") != box:
+            raise SchemaError("manifest distribution must be the uniform_pm20 box")
         require_keys(doc["gate"], {"axes", "vertices"}, "gate")
         gate = fields_from(EngagementGate, {"axes": doc["gate"]["axes"]}, "gate")
         vertices = doc["gate"]["vertices"]  # a JSON bool compares equal to 0 or 1
@@ -427,7 +420,7 @@ class SummedRDSM:
                 name, entry["retained_params"], model, doc["baseline"], catalog, f"mechanism {name}"
             )
         try:
-            return cls(members, gate, catalog, dist)
+            return cls(members, gate, catalog)
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"invalid manifest contents: {exc}") from None
 
@@ -739,7 +732,7 @@ def fit_summed(
         level = 0.0
     members["DI"] = fits["DI"].rdsm or _constant_member("DI", level, catalog, gate.axes[0])
 
-    summed = SummedRDSM(members, gate, catalog, SamplingDistribution.uniform_pm20())
+    summed = SummedRDSM(members, gate, catalog)
     return SummedFit(
         summed=summed,
         fits=fits,

@@ -108,6 +108,27 @@ def test_usage_errors(capsys):
         assert err.startswith("rdsm: error: usage:") and err.count("\n") == 1, err
 
 
+def test_help_states_each_range_and_default(capsys):
+    for command in cli._COMMANDS:
+        assert run(command, "--help") == EXIT_OK
+        # argparse wraps help lines; each flag's entry runs to the next flag
+        text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+        entries = dict(re.findall(r"(--[a-z][a-z-]*) (.*?)(?= --[a-z][a-z-]* |$)", text))
+        assert "{default}" not in text, command
+        for name, default, bounds, _, _ in cli._options(command):
+            entry = entries[cli._flag(name)]
+            if bounds is not None:
+                lo, hi = bounds
+                assert (f"at least {lo:,}" if hi is None else f"in [{lo:,}, {hi:,}]") in entry
+            # a default of 0 is stated; only an unset option or a switch is not
+            if default is not None and default is not False:
+                assert entry.endswith(f"(default: {default})"), (command, entry)
+    assert run("fit", "--help") == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--seed SEED (default: 0)" in text
+    assert "before fitting, at least 0 (default: 0)" in text
+
+
 def test_exit_codes_documented_in_help(capsys):
     run("--help")
     out = capsys.readouterr().out
@@ -225,8 +246,12 @@ def test_help_config_and_snapshot_agree(work, data_csv, direct_dir, summed_dir, 
     for command, extra in args.items():
         outdir = work / "agree" / command
         assert run(command, *extra, "--outdir", outdir) == EXIT_OK, command
-        snapshot = json.loads(next(outdir.glob("*run*.json")).read_text())
-        options = snapshot["options"]
+        # one snapshot, beside the output file or in fit's output directory
+        [path] = (*outdir.rglob("run_config.json"), *outdir.rglob("*.run.json"))
+        assert path.parent == outdir, command
+        if path.name != "run_config.json":
+            assert path.with_name(path.name.removesuffix(".run.json")).is_file(), command
+        options = json.loads(path.read_text())["options"]
         keys = _help_keys(command, capsys)
         if command == "fit":  # a direct fit's snapshot holds no summed-route option
             keys -= {name for name, _, _, route, _ in cli._options(command) if route == "summed"}
@@ -252,6 +277,7 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
     monkeypatch.setattr(cli, "EngagementGate", never)
     monkeypatch.setattr(cli, "sobol_indices", never)
     monkeypatch.setattr(cli, "uq_sweep", never)
+    monkeypatch.setattr(cli, "sample_lss", never)
     too_many = (os.cpu_count() or 1) + 1
     too_fine = cli._MAX_GRID + 1
     too_long = cli._MAX_BOOTSTRAP + 1
@@ -280,6 +306,9 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
           for command in ("sample", "simulate") for n in (-1, 0, too_big)),
         *(["fit", "--data", data_csv, "--route", "summed", "--resample-n", n,
            "--outdir", outdir] for n in (-1, 0, too_big)),
+        # a stratified design needs a stratum per dimension, and no more than a query draws
+        *([*argv, "--strata", n, "--out", out] for n in (-1, 0, too_big)
+          for argv in (["sample", "--method", "lss"], ["uq", "--model", model])),
     ]
     for argv in cases:
         assert run(*argv) == EXIT_USAGE, argv
@@ -293,6 +322,7 @@ def test_resource_flags_are_bounded(work, data_csv, direct_dir, monkeypatch, cap
                              (["uq", "--model", model], "n", 1),
                              (["uq", "--model", model], "n", too_big),
                              (["sample"], "n", 0),
+                             (["uq", "--model", model], "strata", 0),
                              (["simulate"], "n", too_big)):
         config.write_text(json.dumps({key: value}))
         assert run(*argv, "--config", config, "--out", out) == EXIT_USAGE
@@ -764,12 +794,18 @@ def test_manifest_file_must_be_a_string(work, summed_dir, file, kind):
 # -- gate-check ---------------------------------------------------------------------
 
 
-def test_gate_check_point(capsys):
+def test_gate_check_point(work, monkeypatch, capsys):
+    # one point is printed, so nothing is written: no grid, no snapshot
+    quiet = work / "gate_point"
+    quiet.mkdir()
+    monkeypatch.chdir(quiet)
+    monkeypatch.setenv("RDSM_OUTDIR", str(quiet))
     assert run("gate-check", "--p", 0.4, "--xis", 0.0, "--giii", 0.0) == EXIT_OK
     out = capsys.readouterr().out.strip()
     assert out == "engaged=true margin=0.0"
     assert run("gate-check", "--p", 0.1, "--xis", 0.1, "--giii", 0.1) == EXIT_OK
     assert capsys.readouterr().out.startswith("engaged=false margin=-")
+    assert not any(quiet.iterdir())
 
 
 def test_gate_check_grid(work):
@@ -900,6 +936,10 @@ def test_nonpositive_hardening_exponent_exits_data(work, cat, capsys, name):
     assert err.startswith("rdsm: error: invalid-data:") and err.count("\n") == 1, err
     assert f"hardening exponent {name} must be positive" in err
     assert not outdir.exists()
+    # nor is a snapshot left beside an output file in an existing directory
+    out = work / f"negative_{name}_data.csv"
+    assert run("simulate", "--design", design, "--out", out) == EXIT_DATA
+    assert not out.exists() and not (work / f"{out.name}.run.json").exists()
 
 
 def test_unconverged_return_map_exits_numerical(work, monkeypatch, capsys):

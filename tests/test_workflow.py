@@ -16,7 +16,7 @@ from test_surrogate import assert_matches_one_pass
 from rdsm.bend import default_specimen, simulate_dataset
 from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.dataset import MECHANISMS, Dataset
-from rdsm.errors import SchemaError
+from rdsm.errors import SchemaError, fields_doc
 from rdsm.sampling import sample_lhs
 from rdsm.sensitivity import sobol_indices
 from rdsm.surrogate import NetworkSpec, SurrogateModel, TrainReport, _forward, _scale, _unscale
@@ -238,7 +238,7 @@ def test_columns_outside_support_change_nothing(cat, box):
     }
     members["DI"] = _constant_rdsm("DI", 4.0625, cat, "GiI")
     gate = EngagementGate()
-    summed = SummedRDSM(members, gate, cat, box)
+    summed = SummedRDSM(members, gate, cat)
     reduced = members["DC"]
     frozen_full = _random_rdsm("TS", ("A", "P", "Aln"), cat, box, 7, full_width=True)
     assert frozen_full.surrogate.spec.input_dim == len(cat)
@@ -290,7 +290,7 @@ def test_sobol_runs_each_summed_term_on_its_own_blocks(cat, box, kind):
              ("DI", ("P", "GiI")), ("PM", ("XiT", "nu")))
         )
     }
-    summed = SummedRDSM(members, EngagementGate(), cat, box)
+    summed = SummedRDSM(members, EngagementGate(), cat)
     dist = getattr(SamplingDistribution, kind)()
     n = 128
     kwargs = dict(seed=6, dist=dist, catalog=cat, n_bootstrap=20)
@@ -335,7 +335,7 @@ def test_members_and_sum_predict_in_blocks(cat, box, n):
              ("DI", ("P", "GiI")), ("PM", ("XiT", "nu", "A")))
         )
     }
-    summed = SummedRDSM(members, EngagementGate(), cat, box)
+    summed = SummedRDSM(members, EngagementGate(), cat)
     x = box.transform(np.random.default_rng(n).random((n, len(cat))), cat)
     parts = summed.predict_breakdown(x)
     engaged = summed.engaged(x)
@@ -379,7 +379,7 @@ def test_summed_constant_members_sum_exactly(cat, box):
         m: _constant_rdsm(m, values[m], cat, cat.names[i])
         for i, m in enumerate(MECHANISMS)
     }
-    summed = SummedRDSM(members, EngagementGate(), cat, box)
+    summed = SummedRDSM(members, EngagementGate(), cat)
     x = cat.means[None, :]  # normalized gate point (0.5, 0.5, 0.5): engaged
     expected = ((((values["PL"] + values["DL"]) + values["DC"]) + values["DI"])
                 + values["PM"])
@@ -396,7 +396,7 @@ def test_summed_gate_zeroes_disbond_exactly(cat, box):
         for i, m in enumerate(MECHANISMS)
     }
     gate = EngagementGate()
-    summed = SummedRDSM(members, gate, cat, box)
+    summed = SummedRDSM(members, gate, cat)
     x = np.array(cat.means)
     for axis in gate.axes:  # lower box corner of the gate axes: (0, 0, 0)
         x[cat.index(axis)] *= 0.8
@@ -423,19 +423,25 @@ def test_breakdown_resums_bit_exactly(summed_fit, cat, box):
     assert np.all(parts["DI"][~engaged] == 0.0)
 
 
-def test_summed_member_validation(summed_fit, cat, box):
+def test_summed_member_validation(tmp_path, summed_fit, cat):
     members = dict(summed_fit.summed.members)
     incomplete = {k: v for k, v in members.items() if k != "DI"}
     with pytest.raises(ValueError, match="cover exactly"):
-        SummedRDSM(incomplete, EngagementGate(), cat, box)
+        SummedRDSM(incomplete, EngagementGate(), cat)
     swapped = dict(members)
     swapped["PL"], swapped["DL"] = members["DL"], members["PL"]
     with pytest.raises(ValueError, match="models"):
-        SummedRDSM(swapped, EngagementGate(), cat, box)
-    with pytest.raises(ValueError, match="bounded"):
-        SummedRDSM(members, EngagementGate(), cat, SamplingDistribution.normal_10std())
+        SummedRDSM(swapped, EngagementGate(), cat)
     with pytest.raises(KeyError):
-        SummedRDSM(members, EngagementGate(axes=("P", "XiS", "NOPE")), cat, box)
+        SummedRDSM(members, EngagementGate(axes=("P", "XiS", "NOPE")), cat)
+    # the gate is normalized over the uniform box, so a manifest naming another
+    # distribution is a schema error (exit 4)
+    summed_fit.summed.save(tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["distribution"] = fields_doc(SamplingDistribution.normal_10std())
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="uniform_pm20"):
+        SummedRDSM.load(tmp_path, cat)
 
 
 def test_summed_clips_gate_coordinates_outside_box(summed_fit, cat):
