@@ -63,15 +63,6 @@ from .dataset import Dataset
 from .errors import AdmissibilityError, NumericalFailureError, SchemaError
 from .errors import json_value, read_document
 
-__all__ = [
-    "FABRICS",
-    "BendSpecimen",
-    "load_specimen_config",
-    "default_specimen",
-    "simulate_batch",
-    "simulate_dataset",
-]
-
 # fabric kind -> (modulus, strength, poisson, fracture energy) catalog names
 FABRICS = {
     "ebx1200": ("E1200", "X1200", "V1200", "G1200"),

@@ -19,15 +19,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = [
-    "ParameterSpec",
-    "ParameterCatalog",
-    "SamplingDistribution",
-    "build_catalog",
-    "DISTRIBUTIONS",
-    "GROUPS",
-]
-
 # group name -> expected cardinality
 GROUPS = {
     "metal": 5,

@@ -42,8 +42,6 @@ from .workflow import (
     uq_sweep,
 )
 
-__all__ = ["main"]
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3

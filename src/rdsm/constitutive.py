@@ -23,18 +23,6 @@ import numpy as np
 
 from .errors import AdmissibilityError
 
-__all__ = [
-    "jc_stress",
-    "cdm_initiation_energy",
-    "cdm_margin",
-    "cdm_damage_evolution",
-    "cdm_shear_damage",
-    "czm_damage",
-    "czm_traction",
-    "czm_dissipated",
-    "bk_mixed_mode_gc",
-]
-
 
 def jc_stress(eps_p, a, b, n):
     """Power-law flow stress a + b * eps_p**n at equivalent plastic strain eps_p."""

@@ -22,8 +22,6 @@ import numpy as np
 from .catalog import ParameterCatalog
 from .errors import SchemaError
 
-__all__ = ["ENERGY_COLUMNS", "Dataset", "MECHANISMS"]
-
 MECHANISMS = ("PL", "DL", "DC", "DI", "PM")
 ENERGY_COLUMNS = MECHANISMS + ("TS",)
 

@@ -16,14 +16,6 @@ from itertools import product
 
 import numpy as np
 
-__all__ = [
-    "sample_mc",
-    "sample_lhs",
-    "sample_lss",
-    "saltelli_matrices",
-    "default_strata",
-]
-
 
 def _check_nd(n: int, dim: int) -> None:
     if n <= 0:

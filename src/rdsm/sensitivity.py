@@ -24,16 +24,6 @@ from .catalog import ParameterCatalog, SamplingDistribution
 from .errors import NumericalFailureError
 from .sampling import saltelli_matrices
 
-__all__ = [
-    "ParameterScreen",
-    "ScreeningResult",
-    "SobolResult",
-    "screen_fdr_logworth",
-    "retain_parameters",
-    "benjamini_hochberg",
-    "sobol_indices",
-]
-
 _P_FLOOR = 1e-300  # applied before the log so logworth stays finite
 LOGWORTH_FLOOR = 1.3  # adjusted p of 0.05
 DROP_RATIO = 0.35

@@ -31,15 +31,6 @@ import numpy as np
 from .errors import NumericalFailureError, SchemaError, fields_doc, fields_from
 from .errors import json_numbers, json_value, read_document
 
-__all__ = [
-    "NetworkSpec",
-    "TrainReport",
-    "SurrogateModel",
-    "train_surrogate",
-    "serialize_model",
-    "deserialize_model",
-]
-
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8

@@ -46,29 +46,6 @@ from .surrogate import (
     train_surrogate,
 )
 
-__all__ = [
-    "MechanismRDSM",
-    "EngagementGate",
-    "SummedRDSM",
-    "DirectFit",
-    "MechanismFit",
-    "SummedFit",
-    "SubspaceSample",
-    "UQRow",
-    "UQReport",
-    "ApproachStats",
-    "ComparisonSection",
-    "ComparisonReport",
-    "engagement_mask",
-    "fit_direct",
-    "fit_mechanism",
-    "fit_summed",
-    "resample_subspace",
-    "uq_sweep",
-    "compare_approaches",
-    "split_holdout",
-]
-
 # engagement threshold: a mechanism counts as engaged on a row when it
 # contributes at least this fraction of the row's total energy
 ENGAGEMENT_FRACTION = 0.03

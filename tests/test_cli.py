@@ -173,12 +173,14 @@ def test_sample_unit_and_scaled(cat, work):
 
 
 def test_sample_deterministic_bytes(work):
-    a, b, c = (work / n for n in ("s_a.csv", "s_b.csv", "s_c.csv"))
-    assert run("sample", "--n", 12, "--seed", 4, "--out", a) == EXIT_OK
-    assert run("sample", "--n", 12, "--seed", 4, "--out", b) == EXIT_OK
-    assert run("sample", "--n", 12, "--seed", 5, "--out", c) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_bytes() != c.read_bytes()
+    for method in ("lhs", "lss"):
+        a, b, c = (work / f"s_{method}_{n}.csv" for n in "abc")
+        sample = ("sample", "--method", method, "--n", 12)
+        assert run(*sample, "--seed", 4, "--out", a) == EXIT_OK
+        assert run(*sample, "--seed", 4, "--out", b) == EXIT_OK
+        assert run(*sample, "--seed", 5, "--out", c) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes() != c.read_bytes()
 
 
 def test_simulate_dataset_and_snapshot(cat, work, data_csv):
@@ -762,9 +764,15 @@ def test_uq_summed_needs_subsets(work, summed_dir, capsys):
     assert (work / "uq_c.csv").read_bytes() == (work / "uq_s.csv").read_bytes()
 
 
-def test_model_query_missing_artifact(work):
+def test_model_query_missing_artifact(work, direct_dir):
     assert run("sobol", "--model", work / "ghost.json") == EXIT_MISSING_FILE
     assert run("uq", "--model", work / "ghost.json") == EXIT_MISSING_FILE
+    code, err = _run_quiet("compare", "--direct", direct_dir / "direct_rdsm.json",
+                           "--summed", work / "ghost",
+                           "--validation", direct_dir / "validation.csv")
+    assert code == EXIT_MISSING_FILE
+    _assert_one_line(err)
+    assert err.startswith("rdsm: error: missing-file: summed model directory"), err
 
 
 def test_model_query_schema_mismatch(work, direct_dir):
@@ -827,7 +835,7 @@ def test_gate_check_rejects_bad_point(capsys):
 # -- compare and plot-data -------------------------------------------------------
 
 
-def test_compare_table_layout(work, direct_dir, summed_dir):
+def test_compare_table_layout(work, direct_dir, summed_dir, cat):
     out = work / "comparison.csv"
     code = run(
         "compare", "--direct", direct_dir / "direct_rdsm.json",
@@ -847,6 +855,20 @@ def test_compare_table_layout(work, direct_dir, summed_dir):
         assert float(rows[1][col]) > 0.0  # means populated
     assert rows[3][1] == ""  # truth column has no error entries
     assert float(rows[3][2]) < 25.0 and float(rows[3][3]) < 25.0
+    # on rows the gate never engages, the engaged columns stay empty
+    held = Dataset.load_csv(direct_dir / "validation.csv", cat)
+    quiet = ~SummedRDSM.load(summed_dir / "model", cat).engaged(held.inputs)
+    assert np.any(quiet)
+    held.subset(np.flatnonzero(quiet)).save_csv(work / "never_engaged.csv")
+    code = run(
+        "compare", "--direct", direct_dir / "direct_rdsm.json",
+        "--summed", summed_dir / "model",
+        "--validation", work / "never_engaged.csv", "--out", out,
+    )
+    assert code == EXIT_OK
+    _, rows = read_csv(out)
+    assert int(rows[0][1]) == np.count_nonzero(quiet)
+    assert all(r[4:] == ["", "", ""] for r in rows)
 
 
 def test_compare_train_rows_must_be_strings(work, direct_dir, summed_dir):
@@ -854,12 +876,17 @@ def test_compare_train_rows_must_be_strings(work, direct_dir, summed_dir):
                "--summed", summed_dir / "model", "--validation", direct_dir / "validation.csv")
     keys = json.loads((direct_dir / "fit_report.json").read_text())["train_row_keys"]
     path = work / "bad_keys.json"
-    for doc in ([1, 2, 3], [*keys[:3], 7], {"train_row_keys": [None]}):
+    for doc, message in (
+        ([1, 2, 3], "list of string row keys"),
+        ([*keys[:3], 7], "list of string row keys"),
+        ({"train_row_keys": [None]}, "list of string row keys"),
+        ({"row_keys": keys}, "lacks a train_row_keys entry"),
+    ):
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, err = _run_quiet(*compare, "--train-rows", path, "--out", work / "never.csv")
         assert code == EXIT_SCHEMA, (doc, err)
         _assert_one_line(err)
-        assert "list of string row keys" in err, err
+        assert message in err, err
     assert not (work / "never.csv").exists()
 
 

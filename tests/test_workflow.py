@@ -719,6 +719,35 @@ def test_fit_summed_starved_disbond_gets_flagged_constant(splits, sp, cat, box):
     assert np.all(np.isfinite(fit.summed.predict(x)))
 
 
+def test_fit_summed_constant_mechanisms(tmp_path, sp, cat, box):
+    # DL and DI zeroed on every row: DL enters the sum as a flagged constant,
+    # and with no disbond on the base data to screen, the resample varies
+    # the gate axes and then the other members' retained parameters
+    x = box.transform(sample_lhs(200, len(cat), seed=3), cat)
+    energies = simulate_dataset(x, sp).energies.copy()
+    energies[:, [MECHANISMS.index("DL"), MECHANISMS.index("DI")]] = 0.0
+    energies[:, 5] = energies[:, :5].sum(axis=1)
+    fit = fit_summed(Dataset(cat, x, energies, provenance="external_csv"), sp,
+                     seed=0, resample_n=120)
+    dl = fit.fits["DL"]
+    assert dl.rdsm is None
+    assert dl.note == "DL is constant over the dataset"
+    member = fit.summed.members["DL"]
+    assert member.retained_params == (cat.names[0],)
+    assert np.all(member.predict(x) == 0.0)
+
+    assert fit.disbond_base_screening is None
+    retained = [p for m in ("PL", "DC", "PM") for p in fit.fits[m].rdsm.retained_params]
+    varied = fit.subspace.varied_params
+    assert varied == tuple(dict.fromkeys(EngagementGate().axes + tuple(retained)))
+    assert len(varied) < 3 + len(retained)  # a repeated name was dropped
+
+    fit.summed.save(tmp_path / "model")
+    back = SummedRDSM.load(tmp_path / "model", cat)
+    assert back.members["DL"].retained_params == (cat.names[0],)
+    assert np.array_equal(back.predict(x), fit.summed.predict(x))
+
+
 def test_fit_summed_argument_errors(sp, base_ds):
     with pytest.raises(ValueError, match="100"):
         fit_summed(base_ds.subset(np.arange(50)), sp)
