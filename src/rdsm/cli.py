@@ -279,7 +279,7 @@ def _write_snapshot(resolved, anchor: Path) -> None:
     target.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _write_screening_csv(path, result) -> None:
+def _screening_table(result) -> tuple:
     rows = [
         (
             e.name,
@@ -291,11 +291,7 @@ def _write_screening_csv(path, result) -> None:
         )
         for e in result.entries
     ]
-    write_csv(
-        path,
-        ("parameter", "fdr_logworth", "fdr_p", "raw_p", "zero_variance", "retained"),
-        rows,
-    )
+    return ("parameter", "fdr_logworth", "fdr_p", "raw_p", "zero_variance", "retained"), rows
 
 
 def _write_telemetry(path, report) -> None:
@@ -323,7 +319,7 @@ def _training(model) -> dict:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_catalog(resolved, catalog) -> Path:
+def _cmd_catalog(resolved, catalog) -> tuple:
     dist = _distribution(resolved["distribution"])
     lo = hi = None
     if dist.is_bounded:
@@ -337,12 +333,10 @@ def _cmd_catalog(resolved, catalog) -> Path:
         )
         for i, name in enumerate(catalog.names)
     ]
-    out = _out_path(resolved, "catalog.csv")
-    write_csv(out, ("parameter", "mean", "lo", "hi"), rows)
-    return out
+    return "catalog.csv", ("parameter", "mean", "lo", "hi"), rows
 
 
-def _cmd_sample(resolved, catalog) -> Path:
+def _cmd_sample(resolved, catalog) -> tuple:
     n, seed, method = resolved["n"], resolved["seed"], resolved["method"]
     if method == "lss":
         values = sample_lss(n, len(catalog), seed, strata_per_dim=resolved["strata"])
@@ -350,34 +344,27 @@ def _cmd_sample(resolved, catalog) -> Path:
         values = (sample_lhs if method == "lhs" else sample_mc)(n, len(catalog), seed)
     if not resolved["unit"]:
         values = _distribution(resolved["distribution"]).transform(values, catalog)
-    out = _out_path(resolved, "design.csv")
-    write_csv(out, catalog.names, values)
-    return out
+    return "design.csv", catalog.names, values
 
 
-def _cmd_simulate(resolved, catalog) -> Path:
+def _cmd_simulate(resolved, catalog) -> tuple:
     specimen = _load_specimen(resolved, catalog)
     if resolved["design"] is not None:
         x = read_csv(_require_file(resolved["design"], "design file"), catalog.names)
     else:
         unit = sample_lhs(resolved["n"], len(catalog), resolved["seed"])
         x = _distribution(resolved["distribution"]).transform(unit, catalog)
-    dataset = simulate_dataset(x, specimen, threads=resolved["threads"])
-    out = _out_path(resolved, "data.csv")
-    dataset.save_csv(out)
-    return out
+    return "data.csv", *simulate_dataset(x, specimen, threads=resolved["threads"]).table()
 
 
-def _cmd_screen(resolved, catalog) -> Path:
+def _cmd_screen(resolved, catalog) -> tuple:
     dataset = _load_dataset(resolved, "data", catalog)
     output = resolved["output"]
     max_k = resolved["max_k"]
     if max_k is None:
         max_k = DIRECT_MAX_RETAINED if output == "TS" else MECHANISM_MAX_RETAINED
     result = screen_fdr_logworth(dataset.inputs, dataset.energy(output), catalog.names, max_k=max_k)
-    out = _out_path(resolved, f"screening_{output}.csv")
-    _write_screening_csv(out, result)
-    return out
+    return f"screening_{output}.csv", *_screening_table(result)
 
 
 def _direct_network(resolved, input_dim, seed) -> NetworkSpec:
@@ -401,7 +388,7 @@ def _direct_network(resolved, input_dim, seed) -> NetworkSpec:
 def _write_direct_fit(fit, outdir) -> dict:
     (outdir / "full_model.json").write_bytes(serialize_model(fit.full_model))
     fit.rdsm.save(outdir / "direct_rdsm.json")
-    _write_screening_csv(outdir / "screening_TS.csv", fit.screening)
+    write_csv(outdir / "screening_TS.csv", *_screening_table(fit.screening))
     _write_telemetry(outdir / "telemetry_TS_full.csv", fit.full_model.report)
     if fit.rdsm.surrogate is not fit.full_model:
         _write_telemetry(outdir / "telemetry_TS.csv", fit.rdsm.surrogate.report)
@@ -416,7 +403,7 @@ def _write_direct_fit(fit, outdir) -> dict:
     }
 
 
-def _write_summed_fit(fit, outdir) -> dict:
+def _write_summed_fit(fit, outdir, resolved) -> dict:
     fit.summed.save(outdir / "model")
     mechanisms = {}
     for name, mfit in fit.fits.items():
@@ -428,12 +415,10 @@ def _write_summed_fit(fit, outdir) -> dict:
             _write_telemetry(outdir / f"telemetry_{name}.csv",
                              mfit.rdsm.surrogate.report)
         if mfit.screening is not None:
-            _write_screening_csv(outdir / f"screening_{name}.csv", mfit.screening)
+            write_csv(outdir / f"screening_{name}.csv", *_screening_table(mfit.screening))
         mechanisms[name] = entry
     if fit.disbond_base_screening is not None:
-        _write_screening_csv(
-            outdir / "screening_DI_base.csv", fit.disbond_base_screening
-        )
+        write_csv(outdir / "screening_DI_base.csv", *_screening_table(fit.disbond_base_screening))
     subspace = fit.subspace
     return {
         "route": "summed",
@@ -442,8 +427,8 @@ def _write_summed_fit(fit, outdir) -> dict:
             "varied_params": list(subspace.varied_params),
             "n_rows": len(subspace.dataset),
             "n_engaged": int(np.count_nonzero(subspace.engaged_mask)),
-            "threshold": subspace.threshold,
-            "threshold_mode": subspace.threshold_mode,
+            "threshold": resolved["threshold"],
+            "threshold_mode": resolved["threshold_mode"],
         },
         "model_dir": "model",
     }
@@ -476,7 +461,10 @@ def _cmd_fit(resolved, catalog) -> Path:
             threads=resolved["threads"],
         )
     outdir.mkdir(parents=True, exist_ok=True)
-    report = (_write_direct_fit if route == "direct" else _write_summed_fit)(fit, outdir)
+    if route == "direct":
+        report = _write_direct_fit(fit, outdir)
+    else:
+        report = _write_summed_fit(fit, outdir, resolved)
     if validation is not None:
         validation.save_csv(outdir / "validation.csv")
         report["validation_file"] = "validation.csv"
@@ -489,7 +477,7 @@ def _cmd_fit(resolved, catalog) -> Path:
     return outdir
 
 
-def _cmd_sobol(resolved, catalog) -> Path:
+def _cmd_sobol(resolved, catalog) -> tuple:
     model = _load_model(_require_opt(resolved, "model"), catalog)
     dist = _distribution(resolved["distribution"])
     result = sobol_indices(
@@ -515,22 +503,11 @@ def _cmd_sobol(resolved, catalog) -> Path:
         )
         for i in order
     ]
-    out = _out_path(resolved, "sobol.csv")
-    write_csv(
-        out,
-        (
-            "parameter",
-            "total_order",
-            "first_order",
-            "total_order_stderr",
-            "first_order_stderr",
-        ),
-        rows,
-    )
-    return out
+    header = ("parameter", "total_order", "first_order", "total_order_stderr", "first_order_stderr")
+    return "sobol.csv", header, rows
 
 
-def _cmd_uq(resolved, catalog) -> Path:
+def _cmd_uq(resolved, catalog) -> tuple:
     model = _load_model(_require_opt(resolved, "model"), catalog)
     subsets = _parse_subsets(resolved["subsets"])
     if subsets is None:
@@ -555,21 +532,17 @@ def _cmd_uq(resolved, catalog) -> Path:
         if i < len(report.diffs):
             dm, dstd = report.diffs[i]
             rows.append(("% difference", dm, dstd))
-    out = _out_path(resolved, "uq.csv")
-    write_csv(out, ("parameters", "mean", "std"), rows)
-    return out
+    return "uq.csv", ("parameters", "mean", "std"), rows
 
 
-def _cmd_gate_check(resolved, _catalog) -> Path | None:
+def _cmd_gate_check(resolved, _catalog) -> tuple | None:
     gate = EngagementGate()
     if resolved["grid"] is not None:
         axis = np.linspace(0.0, 1.0, resolved["grid"])
         # rows run over giii fastest, then xis, then p
         points = [c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij")]
         rows = zip(*points, gate.boundary_margin(*points), gate.engaged(*points))
-        out = _out_path(resolved, "gate_grid.csv")
-        write_csv(out, ("p", "xis", "giii", "margin", "engaged"), rows)
-        return out
+        return "gate_grid.csv", ("p", "xis", "giii", "margin", "engaged"), rows
     for key in ("p", "xis", "giii"):
         if resolved[key] is None:
             raise _UsageError("gate-check needs --p, --xis, and --giii (or --grid)")
@@ -606,7 +579,7 @@ def _section_cells(section):
     }
 
 
-def _write_comparison_csv(path, report) -> None:
+def _comparison_table(report) -> tuple:
     all_cells = _section_cells(report.all_rows)
     engaged_cells = _section_cells(report.engaged)
     rows = [
@@ -619,22 +592,19 @@ def _write_comparison_csv(path, report) -> None:
             ("mae_pct_std", "mae_std"),
         )
     ]
-    write_csv(
-        path,
-        (
-            "metric",
-            "all_truth",
-            "all_direct",
-            "all_summed",
-            "engaged_truth",
-            "engaged_direct",
-            "engaged_summed",
-        ),
-        rows,
+    header = (
+        "metric",
+        "all_truth",
+        "all_direct",
+        "all_summed",
+        "engaged_truth",
+        "engaged_direct",
+        "engaged_summed",
     )
+    return header, rows
 
 
-def _cmd_compare(resolved, catalog) -> Path:
+def _cmd_compare(resolved, catalog) -> tuple:
     direct = _load_model(_require_opt(resolved, "direct"), catalog)
     summed_path = Path(_require_opt(resolved, "summed"))
     if not summed_path.is_dir():
@@ -643,43 +613,28 @@ def _cmd_compare(resolved, catalog) -> Path:
     validation = _load_dataset(resolved, "validation", catalog)
     train_keys = _load_train_keys(resolved["train_rows"])
     report = compare_approaches(direct, summed, validation, train_keys=train_keys)
-    out = _out_path(resolved, "comparison.csv")
-    _write_comparison_csv(out, report)
-    return out
+    return "comparison.csv", *_comparison_table(report)
 
 
-def _cmd_plot_data(resolved, catalog) -> Path:
-    kind = resolved["kind"]
-    if kind == "parity":
+def _cmd_plot_data(resolved, catalog) -> tuple:
+    if resolved["kind"] == "parity":
         model = _load_model(_require_opt(resolved, "model"), catalog)
         dataset = _load_dataset(resolved, "validation", catalog)
-        actual = dataset.energy("TS")
-        predicted = model.predict(dataset.inputs)
-        out = _out_path(resolved, "parity.csv")
+        header = ["row_id", "actual", "predicted"]
+        columns = [dataset.row_ids, dataset.energy("TS"), model.predict(dataset.inputs)]
         if isinstance(model, SummedRDSM):
-            engaged = model.engaged(dataset.inputs)
-            write_csv(
-                out,
-                ("row_id", "actual", "predicted", "engaged"),
-                zip(dataset.row_ids, actual, predicted, engaged),
-            )
-        else:
-            write_csv(
-                out,
-                ("row_id", "actual", "predicted"),
-                zip(dataset.row_ids, actual, predicted),
-            )
-    else:
-        dataset = _load_dataset(resolved, "data", catalog)
-        order = np.argsort(dataset.energy("TS"), kind="stable")
-        rows = [(dataset.row_ids[i], *dataset.energies[i]) for i in order]
-        out = _out_path(resolved, "energy_stack.csv")
-        write_csv(out, ("row_id", *ENERGY_COLUMNS), rows)
-    return out
+            header.append("engaged")
+            columns.append(model.engaged(dataset.inputs))
+        return "parity.csv", header, zip(*columns)
+    dataset = _load_dataset(resolved, "data", catalog)
+    order = np.argsort(dataset.energy("TS"), kind="stable")
+    rows = [(dataset.row_ids[i], *dataset.energies[i]) for i in order]
+    return "energy_stack.csv", ("row_id", *ENERGY_COLUMNS), rows
 
 
-# each subcommand's help line, handler, and options; the handler returns the
-# file or directory its outputs sit beside, or None when it wrote none.
+# each subcommand's help line, handler, and options; the handler returns a
+# table as (default file name, header, rows), which main writes, else the
+# directory it wrote its outputs into, or None when it wrote none.
 # argparse stores None for omitted flags so a config file can fill the gap
 # before the default applies
 _COMMANDS: dict[str, tuple] = {
@@ -794,7 +749,7 @@ _COMMANDS: dict[str, tuple] = {
         _opt("model", help="model file or summed model directory (parity)"),
         _opt("validation", help="validation dataset CSV (parity)"),
         _opt("data", help="dataset CSV (energy-stack)"),
-        _opt("out", help="output CSV path"),
+        _opt("out", help="output CSV path (default: parity.csv or energy_stack.csv, by --kind)"),
     )),
 }
 
@@ -861,6 +816,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         resolved = _resolve(args)
         anchor = _COMMANDS[args.command][1](resolved, build_catalog())
+        if isinstance(anchor, tuple):  # a table, written where --out or --outdir says
+            default_name, header, rows = anchor
+            anchor = _out_path(resolved, default_name)
+            write_csv(anchor, header, rows)
         if anchor is not None:  # a failed command raised before this, so leaves none
             _write_snapshot(resolved, anchor)
         return EXIT_OK

@@ -190,12 +190,12 @@ class Dataset:
             self.row_ids[index],
         )
 
+    def table(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The CSV header, the 41 inputs then the 6 energies, and the (n, 47) rows."""
+        return self.catalog.names + ENERGY_COLUMNS, np.hstack([self.inputs, self.energies])
+
     def save_csv(self, path) -> None:
-        write_csv(
-            path,
-            self.catalog.names + ENERGY_COLUMNS,
-            np.hstack([self.inputs, self.energies]),
-        )
+        write_csv(path, *self.table())
 
     @classmethod
     def load_csv(cls, path, catalog: ParameterCatalog) -> "Dataset":

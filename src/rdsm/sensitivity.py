@@ -27,6 +27,7 @@ from .sampling import saltelli_matrices
 _P_FLOOR = 1e-300  # applied before the log so logworth stays finite
 LOGWORTH_FLOOR = 1.3  # adjusted p of 0.05
 DROP_RATIO = 0.35
+SCREEN_MIN_ROWS = 30  # fewest rows a screen accepts
 
 
 @dataclass(frozen=True)
@@ -222,8 +223,8 @@ def screen_fdr_logworth(
     """Rank parameters for one output by FDR logworth and apply retention.
 
     x is (n, m) in catalog column order, y is the output column; names label
-    the columns.  Requires at least 30 rows.  A zero-variance input column is
-    reported with p = 1 and flagged rather than failing the screen.
+    the columns.  Requires at least SCREEN_MIN_ROWS rows.  A zero-variance
+    input column is reported with p = 1 and flagged, not failing the screen.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -232,8 +233,8 @@ def screen_fdr_logworth(
         raise ValueError(f"x has {x.shape[1]} columns but {len(names)} names given")
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and y disagree on the number of rows")
-    if x.shape[0] < 30:
-        raise ValueError(f"need at least 30 rows to screen, got {x.shape[0]}")
+    if x.shape[0] < SCREEN_MIN_ROWS:
+        raise ValueError(f"need at least {SCREEN_MIN_ROWS} rows to screen, got {x.shape[0]}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("screening data contains non-finite values")
 

@@ -35,7 +35,7 @@ from .dataset import ENERGY_COLUMNS, MECHANISMS, Dataset
 from .errors import SchemaError, fields_doc, fields_from, json_numbers, json_value, read_document
 from .errors import require_keys
 from .sampling import sample_lhs, sample_lss
-from .sensitivity import ScreeningResult, screen_fdr_logworth
+from .sensitivity import SCREEN_MIN_ROWS, ScreeningResult, screen_fdr_logworth
 from .surrogate import (
     NetworkSpec,
     SurrogateModel,
@@ -50,6 +50,7 @@ from .surrogate import (
 # contributes at least this fraction of the row's total energy
 ENGAGEMENT_FRACTION = 0.03
 
+FIT_MIN_ROWS = 100  # fewest rows either route fits on
 DIRECT_MAX_RETAINED = 4  # retention cap of the total-energy screen
 MECHANISM_MAX_RETAINED = 3  # retention cap of each mechanism's screen
 RESAMPLE_N = 3277  # rows in the summed route's focused disbond design
@@ -432,7 +433,7 @@ class SummedFit:
     summed: SummedRDSM
     fits: dict[str, MechanismFit]
     disbond_base_screening: ScreeningResult | None
-    subspace: "SubspaceSample | None"
+    subspace: SubspaceSample
 
     def __post_init__(self):
         object.__setattr__(self, "fits", MappingProxyType(dict(self.fits)))
@@ -461,8 +462,8 @@ def fit_direct(
     reuses the full-width network with non-retained inputs pinned at the
     catalog means.
     """
-    if len(dataset) < 100:
-        raise ValueError(f"need at least 100 rows, got {len(dataset)}")
+    if len(dataset) < FIT_MIN_ROWS:
+        raise ValueError(f"need at least {FIT_MIN_ROWS} rows, got {len(dataset)}")
     if query_mode not in ("retrained", "frozen_full"):
         raise ValueError(f"unknown query_mode {query_mode!r}")
     catalog = dataset.catalog
@@ -525,19 +526,12 @@ def fit_mechanism(
 
 @dataclass(frozen=True)
 class SubspaceSample:
-    """Focused design outcome: all simulated rows plus the engaged subset."""
+    """Focused design outcome: the simulated rows, which of them engaged the
+    disbond, and the parameters the design varied."""
 
     dataset: Dataset
     engaged_mask: np.ndarray
-    fitting: Dataset
     varied_params: tuple[str, ...]
-    threshold: float
-    threshold_mode: str
-
-    @property
-    def empty(self) -> bool:
-        """True when no row crossed the engagement threshold."""
-        return len(self.fitting) == 0
 
 
 def _check_engagement(mechanism: str, threshold: float, threshold_mode: str) -> None:
@@ -589,10 +583,10 @@ def resample_subspace(
     """Simulate a design that varies only the named parameters.
 
     The named parameters span the +/-20% uniform box and every other column
-    is held exactly at its catalog mean.  Rows where the disbond falls below
-    the engagement threshold (by default, under 3% of the row's total
-    energy; "absolute" compares the raw energy against the threshold
-    instead) are tagged and left out of the fitting subset.
+    is held exactly at its catalog mean.  engaged_mask marks the rows where
+    the disbond reaches the engagement threshold (by default, 3% of the
+    row's total energy; "absolute" compares the raw energy against the
+    threshold instead).
     """
     _check_engagement("DI", threshold, threshold_mode)
     varied = tuple(varied_params)
@@ -607,14 +601,7 @@ def resample_subspace(
     ds = simulate_dataset(x, specimen, threads=threads)
     mask = engagement_mask(ds, "DI", threshold, threshold_mode)
     mask.setflags(write=False)
-    return SubspaceSample(
-        dataset=ds,
-        engaged_mask=mask,
-        fitting=ds.subset(mask),
-        varied_params=varied,
-        threshold=threshold,
-        threshold_mode=threshold_mode,
-    )
+    return SubspaceSample(dataset=ds, engaged_mask=mask, varied_params=varied)
 
 
 def _constant_member(
@@ -629,6 +616,20 @@ def _constant_member(
         spec, weights, biases, np.zeros(1), np.ones(1), value, value, report
     )
     return MechanismRDSM(mechanism, (anchor,), model, catalog.means, catalog)
+
+
+def _disbond_varied(dataset: Dataset, gate: EngagementGate, fits) -> tuple:
+    """The base data's disbond screen (None when DI never varies there) and
+    the parameters the focused design varies: the top of that screen's
+    ladder, else the gate axes, then the other members' retained ones."""
+    y_di = dataset.energy("DI")
+    if np.ptp(y_di) == 0.0:
+        retained = [p for f in fits.values() if f.rdsm for p in f.rdsm.retained_params]
+        return None, tuple(dict.fromkeys(list(gate.axes) + retained))
+    screen = screen_fdr_logworth(
+        dataset.inputs, y_di, dataset.catalog.names, max_k=MECHANISM_MAX_RETAINED
+    )
+    return screen, tuple(e.name for e in screen.entries[:_SUBSPACE_VARIED] if not e.zero_variance)
 
 
 def fit_summed(
@@ -650,8 +651,8 @@ def fit_summed(
     rescreened and fitted.  A mechanism whose data cannot support a model
     enters the sum as a flagged constant so the assembly stays usable.
     """
-    if len(dataset) < 100:
-        raise ValueError(f"need at least 100 rows, got {len(dataset)}")
+    if len(dataset) < FIT_MIN_ROWS:
+        raise ValueError(f"need at least {FIT_MIN_ROWS} rows, got {len(dataset)}")
     _check_engagement("DI", threshold, threshold_mode)
     catalog = dataset.catalog
     if specimen.catalog.names != catalog.names:
@@ -660,54 +661,32 @@ def fit_summed(
 
     fits: dict[str, MechanismFit] = {}
     members: dict[str, MechanismRDSM] = {}
-    for mech in ("PL", "DL", "DC", "PM"):
-        fit = fit_mechanism(dataset, mech, seed=seed)
-        if fit.rdsm is None:
-            constant = float(dataset.energy(mech)[0])
-            members[mech] = _constant_member(mech, constant, catalog, catalog.names[0])
-        else:
-            members[mech] = fit.rdsm
-        fits[mech] = fit
-
-    # disbond route: rank drivers on the base data, vary the top of the
-    # ladder in a focused design, then screen and fit on the engaged rows
-    y_di = dataset.energy("DI")
-    if np.ptp(y_di) > 0.0:
-        base_screen = screen_fdr_logworth(
-            dataset.inputs, y_di, catalog.names, max_k=MECHANISM_MAX_RETAINED
-        )
-        varied = tuple(
-            e.name for e in base_screen.entries[:_SUBSPACE_VARIED] if not e.zero_variance
-        )
-    else:
-        base_screen = None
-        varied = tuple(
-            dict.fromkeys(
-                list(gate.axes)
-                + [p for f in fits.values() if f.rdsm for p in f.rdsm.retained_params]
+    for mech in ("PL", "DL", "DC", "PM", "DI"):  # the order manifest.json lists
+        data, anchor = dataset, catalog.names[0]
+        if mech == "DI":
+            base_screen, varied = _disbond_varied(dataset, gate, fits)
+            subspace = resample_subspace(
+                specimen,
+                varied,
+                resample_n,
+                seed,
+                threshold=threshold,
+                threshold_mode=threshold_mode,
+                threads=threads,
             )
-        )
-    subspace = resample_subspace(
-        specimen,
-        varied,
-        resample_n,
-        seed,
-        threshold=threshold,
-        threshold_mode=threshold_mode,
-        threads=threads,
-    )
-    if len(subspace.fitting) >= 30:
-        fits["DI"] = fit_mechanism(subspace.fitting, "DI", seed=seed)
-        level = float(subspace.fitting.energy("DI")[0])  # used if DI never varies
-    else:
-        note = (
-            "disbond never crossed the engagement threshold"
-            if subspace.empty
-            else f"only {len(subspace.fitting)} engaged rows; need 30 to screen"
-        )
-        fits["DI"] = MechanismFit("DI", None, base_screen, note)
-        level = 0.0
-    members["DI"] = fits["DI"].rdsm or _constant_member("DI", level, catalog, gate.axes[0])
+            data, anchor = subspace.dataset.subset(subspace.engaged_mask), gate.axes[0]
+        if len(data) >= SCREEN_MIN_ROWS:
+            fits[mech] = fit_mechanism(data, mech, seed=seed)
+            level = float(data.energy(mech)[0])  # the constant, should mech never vary
+        else:  # only the disbond's engaged rows can be this few
+            note = (
+                "disbond never crossed the engagement threshold"
+                if len(data) == 0
+                else f"only {len(data)} engaged rows; need {SCREEN_MIN_ROWS} to screen"
+            )
+            fits[mech] = MechanismFit(mech, None, base_screen, note)
+            level = 0.0
+        members[mech] = fits[mech].rdsm or _constant_member(mech, level, catalog, anchor)
 
     summed = SummedRDSM(members, gate, catalog)
     return SummedFit(

@@ -623,7 +623,9 @@ def test_resample_varies_only_named(cat, sp):
         mean = cat.means[cat.index(name)]
         assert np.all(col >= 0.8 * mean) and np.all(col <= 1.2 * mean)
     assert np.array_equal(sub.engaged_mask, engagement_mask(ds, "DI"))
-    assert len(sub.fitting) == int(np.count_nonzero(sub.engaged_mask))
+    engaged = ds.subset(sub.engaged_mask)
+    assert len(engaged) == int(np.count_nonzero(sub.engaged_mask))
+    assert np.all(engaged.energy("DI") >= 0.03 * engaged.energy("TS"))
 
 
 def test_resample_memory_is_one_block(cat, sp):
@@ -651,9 +653,9 @@ def test_resample_empty_fitting_subset_flagged(sp):
     sub = resample_subspace(
         sp, ("P",), n=16, seed=0, threshold=1e12, threshold_mode="absolute"
     )
-    assert sub.empty
-    assert len(sub.fitting) == 0
+    assert len(sub.dataset) == 16
     assert not np.any(sub.engaged_mask)
+    assert len(sub.dataset.subset(sub.engaged_mask)) == 0
 
 
 def test_resample_argument_errors(sp):
@@ -706,17 +708,32 @@ def test_fit_summed_assembles_all_mechanisms(summed_fit):
 
 
 def test_fit_summed_starved_disbond_gets_flagged_constant(splits, sp, cat, box):
+    # an 80-row resample engages a few rows, under the 30 a screen needs; an
+    # absolute threshold no row reaches engages none.  Either way DI enters
+    # the sum as a zero constant on the first gate axis, flagged with the
+    # base-data screen
     train, _ = splits
-    fit = fit_summed(train, sp, seed=5, resample_n=80)
-    di = fit.fits["DI"]
-    assert di.rdsm is None
-    assert "engaged" in di.note
-    # the assembled model still answers, with a disbond term of exactly zero
     rng = np.random.default_rng(3)
     x = box.transform(rng.random((50, len(cat))), cat)
-    parts = fit.summed.predict_breakdown(x)
-    assert np.all(parts["DI"] == 0.0)
-    assert np.all(np.isfinite(fit.summed.predict(x)))
+    for options in ({}, {"threshold": 1e12, "threshold_mode": "absolute"}):
+        fit = fit_summed(train, sp, seed=5, resample_n=80, **options)
+        n_engaged = int(np.count_nonzero(fit.subspace.engaged_mask))
+        di = fit.fits["DI"]
+        assert di.rdsm is None
+        if options:
+            assert n_engaged == 0
+            assert di.note == "disbond never crossed the engagement threshold"
+        else:
+            assert 1 <= n_engaged < 30
+            assert di.note == f"only {n_engaged} engaged rows; need 30 to screen"
+        assert di.screening is fit.disbond_base_screening
+        member = fit.summed.members["DI"]
+        assert member.retained_params == ("P",)
+        assert np.all(member.predict(x) == 0.0)
+        # the assembled model still answers, with a disbond term of exactly zero
+        parts = fit.summed.predict_breakdown(x)
+        assert np.all(parts["DI"] == 0.0)
+        assert np.all(np.isfinite(fit.summed.predict(x)))
 
 
 def test_fit_summed_constant_mechanisms(tmp_path, sp, cat, box):
