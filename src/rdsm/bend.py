@@ -645,8 +645,17 @@ class BendState:
             self.energy["PL"] += _row_sums(k12.shape, hit, inc) * self.vol_ply
             self.d12.ravel()[hit] = d_new
         self.sig12_eff = sig_eff
-        self.failed |= (self.eps12_p >= self.eps_max[:, None]) | (
-            self.d12 >= self.d12_max[:, None] - 1e-15
+        if self.step == 0:  # a point with eps_max <= 0 fails before it flows
+            self.failed |= (self.eps12_p >= self.eps_max[:, None]) | (
+                self.d12 >= self.d12_max[:, None] - 1e-15
+            )
+            return
+        # after the first step only a point whose eps12_p or d12 moved, one
+        # that flowed or reached the damage law, can newly fail
+        moved = np.concatenate((flowing, hit))
+        rows = moved // 12
+        self.failed.ravel()[moved] |= (self.eps12_p.take(moved) >= self.eps_max[rows]) | (
+            self.d12.take(moved) >= self.d12_max[rows] - 1e-15
         )
 
     def _cohesive_layers(self, gamma_tot, abs_eps, kappa) -> None:

@@ -11,6 +11,7 @@ outputs on one platform.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -65,10 +66,11 @@ _LIST_OPTIONS = ("hidden", "split", "subsets")
 # the most worker processes --threads may start, the largest --grid, whose
 # N x N x N rows are built in memory before they are written, the most
 # bootstrap resamples sobol draws, each one a full pass over the evaluations,
-# and the most rows a query draws: sobol's base size, whose design holds A,
-# B and the block buffer (3 * 41 * n_base floats), up to three tables of an
-# output row per block, and each term's f(A) and f(B), 12 * n_base floats on
-# a summed model, while a forward pass holds at most one block of hidden
+# and the most rows a query draws: sobol's base size, whose design holds A
+# and B in the columns the model reads (2 * 11 * n_base floats on the bench
+# summed model) and two tables of an output row per read column,
+# while the design is built one row block of under 4096 rows at a time in a
+# 41-column buffer, and a forward pass holds at most one such block of hidden
 # activations, under 4096 * 140 floats; uq's rows per subset; and the rows
 # sample and simulate draw and the summed fit's disbond resample, whose bend
 # state is held one block of at most 2048 rows at a time; and the direct
@@ -776,7 +778,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared:
+    parsing a command line returns a new namespace and changes no parser."""
     parser = _Parser(
         prog="rdsm",
         description=(

@@ -39,12 +39,17 @@ def sample_mc(n: int, dim: int, seed: int) -> np.ndarray:
     return _frozen(_rng(seed).random((n, dim)))
 
 
-def _lhs_values(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    cols = np.empty((n, dim))
+def _lhs_values(rng: np.random.Generator, n: int, dim: int, columns=None) -> np.ndarray:
+    """Latin hypercube columns, each of the dim drawn in turn from rng, of
+    which the (n, len(columns)) result keeps those in columns (all by
+    default)."""
+    slot = {j: k for k, j in enumerate(range(dim) if columns is None else columns)}
+    values = np.empty((n, len(slot)))
     for j in range(dim):
-        perm = rng.permutation(n)
-        cols[:, j] = (perm + rng.random(n)) / n
-    return cols
+        perm, u = rng.permutation(n), rng.random(n)
+        if j in slot:
+            values[:, slot[j]] = (perm + u) / n
+    return values
 
 
 def sample_lhs(n: int, dim: int, seed: int) -> np.ndarray:
@@ -114,16 +119,28 @@ def sample_lss(
     return _frozen(values)
 
 
-def saltelli_matrices(n: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only (n, dim) base pair (a, b) of a pick-freeze design.
+def saltelli_matrices(
+    n: int, dim: int, seed: int, columns=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only base pair (a, b) of a pick-freeze design.
 
     The bases are independent Latin hypercubes, the sampling scheme used for
     the sensitivity sweeps.  Block i of the design is a with column i taken
     from b; evaluating a model on a, b and every block costs n * (dim + 2)
-    runs.
+    runs.  Each matrix is (n, dim), or (n, len(columns)) when columns, a
+    strictly increasing list of indices into the dim columns, names the ones
+    to keep.  Every column is drawn either way, so a kept column holds the
+    same values as in the full pair.
     """
     _check_nd(n, dim)
+    if columns is not None:
+        cols = np.asarray(columns)
+        if cols.ndim != 1 or cols.size == 0 or cols.dtype.kind not in "iu":
+            raise ValueError("columns must be a nonempty list of integer indices")
+        if cols[0] < 0 or cols[-1] >= dim or np.any(cols[1:] <= cols[:-1]):
+            raise ValueError(f"columns must increase strictly within [0, {dim - 1}]")
+        columns = cols.tolist()
     rng = _rng(seed)
-    a = _lhs_values(rng, n, dim)
-    b = _lhs_values(rng, n, dim)
+    a = _lhs_values(rng, n, dim, columns)
+    b = _lhs_values(rng, n, dim, columns)
     return _frozen(a), _frozen(b)

@@ -23,6 +23,7 @@ import numpy as np
 from .catalog import ParameterCatalog, SamplingDistribution
 from .errors import NumericalFailureError
 from .sampling import saltelli_matrices
+from .surrogate import row_blocks
 
 _P_FLOOR = 1e-300  # applied before the log so logworth stays finite
 LOGWORTH_FLOOR = 1.3  # adjusted p of 0.05
@@ -296,13 +297,15 @@ def _pick_freeze(f_a, f_b, f_ab, n_bootstrap, rng):
     and a (kept, 2, rows) stack of their replicates on n_bootstrap resamples
     of the n rows; None when f_a and f_b pooled have no spread, and a
     resample without spread is skipped.  The squared differences are formed
-    once, the second in f_ab's buffer; a resample weights them by its counts.
+    once, each squared in the buffer that holds it, the second in f_ab's; a
+    resample weights them by its counts.
     """
     n = f_a.shape[0]
     v = float(np.var(np.concatenate([f_a, f_b])))
     if v <= 0.0:
         return None
-    sq_a = np.square(f_a - f_ab)
+    sq_a = np.subtract(f_a, f_ab)
+    np.square(sq_a, out=sq_a)
     sq_b = np.square(np.subtract(f_b, f_ab, out=f_ab), out=f_ab)
     s1, st = _jansen(v, sq_a.sum(axis=1), sq_b.sum(axis=1), n)
     boot = []
@@ -351,16 +354,24 @@ def sobol_indices(
 ) -> SobolResult:
     """First- and total-order Sobol' indices of a deterministic model.
 
-    model is a function that takes an (n, dim) batch to n outputs, or has
-    terms, (support, fn) pairs whose fn reads only the columns in support,
-    and combine(values), which takes the terms' outputs on one batch to the
-    model's.  A plain function is one term over every column.  No fn may
-    keep the batch, whose buffer is reused.  Designs are Saltelli
-    pick-freeze blocks with LHS base matrices A and B on the unit cube,
-    each mapped once through (dist, catalog) into parameter space when
-    given; the distribution maps each column on its own, so the blocks of
-    the mapped pair are the mapped blocks.  Block i is A with column i
-    taken from B, built in one buffer just before it is evaluated.
+    model is a function that takes an (n, dim) batch to n outputs, row by
+    row, or has terms, (support, fn) pairs whose fn reads only the columns
+    in support, and combine(values), which takes the terms' outputs on one
+    batch to the model's.  A plain function is one term over every column.
+    No fn may keep the batch, whose buffer is reused.  Designs are Saltelli
+    pick-freeze blocks with LHS base matrices A and B on the unit cube:
+    block i is A with column i taken from B.  Only the columns some term
+    reads are kept, and when (dist, catalog) is given each row of them is
+    mapped once into parameter space; the distribution maps each column on
+    its own, so the blocks of the mapped pair are the mapped blocks.
+
+    Rows run in the blocks of surrogate.row_blocks, so each row sits in a
+    batch of the size SurrogateModel.predict would give it over the whole
+    design.  Each row block of A and B is mapped, then built in turn in one
+    full-width buffer, as A, then B, then the block of each read column, and
+    evaluated at once; the columns no term reads hold a fixed finite value.
+    So A and B hold 2 * n_base floats per read column, and the buffer at
+    most 4095 * dim.
 
     Each term sees A, B and the blocks of its own support, (2 + len(support))
     * n_base rows; on any other block its output is its f(A).  The block of
@@ -395,13 +406,7 @@ def sobol_indices(
     if dist is not None and catalog is None:
         raise ValueError("dist requires the catalog to map units into")
 
-    a, b = saltelli_matrices(n_base, dim, seed)
-    if dist is not None:
-        # one statement each, so each unit-cube matrix is freed once mapped
-        a = dist.transform(a, catalog)
-        b = dist.transform(b, catalog)
-        a.setflags(write=False)
-        b.setflags(write=False)
+    a, b = saltelli_matrices(n_base, dim, seed, columns=cols)
 
     def run(fn, x):
         out = np.asarray(fn(x)).reshape(-1)
@@ -409,15 +414,28 @@ def sobol_indices(
             raise ValueError("a model must return one output per row")
         return out
 
-    term_a = [run(fn, a) for _, fn in terms]
-    f_a = np.asarray(combine(term_a), dtype=float)
-    f_b = np.asarray(combine([run(fn, b) for _, fn in terms]), dtype=float)
+    blocks = row_blocks(n_base)
+    buffer = np.zeros((max(rows.stop - rows.start for rows in blocks), dim))
+    f_a, f_b = np.empty(n_base), np.empty(n_base)
     f_ab = np.empty((n_rows, n_base))
-    block = a.copy()
-    for row, i in enumerate(cols):
-        block[:, i] = b[:, i]
-        f_ab[row] = combine([run(fn, block) if i in s else v for (s, fn), v in zip(terms, term_a)])
-        block[:, i] = a[:, i]
+    for rows in blocks:
+        a_rows, b_rows = a[rows], b[rows]
+        if dist is not None:
+            a_rows = dist.transform(a_rows, catalog, columns=cols)
+            b_rows = dist.transform(b_rows, catalog, columns=cols)
+        x = buffer[: rows.stop - rows.start]
+        x[:, cols] = a_rows
+        term_a = [run(fn, x) for _, fn in terms]
+        f_a[rows] = combine(term_a)
+        x[:, cols] = b_rows
+        f_b[rows] = combine([run(fn, x) for _, fn in terms])
+        x[:, cols] = a_rows
+        for row, i in enumerate(cols):
+            x[:, i] = b_rows[:, row]
+            f_ab[row, rows] = combine(
+                [run(fn, x) if i in s else v for (s, fn), v in zip(terms, term_a)]
+            )
+            x[:, i] = a_rows[:, row]
     f_ab[cols.size :] = f_a
 
     evals = n_base * (dim + 2)

@@ -141,13 +141,13 @@ class SurrogateModel:
         pair, holds those inputs at the values on every row, whatever x has
         there.
 
-        Rows run through the network in blocks of 2048, the last block
-        taking the remainder, so at most one block's hidden activations
-        (under 4096 rows) exist at a time.  BLAS picks its kernels from the
-        matrix size, so a row's output bits can depend on the size of the
-        block it sits in: a batch of at most 2048 rows, or a whole multiple
-        of 2048, matches one unblocked pass bit for bit, and any other size
-        within 1e-14 of the batch's largest output magnitude.
+        Rows run through the network in the blocks of row_blocks, so at
+        most one block's hidden activations (under 4096 rows) exist at a
+        time.  BLAS picks its kernels from the matrix size, so a row's
+        output bits can depend on the size of the block it sits in: a batch
+        of at most 2048 rows, or a whole multiple of 2048, matches one
+        unblocked pass bit for bit, and any other size within 1e-14 of the
+        batch's largest output magnitude.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.spec.input_dim:
@@ -158,13 +158,21 @@ class SurrogateModel:
             cols, values = pinned
             values = _scale(values, self.input_lo[cols], self.input_hi[cols])
         out = np.empty(x.shape[0])
-        cuts = list(range(_PREDICT_ROWS, x.shape[0] - _PREDICT_ROWS + 1, _PREDICT_ROWS))
-        for rows, dest in zip(np.split(x, cuts), np.split(out, cuts)):
-            xs = _scale(rows, self.input_lo, self.input_hi)
+        for rows in row_blocks(x.shape[0]):
+            xs = _scale(x[rows], self.input_lo, self.input_hi)
             if pinned is not None:
                 xs[:, cols] = values
-            dest[:] = _unscale(_forward(self.weights, self.biases, xs), self.output_lo, self.output_hi)
+            out[rows] = _unscale(_forward(self.weights, self.biases, xs), self.output_lo, self.output_hi)
         return out
+
+
+def row_blocks(n: int) -> list[slice]:
+    """The row slices predict runs n rows in: blocks of 2048, the last one
+    taking the remainder, so one block of every row when n < 4096.  A caller
+    that hands predict these blocks one at a time gets the bits of one
+    predict call over all n rows."""
+    cuts = [0, *range(_PREDICT_ROWS, n - _PREDICT_ROWS + 1, _PREDICT_ROWS), n]
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def _span(lo, hi):

@@ -560,6 +560,25 @@ def test_step_matches_full_array_reference(cat, sp, design):
     assert state.failed.any() == (design == "failing")
 
 
+def test_matrix_failure_matches_the_full_retest(cat, sp):
+    # after the first step only flowing or damaged points are re-tested; row
+    # 0 has a zero plastic strain cap, so it fails on step 1 without flowing
+    x = _reference_design(cat, "failing", n=60)
+    x[0, cat.index("epsilon")] = 0.0
+    state = BendState(sp, x)
+    failed = np.zeros_like(state.failed)
+    for _ in range(sp.n_steps):
+        state.advance_step()
+        failed |= (state.eps12_p >= state.eps_max[:, None]) | (
+            state.d12 >= state.d12_max[:, None] - 1e-15
+        )
+        assert np.array_equal(state.failed, failed), state.step
+        if state.step == 1:
+            assert failed[0].all() and not state.eps12_p[0].any()
+            first = failed.sum()
+    assert failed.sum() > first  # and others fail later in the ramp
+
+
 def _hardening_points(cat, expo, n=4000, seed=0):
     """Plastic return-map points around the catalog's ply and substrate
     constants (psi): half start at eps_p = 0, and the elastic trial exceeds

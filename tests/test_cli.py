@@ -30,6 +30,9 @@ from rdsm.cli import (
 )
 from rdsm.dataset import ENERGY_COLUMNS, Dataset, write_csv
 from rdsm.workflow import MechanismRDSM, SummedRDSM
+from sobol_reference import reference_sobol_indices
+
+BENCH_FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
 
 def run(*args) -> int:
@@ -475,6 +478,30 @@ def test_flags_override_config_overrides_defaults(work):
     assert null_entries.read_bytes() == defaults.read_bytes()
 
 
+def test_main_calls_share_one_parser(work, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+    config = work / "shared_parser.json"
+    config.write_text(json.dumps({"n": 12, "seed": 9, "method": "mc"}))
+    first, second = work / "shared_first.csv", work / "shared_second.csv"
+    assert run("sample", "--config", config, "--out", first) == EXIT_OK
+    assert run("sample", "--out", second) == EXIT_OK
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    # nothing of the first call's config reaches the second
+    options = [json.loads(Path(f"{out}.run.json").read_text())["options"]
+               for out in (first, second)]
+    assert (options[0]["n"], options[0]["seed"], options[0]["method"]) == (12, 9, "mc")
+    defaults = {name: default for name, default, *_ in cli._options("sample")}
+    assert {k: options[1][k] for k in ("n", "seed", "method")} == {
+        k: defaults[k] for k in ("n", "seed", "method")}
+
+
 def test_config_schema_errors(work, capsys):
     bad_key = work / "bad_key.json"
     bad_key.write_text(json.dumps({"bogus": 1}))
@@ -718,6 +745,23 @@ def test_sobol_support_writes_the_full_design_bytes(work, direct_dir, summed_dir
             assert skipped.read_bytes() == full.read_bytes(), (model, dist)
     direct, summed = seen[0], seen[-1]
     assert 1 <= len(direct) <= 4 and len(direct) < len(summed) < len(cat)
+
+
+@pytest.mark.parametrize("dist", ["uniform_pm20", "normal_10std"])
+@pytest.mark.parametrize("model", ["direct_rdsm.json", "summed"])
+def test_sobol_csv_matches_the_full_width_reference(work, model, dist, monkeypatch):
+    # row blocks of one block below, at and above 2048 rows, and of three
+    # blocks whose last one takes the remainder
+    argv = ["sobol", "--model", BENCH_FIXTURE / model, "--n-bootstrap", 20, "--seed", 3,
+            "--distribution", dist]
+    for n_base in (2047, 2048, 2049, 6145):
+        kept = work / f"sobol_kept_{model}_{dist}_{n_base}.csv"
+        assert run(*argv, "--n-base", n_base, "--out", kept) == EXIT_OK
+        with monkeypatch.context() as m:
+            m.setattr(cli, "sobol_indices", reference_sobol_indices)
+            full = work / f"sobol_reference_{model}_{dist}_{n_base}.csv"
+            assert run(*argv, "--n-base", n_base, "--out", full) == EXIT_OK
+        assert kept.read_bytes() == full.read_bytes(), n_base
 
 
 def test_uq_ladder_layout(work, direct_dir):

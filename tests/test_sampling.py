@@ -102,7 +102,7 @@ def test_lss_default_strata_path():
 
 
 def test_saltelli_structure():
-    n, dim = 128, 6
+    n, dim = 4097, 6  # two predict row blocks, of 2048 and 2049 rows
     a, b = saltelli_matrices(n, dim, seed=11)
     assert a.shape == (n, dim) and b.shape == (n, dim)
     assert not a.flags.writeable and not b.flags.writeable
@@ -114,13 +114,28 @@ def test_saltelli_structure():
         return x.sum(axis=1)
 
     result = sobol_indices(record, dim, n, seed=11, n_bootstrap=2)
-    # A, then B, then for each i the block that is A with column i from B
-    assert len(batches) == dim + 2
-    np.testing.assert_array_equal(batches[0], a)
-    np.testing.assert_array_equal(batches[1], b)
-    for i, block in enumerate(batches[2:]):
-        np.testing.assert_array_equal(block[:, i], b[:, i])
-        mask = np.arange(dim) != i
-        np.testing.assert_array_equal(block[:, mask], a[:, mask])
+    # row block by row block: A, then B, then for each i the block that is A
+    # with column i from B
+    assert len(batches) == 2 * (dim + 2)
+    for rows, evaluated in ((slice(0, 2048), batches[: dim + 2]),
+                            (slice(2048, n), batches[dim + 2 :])):
+        np.testing.assert_array_equal(evaluated[0], a[rows])
+        np.testing.assert_array_equal(evaluated[1], b[rows])
+        for i, block in enumerate(evaluated[2:]):
+            np.testing.assert_array_equal(block[:, i], b[rows, i])
+            mask = np.arange(dim) != i
+            np.testing.assert_array_equal(block[:, mask], a[rows][:, mask])
     # total evaluation budget is n * (dim + 2) rows
     assert sum(len(x) for x in batches) == n * (dim + 2) == result.evaluations_used
+
+
+def test_saltelli_columns_are_those_of_the_full_pair():
+    full = saltelli_matrices(300, 9, seed=4)
+    for columns in ([0], [2, 3, 8], list(range(9)), np.array([1, 7])):
+        kept = saltelli_matrices(300, 9, seed=4, columns=columns)
+        for k, f in zip(kept, full):
+            assert k.shape == (300, len(columns)) and not k.flags.writeable
+            assert k.tobytes() == np.ascontiguousarray(f[:, columns]).tobytes()
+    for columns in ([], [3, 3], [4, 2], [-1], [9], [0.0], [[0, 1]]):
+        with pytest.raises(ValueError, match="columns"):
+            saltelli_matrices(300, 9, seed=4, columns=columns)

@@ -10,6 +10,8 @@ from scipy.stats import linregress
 from scipy.stats import t as student_t
 
 from bootstrap_reference import reference_pick_freeze
+from sobol_reference import reference_sobol_indices
+from test_surrogate import _random_model
 from rdsm import sensitivity
 from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.errors import NumericalFailureError
@@ -462,22 +464,25 @@ def test_sobol_maps_the_base_pair_once_bit_exactly(monkeypatch, kind):
     dist = getattr(SamplingDistribution, kind)()
     e, xis, p = cat.indices(("E", "XiS", "P"))
     f = lambda x: np.sin(x[:, e]) + x[:, xis] * x[:, p] ** 2
+    n = 4097  # two row blocks, of 2048 and 2049 rows
     # the reference maps every block it is handed, one block at a time
-    want = sobol_indices(lambda u: f(dist.transform(u, cat)), len(cat), 256, seed=5,
+    want = sobol_indices(lambda u: f(dist.transform(u, cat)), len(cat), n, seed=5,
                          catalog=cat, n_bootstrap=20)
-    shapes = []
+    calls = []
     transform = SamplingDistribution.transform
 
-    def counted(self, unit, catalog):
-        shapes.append(np.shape(unit))
-        return transform(self, unit, catalog)
+    def counted(self, unit, catalog, columns=None):
+        calls.append((np.shape(unit), list(columns)))
+        return transform(self, unit, catalog, columns)
 
     monkeypatch.setattr(SamplingDistribution, "transform", counted)
-    for model in (f, _terms(([e, xis, p], f))):
-        shapes.clear()
-        got = sobol_indices(model, len(cat), 256, seed=5, dist=dist, catalog=cat,
+    read = sorted([e, xis, p])
+    for model, cols in ((f, list(range(len(cat)))), (_terms((read, f)), read)):
+        calls.clear()
+        got = sobol_indices(model, len(cat), n, seed=5, dist=dist, catalog=cat,
                             n_bootstrap=20)
-        assert shapes == [(256, len(cat))] * 2  # A and B, once each
+        # each row block of A and of B once, in the columns some term reads
+        assert calls == [((rows, len(cols)), cols) for rows in (2048, 2048, 2049, 2049)]
         for attr in ("s1", "st", "s1_stderr", "st_stderr"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
 
@@ -486,6 +491,17 @@ def _within(got, want, rtol):
     """Equal NaN patterns, and finite entries within rtol relative."""
     assert np.array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+def test_sobol_row_blocks_keep_the_full_design_bits():
+    # a 41-input network rounds a row differently in a batch of another
+    # size, so running the design in any blocks but predict's would show
+    net = _random_model((41, 60, 80, 1), 2)
+    for n in (2049, 6145):
+        got = sobol_indices(net.predict, 41, n, seed=1, n_bootstrap=4)
+        want = reference_sobol_indices(net.predict, 41, n, seed=1, n_bootstrap=4)
+        for attr in ("s1", "st", "s1_stderr", "st_stderr"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (n, attr)
 
 
 def test_bootstrap_matches_the_gather_and_square_reference(monkeypatch):

@@ -347,19 +347,35 @@ def test_members_and_sum_predict_in_blocks(cat, box, n):
     assert total.tobytes() == summed.predict(x).tobytes()
 
 
-def test_sobol_memory_on_the_summed_fixture(cat, box):
-    # tracemalloc counts numpy's own allocations, so the peak repeats exactly;
-    # A, B and the block buffer alone take 16.1 MB here, and whole-batch
-    # forward passes took the peak to about 39 MB
-    fixture = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "summed"
-    summed = SummedRDSM.load(fixture, cat)
+def _sobol_peak(cat, model, kind) -> int:
+    """tracemalloc peak of a 16384-row Sobol' run on a bench fixture model;
+    tracemalloc counts numpy's own allocations, so the peak repeats exactly."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "fixture" / model
+    loaded = SummedRDSM.load(path, cat) if path.is_dir() else MechanismRDSM.load(path, cat)
+    dist = getattr(SamplingDistribution, kind)()
     tracemalloc.start()
     try:
-        sobol_indices(summed, len(cat), 16384, dist=box, catalog=cat)
-        peak = tracemalloc.get_traced_memory()[1]
+        sobol_indices(loaded, len(cat), 16384, dist=dist, catalog=cat)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6, peak
+
+
+def test_sobol_memory_on_the_summed_fixture(cat):
+    # A and B keep the 11 columns the terms read, and each row block is
+    # mapped as it is built: the peaks measured 9.0 MB (uniform) and 8.3 MB
+    # (normal), against 22.5 and 50.4 MB with the whole pair kept and mapped
+    for kind, ceiling in (("uniform_pm20", 10e6), ("normal_10std", 14e6)):
+        peak = _sobol_peak(cat, "summed", kind)
+        assert peak < ceiling, (kind, peak)
+
+
+def test_sobol_memory_on_the_direct_fixture(cat):
+    # 3 kept columns; the 60-80 network's pass over one 2048-row block sets
+    # the 4.8 MB peak, which was 21.6 MB (uniform) with the whole pair kept
+    for kind in ("uniform_pm20", "normal_10std"):
+        peak = _sobol_peak(cat, "direct_rdsm.json", kind)
+        assert peak < 5e6, (kind, peak)
 
 
 def test_mechanism_forward_and_shape_errors(summed_fit, cat):
