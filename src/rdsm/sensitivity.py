@@ -23,7 +23,7 @@ import numpy as np
 from .catalog import ParameterCatalog, SamplingDistribution
 from .errors import NumericalFailureError
 from .sampling import saltelli_matrices
-from .surrogate import row_blocks
+from .surrogate import _one_blas_thread, row_blocks
 
 _P_FLOOR = 1e-300  # applied before the log so logworth stays finite
 LOGWORTH_FLOOR = 1.3  # adjusted p of 0.05
@@ -77,6 +77,7 @@ def benjamini_hochberg(p_values) -> np.ndarray:
     return np.maximum(out, p)
 
 
+@_one_blas_thread()
 def _slope_p_values(x: np.ndarray, y: np.ndarray):
     """Two-sided t-test p-value per column for the simple-regression slope."""
     n = x.shape[0]
@@ -292,6 +293,7 @@ def _jansen(v, sum_a, sum_b, n):
     return (v - sum_b / (2.0 * n)) / v, sum_a / (2.0 * n) / v
 
 
+@_one_blas_thread()
 def _pick_freeze(f_a, f_b, f_ab, n_bootstrap, rng):
     """Jansen s1 and st for each row of f_ab, the (rows, n) block outputs,
     and a (kept, 2, rows) stack of their replicates on n_bootstrap resamples

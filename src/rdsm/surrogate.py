@@ -22,9 +22,14 @@ counted separately in the report.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -109,6 +114,44 @@ class TrainReport:
     mae_history: tuple[float, ...] = field(repr=False)  # held-out MAE% per epoch, nan when no test rows
 
 
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    looked up on first use; None where numpy links another BLAS."""
+    lib = next(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"), None)
+    if lib is None:
+        return None
+    blas = ctypes.CDLL(str(lib))
+    get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+    return get, put
+
+
+_blas_lock = threading.Lock()
+_blas_users = [0, 0]  # callers inside _one_blas_thread, and the count to restore
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one thread of numpy's OpenBLAS (a no-op under another
+    BLAS): rdsm's products are too small for a second thread to pay off, and
+    a dot product split over threads rounds by their number.  The first of
+    nested or concurrent callers saves the caller's count, the last restores it."""
+    get, put = _openblas() or (lambda: 0, lambda threads: None)
+    with _blas_lock:
+        if _blas_users[0] == 0:
+            _blas_users[1] = get()
+            put(1)
+        _blas_users[0] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users[0] -= 1
+            if _blas_users[0] == 0:
+                put(_blas_users[1])
+
+
 class SurrogateModel:
     """Immutable trained network: weights, frozen scaling, spec, and report.
 
@@ -136,6 +179,7 @@ class SurrogateModel:
         for arr in (self.input_lo, self.input_hi):
             arr.setflags(write=False)
 
+    @_one_blas_thread()
     def predict(self, x, pinned=None) -> np.ndarray:
         """Outputs for (n, input_dim) rows.  pinned, a (columns, values)
         pair, holds those inputs at the values on every row, whatever x has
@@ -279,6 +323,7 @@ def _mae_pct(y_true, y_pred, keep):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging fit fails on the checks below
+@_one_blas_thread()
 def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     """Fit a network to (x, y) rows under the spec's split and schedule.
 

@@ -4,8 +4,10 @@ A script, not a test (pytest does not collect it).  Inside the directory it
 is given, which must be empty or absent, it copies the bench fixture models
 to fixture/ and runs, through rdsm.cli.main in this process: catalog,
 sample --method lss, simulate, screen, gate-check over a grid and on one
-point, sobol and uq on both fixture models, fit --route direct (retrained
-and frozen_full) and --route summed, compare, and plot-data of both kinds.
+point, sobol and uq on both fixture models, sobol on the summed one at
+n_base 16384 (long enough for OpenBLAS to split a bootstrap dot product over
+threads), fit --route direct (retrained and frozen_full) and --route
+summed, compare, and plot-data of both kinds.
 Every path it passes is relative, so the resolved-config snapshots do not
 record where the run happened.  It prints "sha256  relative/path" for every
 file under the directory, sorted by path, then the gate-check point line.
@@ -43,6 +45,7 @@ COMMANDS = (
     *(("sobol", "--model", f"fixture/{model}", "--n-base", 256, "--n-bootstrap", 20,
        "--seed", 2, "--out", f"sobol_{name}.csv")
       for name, model in (("direct", "direct_rdsm.json"), ("summed", "summed"))),
+    ("sobol", "--model", "fixture/summed", "--n-base", 16384, "--out", "sobol_summed_16384.csv"),
     ("uq", "--model", "fixture/direct_rdsm.json", "--n", 500, "--out", "uq_direct.csv"),
     ("uq", "--model", "fixture/summed", "--subsets", "P;P,GS", "--n", 500, "--strata", 5,
      "--out", "uq_summed.csv"),

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -448,6 +449,120 @@ def test_gradient_check_skips_relu_kinks():
     assert by_layer[0] and all(s.skipped for s in by_layer[0])
     assert by_layer[1] and all(not s.skipped for s in by_layer[1])
     assert all(s.passed for s in by_layer[1])
+
+
+# -- BLAS threads -----------------------------------------------------------
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS (get, set) thread-count pair; the caller's count
+    comes back after the test."""
+    blas = surrogate._openblas()
+    if blas is None:
+        pytest.skip("numpy links no OpenBLAS whose threads can be set")
+    get, put = blas
+    before = get()
+    yield get, put
+    put(before)
+
+
+@pytest.mark.parametrize("callers", [1, 2])
+def test_one_blas_thread_restores_the_callers_count(blas_threads, callers):
+    get, put = blas_threads
+    put(callers)
+    with surrogate._one_blas_thread():
+        assert get() == 1
+        with surrogate._one_blas_thread():
+            assert get() == 1
+        assert get() == 1
+    assert get() == callers
+    with pytest.raises(RuntimeError, match="inside"):
+        with surrogate._one_blas_thread():
+            raise RuntimeError("inside")
+    assert get() == callers
+
+
+def test_one_blas_thread_restores_after_overlapping_threads(blas_threads):
+    # the count is process-wide: the caller's count comes back when the
+    # last of two overlapping callers leaves, not when the first does
+    get, put = blas_threads
+    put(2)
+    entered, release = threading.Event(), threading.Event()
+
+    def other():
+        with surrogate._one_blas_thread():
+            entered.set()
+            release.wait(30)
+
+    worker = threading.Thread(target=other)
+    with surrogate._one_blas_thread():
+        worker.start()
+        assert entered.wait(30)
+    assert get() == 1
+    release.set()
+    worker.join()
+    assert get() == 2
+
+
+def test_one_blas_thread_without_openblas_does_nothing(blas_threads, monkeypatch, tmp_path):
+    get, put = blas_threads
+    put(2)
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert surrogate._openblas.__wrapped__() is None
+    monkeypatch.setattr(surrogate, "_openblas", lambda: None)
+    with surrogate._one_blas_thread():
+        assert get() == 2
+    assert get() == 2
+
+
+def test_trained_bytes_do_not_depend_on_blas_threads(blas_threads):
+    get, put = blas_threads
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, size=(400, 41))
+    y = x @ rng.uniform(0.5, 1.5, size=41) + np.sin(3.0 * x[:, 0])
+    spec = NetworkSpec(input_dim=41, epochs=30, seed=2)
+    docs = []
+    for threads in (1, 2):
+        put(threads)
+        docs.append(serialize_model(train_surrogate(spec, x, y)))
+        assert get() == threads
+    assert docs[0] == docs[1]
+
+
+def test_sobol_bytes_do_not_depend_on_blas_threads(blas_threads):
+    # at 16384 rows OpenBLAS splits a bootstrap dot product over its
+    # threads, which rounds it by their number unless rdsm pins one
+    from rdsm.sensitivity import sobol_indices
+
+    def ishigami(u):
+        x = np.pi * (2.0 * u - 1.0)
+        return np.sin(x[:, 0]) + 7.0 * np.sin(x[:, 1]) ** 2 + 0.1 * x[:, 2] ** 4 * np.sin(x[:, 0])
+
+    get, put = blas_threads
+    results = []
+    for threads in (1, 2):
+        put(threads)
+        r = sobol_indices(ishigami, 3, 16384, seed=3, n_bootstrap=20)
+        results.append(np.concatenate([r.s1, r.st, r.s1_stderr, r.st_stderr]).tobytes())
+        assert get() == threads
+    assert results[0] == results[1]
+
+
+def test_screen_bytes_do_not_depend_on_blas_threads(blas_threads):
+    # the slope regression's length-n dot products split over threads too
+    from rdsm.sensitivity import screen_fdr_logworth
+
+    get, put = blas_threads
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 1.0, size=(16384, 41))
+    y = x[:, :5] @ np.array([0.1, 0.05, 0.03, 0.02, 0.01]) + rng.normal(0.0, 1.0, size=16384)
+    results = []
+    for threads in (1, 2):
+        put(threads)
+        results.append(screen_fdr_logworth(x, y, [f"x{i}" for i in range(41)], max_k=3))
+        assert get() == threads
+    assert results[0] == results[1]
 
 
 # -- serialization ----------------------------------------------------------
