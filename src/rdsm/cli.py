@@ -70,8 +70,8 @@ _LIST_OPTIONS = ("hidden", "split", "subsets")
 # and B in the columns the model reads (2 * 11 * n_base floats on the bench
 # summed model) and two tables of an output row per read column,
 # while the design is built one row block of under 4096 rows at a time in a
-# 41-column buffer, and a forward pass holds at most one such block of hidden
-# activations, under 4096 * 140 floats; uq's rows per subset; and the rows
+# 41-column buffer, and a forward pass holds one such block's float32 copy and
+# activations, under 4096 * 181 float32s; uq's rows per subset; and the rows
 # sample and simulate draw and the summed fit's disbond resample, whose bend
 # state is held one block of at most 2048 rows at a time; and the direct
 # network's size: its epochs, minibatch rows, and hidden layers and widths

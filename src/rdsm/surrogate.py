@@ -11,7 +11,7 @@ the Adam moments and every scratch buffer.  Adam moments that fall below
 _ADAM_MOMENT_FLOOR are zeroed, so none decays into float32's subnormal
 range, where each arithmetic operation on them costs several times a normal
 one.  A trained model stores its weights as float64 values (each exactly a
-float32) and predicts in float64.
+float32) and predicts in float32 with the forward pass its MAE% scored.
 
 Fit quality is reported as MAE%: the mean over held-out rows of
 |prediction - truth| / |truth| * 100.  Rows whose target magnitude falls
@@ -176,7 +176,10 @@ class SurrogateModel:
             b.setflags(write=False)
         if self.input_lo.shape != (spec.input_dim,) or self.input_hi.shape != (spec.input_dim,):
             raise ValueError("input scaling does not match input_dim")
-        for arr in (self.input_lo, self.input_hi):
+        # predict's float32 copies of the network, the precision it trains in
+        self._weights32 = tuple(w.astype(_TRAIN_DTYPE) for w in self.weights)
+        self._biases32 = tuple(b.astype(_TRAIN_DTYPE) for b in self.biases)
+        for arr in (self.input_lo, self.input_hi, *self._weights32, *self._biases32):
             arr.setflags(write=False)
 
     @_one_blas_thread()
@@ -185,13 +188,14 @@ class SurrogateModel:
         pair, holds those inputs at the values on every row, whatever x has
         there.
 
-        Rows run through the network in the blocks of row_blocks, so at
-        most one block's hidden activations (under 4096 rows) exist at a
-        time.  BLAS picks its kernels from the matrix size, so a row's
-        output bits can depend on the size of the block it sits in: a batch
-        of at most 2048 rows, or a whole multiple of 2048, matches one
-        unblocked pass bit for bit, and any other size within 1e-14 of the
-        batch's largest output magnitude.
+        Each block of row_blocks is scaled in float64, cast to float32 and
+        run through the float32 network, as training scores its rows, and
+        its outputs are unscaled in float64; at most one block's hidden
+        activations (under 4096 rows) exist at a time.  BLAS picks its
+        kernels from the matrix size, so a row's output bits can depend on
+        the size of the block it sits in: a batch of at most 2048 rows, or a
+        whole multiple of 2048, matches one unblocked pass bit for bit, and
+        any other size within 1e-6 of the batch's largest output magnitude.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.spec.input_dim:
@@ -206,7 +210,8 @@ class SurrogateModel:
             xs = _scale(x[rows], self.input_lo, self.input_hi)
             if pinned is not None:
                 xs[:, cols] = values
-            out[rows] = _unscale(_forward(self.weights, self.biases, xs), self.output_lo, self.output_hi)
+            out[rows] = _outputs(self._weights32, self._biases32, xs.astype(_TRAIN_DTYPE),
+                                 self.output_lo, self.output_hi)
         return out
 
 
@@ -245,6 +250,12 @@ def _forward(weights, biases, a, outs=None):
         if l < last:
             np.maximum(a, 0.0, out=a)
     return a[:, 0]
+
+
+def _outputs(weights, biases, xs, lo, hi):
+    """Raw float64 outputs of float32 scaled rows: the forward pass that
+    both predict and training's MAE% run, unscaled in float64."""
+    return _unscale(_forward(weights, biases, xs).astype(float), lo, hi)
 
 
 def _layer_views(flat, dims):
@@ -339,7 +350,7 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     each live in one flat float32 buffer, updated in place once per
     minibatch; every _ADAM_FLOOR_STEPS (8) minibatches the moments below
     _ADAM_MOMENT_FLOOR (1e-30) are zeroed.  The initial weights are drawn in
-    float64 and rounded.  MAE% is computed in float64 from the float32
+    float64 and rounded.  MAE% is computed in float64 from predict's float32
     forward pass, and the model keeps the trained weights as float64.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -394,8 +405,7 @@ def train_surrogate(spec: NetworkSpec, x, y) -> SurrogateModel:
     xs_test = _scale(x_test, in_lo, in_hi).astype(_TRAIN_DTYPE)
 
     def eval_mae(ws, bs, xs, y_raw, keep):
-        pred = _forward(ws, bs, xs).astype(float)
-        return _mae_pct(y_raw, _unscale(pred, out_lo, out_hi), keep)
+        return _mae_pct(y_raw, _outputs(ws, bs, xs, out_lo, out_hi), keep)
 
     # a fit whose held-out MAE% never beats the initial weights' has diverged
     init_mae = eval_mae(weights, biases, xs_test, y_test, keep_test)[0]

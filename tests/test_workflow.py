@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_surrogate import assert_matches_one_pass
+from test_surrogate import assert_matches_one_pass, one_float32_pass
 from rdsm.bend import default_specimen, simulate_dataset
 from rdsm.catalog import SamplingDistribution, build_catalog
 from rdsm.dataset import MECHANISMS, Dataset
 from rdsm.errors import SchemaError, fields_doc
 from rdsm.sampling import sample_lhs
 from rdsm.sensitivity import sobol_indices
-from rdsm.surrogate import NetworkSpec, SurrogateModel, TrainReport, _forward, _scale, _unscale
+from rdsm.surrogate import NetworkSpec, SurrogateModel, TrainReport
 from rdsm.workflow import (
     RESAMPLE_N,
     EngagementGate,
@@ -312,17 +312,15 @@ def test_sobol_runs_each_summed_term_on_its_own_blocks(cat, box, kind):
 
 
 def _one_pass(member, x):
-    """member.predict as one forward pass over the whole batch, a full-width
-    network's other columns tiled from the baseline."""
-    s = member.surrogate
+    """member.predict as one float32 forward pass over the whole batch, a
+    full-width network's other columns tiled from the baseline."""
     cols = member.catalog.indices(member.retained_params)
-    if s.spec.input_dim == len(cols):
+    if member.surrogate.spec.input_dim == len(cols):
         rows = x[:, cols]
     else:
         rows = np.tile(member.baseline, (len(x), 1))
         rows[:, cols] = x[:, cols]
-    xs = _scale(rows, s.input_lo, s.input_hi)
-    return _unscale(_forward(s.weights, s.biases, xs), s.output_lo, s.output_hi)
+    return one_float32_pass(member.surrogate, rows)
 
 
 @pytest.mark.parametrize("n", (1, 7, 2047, 2048, 2049, 4100, 5000, 6145, 16384))
@@ -345,6 +343,37 @@ def test_members_and_sum_predict_in_blocks(cat, box, n):
         assert_matches_one_pass(parts[name], np.where(engaged, want, 0.0) if name == "DI" else want)
     total = functools.reduce(operator.add, (parts[m] for m in MECHANISMS))
     assert total.tobytes() == summed.predict(x).tobytes()
+
+
+def test_bench_fixture_round_trips(cat, tmp_path):
+    # each fixture file loads and saves back byte for byte (the manifest as
+    # equal JSON), as the surrogate_query benchmark's set-up checks; its
+    # weights predate float32 training, so a model must keep the float64
+    # values it loaded, whatever precision it predicts in
+    fixture = Path(__file__).resolve().parents[1] / "bench" / "fixture"
+    direct = MechanismRDSM.load(fixture / "direct_rdsm.json", cat)
+    summed = SummedRDSM.load(fixture / "summed", cat)
+    direct.save(tmp_path / "direct_rdsm.json")
+    summed.save(tmp_path / "summed")
+    files = sorted(p.relative_to(fixture) for p in fixture.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    # each check is a bool, so a failure does not diff whole model files
+    for name in files:
+        original, written = (fixture / name).read_bytes(), (tmp_path / name).read_bytes()
+        if name.name == "manifest.json":
+            same = json.loads(written) == json.loads(original)
+        else:
+            same = written == original
+        assert same, f"{name} does not round-trip"
+    models = {"direct_rdsm.json": direct.surrogate,
+              **{f"summed/{m}.json": member.surrogate for m, member in summed.members.items()}}
+    for name, model in models.items():
+        doc = json.loads((fixture / name).read_text())
+        doc = doc.get("model", doc)
+        for arrays, key in ((model.weights, "weights"), (model.biases, "biases")):
+            for a, values in zip(arrays, doc[key], strict=True):
+                same = a.dtype == np.float64 and a.reshape(-1).tolist() == values
+                assert same, f"{name} {key} are not the loaded float64 values"
 
 
 def _sobol_peak(cat, model, kind) -> int:
