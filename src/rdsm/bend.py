@@ -376,11 +376,14 @@ def _feedback_separation(r, h, d0, df, fb):
 class _CohesiveBank:
     """Vectorized state for a set of cohesive points sharing resin properties.
 
-    Mode mix, initiation separation, and mixed toughness freeze at the
-    loading direction seen when the quadratic criterion first trips.  The
-    initiation traction is k * delta0_m, recomputed where it is needed.  A
-    point has initiated exactly where delta_f_m is nonzero: it is 0 before,
-    and the admissibility check keeps it above delta0_m > 0 after.
+    Mode mix, initiation separation, and mixed toughness freeze where the
+    quadratic criterion first trips on the straight segment from the
+    previous step's drivers to the current ones, not at the end of the step:
+    the two agree only on a proportional path, and fiber damage turns the
+    cohesive layers' path.  The initiation traction is k * delta0_m,
+    recomputed where it is needed.  A point has initiated exactly where delta_f_m is
+    nonzero: it is 0 before, and the admissibility check keeps it above
+    delta0_m > 0 after.
     """
 
     def __init__(self, n, m, k, t0_n, t0_s, gc_i, gc_ii, exponent, label, feedback=0.0):
@@ -397,12 +400,15 @@ class _CohesiveBank:
         self.delta0_m = np.zeros(shape)
         self.delta_f_m = np.zeros(shape)
         self.dissipated = np.zeros(shape)
+        self.prev_n = self.prev_s = np.zeros(shape)  # the last step's drivers
 
     def advance(self, delta_n, delta_s):
         """Advance to new separations; returns the dissipation increment per point.
 
-        delta_n and delta_s are (n, m).  Points initiate on these drivers,
-        and the criterion is evaluated only where a point has not initiated.
+        delta_n and delta_s are (n, m), and are kept, not copied, as the
+        start of the next step's segment.  Points initiate on the segment
+        from the last drivers to these, and the criterion is evaluated only
+        where a point has not initiated.
         Separation, damage and dissipation move only at initiated points, so
         they are computed there alone; every other point's increment is an
         exact zero.
@@ -417,20 +423,30 @@ class _CohesiveBank:
         shape, m = delta_s.shape, delta_s.shape[1]
         idx = np.flatnonzero(self.delta_f_m == 0.0)
         rows = idx // m
-        dn, ds, k = delta_n.take(idx), delta_s.take(idx), self.k[rows]
-        quad = np.square(k * ds / self.t0_s[rows])
-        quad += (k * dn / self.t0_n[rows]) ** 2
-        hit = quad >= 1.0
+        k, t0_n, t0_s = self.k[rows], self.t0_n[rows], self.t0_s[rows]
+        wn, ws = k * delta_n.take(idx) / t0_n, k * delta_s.take(idx) / t0_s
+        hit = np.square(ws) + wn**2 >= 1.0
         if hit.any():
-            fresh, rows, ds = idx[hit], rows[hit], ds[hit]
-            dm = np.hypot(dn[hit], ds)
-            shear_sq = np.where(dm > 0.0, (ds / np.where(dm > 0.0, dm, 1.0)) ** 2, 0.0)
+            fresh, rows, k = idx[hit], rows[hit], k[hit]
+            # the criterion trips on the segment from the last step's drivers:
+            # in traction-scaled drivers u + t*v, |u + t*v|**2 = 1 reads
+            # a*t**2 + 2*b*t = c, with c = 1 - |u|**2 > 0 since u had not
+            # initiated; the drivers only grow along the ramp, so b >= 0 and
+            # the root below is cancellation-free
+            pn, ps = self.prev_n.take(fresh), self.prev_s.take(fresh)
+            un, us = k * pn / t0_n[hit], k * ps / t0_s[hit]
+            vn, vs = wn[hit] - un, ws[hit] - us
+            a, b, c = vn * vn + vs * vs, un * vn + us * vs, 1.0 - (np.square(us) + un**2)
+            t = np.minimum(c / (b + np.sqrt(b * b + a * c)), 1.0)
+            dn = pn + t * (delta_n.take(fresh) - pn)
+            ds = ps + t * (delta_s.take(fresh) - ps)
+            d0 = np.hypot(dn, ds)
+            shear_sq = (ds / d0) ** 2
             # the BK mix reads only G_II + G_III, so all shear goes to mode II
             gcm = bk_mixed_mode_gc(
                 1.0 - shear_sq, shear_sq, 0.0, self.gc_i[rows], self.gc_ii[rows], self.exponent[rows]
             )
-            d0 = dm / np.sqrt(quad[hit])
-            t0m = self.k[rows] * d0
+            t0m = k * d0
             dfm = 2.0 * gcm / t0m
             if np.any(dfm <= d0):
                 j = int(np.argmax(dfm <= d0))
@@ -452,6 +468,7 @@ class _CohesiveBank:
             inc.ravel()[idx] = new_diss - self.dissipated.take(idx)
             self.delta_max.ravel()[idx] = d_max
             self.dissipated.ravel()[idx] = new_diss
+        self.prev_n, self.prev_s = delta_n, delta_s
         return inc
 
 
@@ -710,8 +727,8 @@ class BendState:
 # the most rows one BendState holds: its state, about 40 (n, 12) arrays, and
 # one step's temporaries peak near 10 MB for a full block.  2048 keeps the
 # 1555-row paper design in one block and runs the 3277-row disbond resample
-# as two, its fastest split; 1024-row blocks save about 3 MB more RSS but
-# add about 0.3 s to a paper pipeline pass
+# as two; at the 32-step ramp, 1024-row blocks save about 2 MB of peak RSS
+# but take those two simulations from about 0.31 to 0.35 s (2 cores)
 _SIMULATE_ROWS = 2048
 
 

@@ -67,6 +67,8 @@ class ReferenceCohesiveBank:
         self.delta_f_m = np.zeros(shape)
         self.t0_m = np.zeros(shape)
         self.dissipated = np.zeros(shape)
+        self.prev_n = np.zeros(shape)
+        self.prev_s = np.zeros(shape)
 
     def damage(self):
         d = np.clip(self.delta_max, self.delta0_m, self.delta_f_m)
@@ -75,21 +77,29 @@ class ReferenceCohesiveBank:
         return np.where(self.initiated, np.clip(frac, 0.0, 1.0), 0.0)
 
     def advance(self, delta_n, delta_s):
+        """Initiation where the quadratic criterion reaches 1 on the segment
+        from the last step's drivers to these, at the root of the quadratic
+        in the segment parameter taken in the kernel's form; then the
+        separation law over every initiated point."""
         k = self.k[:, None]
         delta_m = np.hypot(delta_n, delta_s)
-        quad = (k * delta_n / self.t0_n[:, None]) ** 2 + (
-            k * delta_s / self.t0_s[:, None]
-        ) ** 2
-        fresh = (~self.initiated) & (quad >= 1.0)
+        wn, ws = k * delta_n / self.t0_n[:, None], k * delta_s / self.t0_s[:, None]
+        un, us = k * self.prev_n / self.t0_n[:, None], k * self.prev_s / self.t0_s[:, None]
+        fresh = (~self.initiated) & (wn**2 + ws**2 >= 1.0)
         if np.any(fresh):
             rows, cols = np.nonzero(fresh)
-            dm = delta_m[rows, cols]
-            q = quad[rows, cols]
-            shear_sq = np.where(dm > 0.0, (delta_s[rows, cols] / np.where(dm > 0.0, dm, 1.0)) ** 2, 0.0)
+            un, us = un[fresh], us[fresh]
+            vn, vs = wn[fresh] - un, ws[fresh] - us
+            a, b, c = vn * vn + vs * vs, un * vn + us * vs, 1.0 - (un**2 + us**2)
+            t = np.minimum(c / (b + np.sqrt(b * b + a * c)), 1.0)
+            pn, ps = self.prev_n[fresh], self.prev_s[fresh]
+            dn = pn + t * (delta_n[fresh] - pn)
+            ds = ps + t * (delta_s[fresh] - ps)
+            d0 = np.hypot(dn, ds)
+            shear_sq = (ds / d0) ** 2
             gcm = bk_mixed_mode_gc(
                 1.0 - shear_sq, shear_sq, 0.0, self.gc_i[rows], self.gc_ii[rows], self.exponent[rows]
             )
-            d0 = dm / np.sqrt(q)
             t0m = self.k[rows] * d0
             dfm = 2.0 * gcm / t0m
             if np.any(dfm <= d0):
@@ -117,6 +127,7 @@ class ReferenceCohesiveBank:
         )
         inc = new_diss - self.dissipated
         self.dissipated = new_diss
+        self.prev_n, self.prev_s = delta_n.copy(), delta_s.copy()
         return inc
 
 

@@ -4,7 +4,8 @@ Test helpers: bisect_power_hardening is the 52-step bisection return map,
 kept as a reference for the Newton solve; it has the signature of
 rdsm.bend._solve_power_hardening, so a test can patch it in and run the bend
 model against it.  bisect_feedback_separation is a reference for the
-interface's implicit damage feedback, rdsm.bend._feedback_separation.
+interface's implicit damage feedback, rdsm.bend._feedback_separation, and
+bisect_initiation for the cohesive banks' initiation within a step.
 """
 
 import numpy as np
@@ -47,6 +48,28 @@ def bisect_feedback_separation(r, h, d0, df, fb, steps=200):
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         below = residual(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi
+
+
+def bisect_initiation(start, end, scale, steps=200):
+    """Fraction t in [0, 1] of the segment from start to end at which the
+    quadratic criterion |scale * (start + t*(end - start))|**2 reaches 1,
+    bisected per point.
+
+    start, end and scale are (2, ...) arrays: the normal and shear drivers
+    and their traction scales k / t0.  The criterion is below 1 at t = 0 and
+    at least 1 at t = 1, and convex in t, so it crosses 1 once.
+    """
+
+    def quad(t):
+        return np.square(scale * (start + t * (end - start))).sum(axis=0)
+
+    lo, hi = np.zeros(start.shape[1:]), np.ones(start.shape[1:])
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = quad(mid) < 1.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return hi

@@ -84,20 +84,24 @@ def test_forward_in_place_matches_allocating_expression(dims):
     w = [rng.normal(0.0, 0.3, size=shape) for shape in zip(dims, dims[1:])]
     b = [rng.normal(0.0, 0.3, size=d) for d in dims[1:]]
     model = _identity_scaled(spec, w, b)
-    x = rng.random((1000, dims[0]))
-    before = x.copy()
-    a = x
-    for wl, bl in zip(w[:-1], b[:-1]):
-        a = np.maximum(a @ wl + bl, 0.0)
-    want = (a @ w[-1] + b[-1])[:, 0]
-    got = _forward(model.weights, model.biases, x)
-    assert got.tobytes() == want.tobytes()
-    assert np.array_equal(x, before)  # the input batch is not written
-    # the training path writes each layer into its buffer, with the same bits
-    outs = _batch_buffers(dims, len(x), float)[0]
-    kept = _forward(model.weights, model.biases, x, outs)
-    assert kept.tobytes() == want.tobytes()
-    assert np.shares_memory(kept, outs[-1])
+    x64 = rng.random((1000, dims[0]))
+    # float64, and float32, the precision training and predict run in
+    for weights, biases, x in ((model.weights, model.biases, x64),
+                               (model._weights32, model._biases32, x64.astype(np.float32))):
+        before = x.copy()
+        a = x
+        for wl, bl in zip(weights[:-1], biases[:-1]):
+            a = np.maximum(a @ wl + bl, 0.0)
+        want = (a @ weights[-1] + biases[-1])[:, 0]
+        assert want.dtype == x.dtype
+        got = _forward(weights, biases, x)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(x, before)  # the input batch is not written
+        # the training path writes each layer into its buffer, with the same bits
+        outs = _batch_buffers(dims, len(x), x.dtype)[0]
+        kept = _forward(weights, biases, x, outs)
+        assert kept.tobytes() == want.tobytes()
+        assert np.shares_memory(kept, outs[-1])
 
 
 def test_forward_identity_and_constant_networks():
