@@ -244,10 +244,12 @@ def load_specimen_config(source, catalog: ParameterCatalog) -> BendSpecimen:
     )
 
 
+DEFAULT_SPECIMEN = resources.files("rdsm.data").joinpath("default_specimen.json")
+
+
 def default_specimen(catalog: ParameterCatalog) -> BendSpecimen:
     """The shipped calibrated specimen config."""
-    config = resources.files("rdsm.data").joinpath("default_specimen.json").read_bytes()
-    return load_specimen_config(config, catalog)
+    return load_specimen_config(DEFAULT_SPECIMEN.read_bytes(), catalog)
 
 
 _NEWTON_CAP = 50  # steps per solve; the catalog's points converge in at most 7

@@ -12,6 +12,7 @@ outputs on one platform.
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bend import default_specimen, load_specimen_config, simulate_dataset
+from .bend import DEFAULT_SPECIMEN, load_specimen_config, simulate_dataset
 from .catalog import DISTRIBUTIONS, SamplingDistribution, build_catalog
 from .dataset import ENERGY_COLUMNS, Dataset, read_csv, write_csv
 from .errors import NumericalFailureError, SchemaError, json_value, parse_json
@@ -29,9 +30,8 @@ from .sampling import sample_lhs, sample_lss, sample_mc
 from .sensitivity import screen_fdr_logworth, sobol_indices
 from .surrogate import NetworkSpec, serialize_model
 from .workflow import (
-    DIRECT_MAX_RETAINED,
     ENGAGEMENT_FRACTION,
-    MECHANISM_MAX_RETAINED,
+    MAX_RETAINED,
     RESAMPLE_N,
     EngagementGate,
     MechanismRDSM,
@@ -220,11 +220,15 @@ def _load_dataset(resolved, key, catalog) -> Dataset:
     return Dataset.load_csv(_require_file(_require_opt(resolved, key), f"{key} file"), catalog)
 
 
+def _specimen_bytes(resolved) -> bytes:
+    """The specimen config a command reads: --specimen, else the shipped one."""
+    path = resolved["specimen"]
+    source = DEFAULT_SPECIMEN if path is None else _require_file(path, "specimen config")
+    return source.read_bytes()
+
+
 def _load_specimen(resolved, catalog):
-    path = resolved.get("specimen")
-    if path is None:
-        return default_specimen(catalog)
-    return load_specimen_config(_require_file(path, "specimen config"), catalog)
+    return load_specimen_config(_specimen_bytes(resolved), catalog)
 
 
 def _load_model(path, catalog):
@@ -274,6 +278,8 @@ def _write_snapshot(resolved, anchor: Path) -> None:
         "command": resolved["command"],
         "options": {k: v for k, v in resolved.items() if k != "command"},
     }
+    if "specimen" in resolved:  # names the source model's config by its content
+        doc["specimen_sha256"] = hashlib.sha256(_specimen_bytes(resolved)).hexdigest()
     if anchor.is_dir():
         target = anchor / "run_config.json"
     else:
@@ -362,9 +368,7 @@ def _cmd_simulate(resolved, catalog) -> tuple:
 def _cmd_screen(resolved, catalog) -> tuple:
     dataset = _load_dataset(resolved, "data", catalog)
     output = resolved["output"]
-    max_k = resolved["max_k"]
-    if max_k is None:
-        max_k = DIRECT_MAX_RETAINED if output == "TS" else MECHANISM_MAX_RETAINED
+    max_k = resolved["max_k"] or MAX_RETAINED[output]
     result = screen_fdr_logworth(dataset.inputs, dataset.energy(output), catalog.names, max_k=max_k)
     return f"screening_{output}.csv", *_screening_table(result)
 
@@ -671,8 +675,8 @@ _COMMANDS: dict[str, tuple] = {
         _opt("output", "TS", choices=ENERGY_COLUMNS, help="energy column to screen"),
         _opt(
             "max_k", bounds=(1, None), type=int,
-            help=f"retention cap (default: {DIRECT_MAX_RETAINED} for TS, "
-            f"{MECHANISM_MAX_RETAINED} for mechanisms)",
+            help="retention cap (default per energy: "
+            + ", ".join(f"{energy} {k}" for energy, k in MAX_RETAINED.items()) + ")",
         ),
         _opt("out", help="output CSV path (default: screening_<output>.csv)"),
     )),
@@ -692,7 +696,7 @@ _COMMANDS: dict[str, tuple] = {
         _opt("batch_size", bounds=(1, _MAX_QUERY_ROWS), route="direct", type=int,
              help="minibatch rows"),
         _opt("split", route="direct", help="train,test fractions, e.g. 0.9,0.1"),
-        _opt("max_retained", DIRECT_MAX_RETAINED, bounds=(1, None), route="direct", type=int,
+        _opt("max_retained", MAX_RETAINED["TS"], bounds=(1, None), route="direct", type=int,
              help="direct retention cap"),
         _opt("query_mode", "retrained", route="direct", choices=("retrained", "frozen_full")),
         _opt("resample_n", RESAMPLE_N, bounds=(1, _MAX_QUERY_ROWS), route="summed", type=int,

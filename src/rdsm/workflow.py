@@ -1,13 +1,13 @@
 """Direct and summed reduced-dimension surrogate workflows.
 
-Two routes lead from a sampled dataset to a total-energy predictor.  The
-direct route trains one network on all catalog inputs, screens the data for
-the dominant parameters, and refits a reduced network over only those
-(default four).  The summed route builds one reduced model per damage
-mechanism (at most three inputs each), resamples the disbond subspace where
-the base design leaves it starved, gates the disbond contribution with a
-ruled-surface engagement test, and predicts the total as the sum of the five
-mechanism models.
+Two routes lead from a sampled dataset to a total-energy predictor, and each
+reduced model in them is built one way: screen the energy, keep the head of
+its logworth ladder up to its cap in MAX_RETAINED, and fit a network on those
+columns.  The direct route reduces the total after training one network on
+all catalog inputs.  The summed route reduces each damage mechanism,
+resamples the disbond subspace where the base design leaves it starved, gates
+the disbond contribution with a ruled-surface engagement test, and predicts
+the total as the sum of the five mechanism models.
 
 Either way the result is queried with full catalog vectors; coordinates that
 were not retained are never read, so perturbing them changes the prediction
@@ -51,8 +51,8 @@ from .surrogate import (
 ENGAGEMENT_FRACTION = 0.03
 
 FIT_MIN_ROWS = 100  # fewest rows either route fits on
-DIRECT_MAX_RETAINED = 4  # retention cap of the total-energy screen
-MECHANISM_MAX_RETAINED = 3  # retention cap of each mechanism's screen
+# retention cap of each energy's screen: the total and each mechanism
+MAX_RETAINED = MappingProxyType({"TS": 4, **dict.fromkeys(MECHANISMS, 3)})
 RESAMPLE_N = 3277  # rows in the summed route's focused disbond design
 
 # default hidden layers, learning rate, and (train, test) split per mechanism
@@ -417,8 +417,8 @@ class DirectFit:
 
 @dataclass(frozen=True)
 class MechanismFit:
-    """One mechanism's fit outcome; rdsm is None when data cannot support
-    a model and resampling the mechanism's subspace is required."""
+    """One energy's reduced fit outcome; rdsm is None when data cannot
+    support a model and resampling the mechanism's subspace is required."""
 
     mechanism: str
     rdsm: MechanismRDSM | None
@@ -439,24 +439,35 @@ class SummedFit:
         object.__setattr__(self, "fits", MappingProxyType(dict(self.fits)))
 
 
-def _nonempty_retained(screening: ScreeningResult) -> tuple[tuple[str, ...], str]:
-    """Retention with a floor of one parameter: an energy that varies has a
-    best single predictor even when nothing clears the significance bar."""
-    if screening.retained:
-        return screening.retained, ""
-    top = screening.entries[0].name
-    return (top,), f"no parameter cleared the significance floor; kept {top}"
+def _reduced_fit(dataset, energy, network, max_k, full_model=None) -> MechanismFit:
+    """Screen one energy and fit network, narrowed to the retained columns,
+    on them; full_model, if given, answers instead with the rest pinned.  At
+    least the top entry is kept: an energy that varies has a best single
+    predictor even when nothing clears the significance floor."""
+    catalog, y = dataset.catalog, dataset.energy(energy)
+    screening = screen_fdr_logworth(dataset.inputs, y, catalog.names, max_k=max_k)
+    retained, note = screening.retained, ""
+    if not retained:
+        retained = (screening.entries[0].name,)
+        note = f"no parameter cleared the significance floor; kept {retained[0]}"
+    model = full_model
+    if model is None:
+        reduced = replace(network, input_dim=len(retained))
+        model = train_surrogate(reduced, dataset.input_columns(retained), y)
+    rdsm = MechanismRDSM(energy, retained, model, catalog.means, catalog)
+    return MechanismFit(energy, rdsm, screening, note)
 
 
 def fit_direct(
     dataset: Dataset,
     network: NetworkSpec | None = None,
-    max_retained: int = DIRECT_MAX_RETAINED,
+    max_retained: int = MAX_RETAINED["TS"],
     query_mode: str = "retrained",
     seed: int = 0,
 ) -> DirectFit:
     """Fit the direct route: full-width network, screen, reduced refit.
 
+    max_retained caps the screen, at MAX_RETAINED["TS"] by default.
     query_mode picks how the reduced model answers queries: "retrained"
     fits a fresh network on just the retained columns; "frozen_full"
     reuses the full-width network with non-retained inputs pinned at the
@@ -473,17 +484,10 @@ def fit_direct(
         raise ValueError(
             f"network takes {network.input_dim} inputs, catalog has {len(catalog)}"
         )
-    ts = dataset.energy("TS")
-    full_model = train_surrogate(network, dataset.inputs, ts)
-    screening = screen_fdr_logworth(dataset.inputs, ts, catalog.names, max_k=max_retained)
-    retained, _ = _nonempty_retained(screening)
-    if query_mode == "retrained":
-        reduced_spec = replace(network, input_dim=len(retained))
-        model = train_surrogate(reduced_spec, dataset.input_columns(retained), ts)
-    else:
-        model = full_model
-    rdsm = MechanismRDSM("TS", retained, model, catalog.means, catalog)
-    return DirectFit(full_model=full_model, screening=screening, rdsm=rdsm)
+    full_model = train_surrogate(network, dataset.inputs, dataset.energy("TS"))
+    frozen = full_model if query_mode == "frozen_full" else None
+    fit = _reduced_fit(dataset, "TS", network, max_retained, frozen)
+    return DirectFit(full_model=full_model, screening=fit.screening, rdsm=fit.rdsm)
 
 
 def fit_mechanism(
@@ -491,7 +495,8 @@ def fit_mechanism(
     mechanism: str,
     seed: int = 0,
 ) -> MechanismFit:
-    """Screen one mechanism energy and fit a reduced model on the survivors.
+    """Screen one mechanism energy and fit a reduced model on the survivors,
+    at most MAX_RETAINED[mechanism] of them.
 
     A mechanism that never varies over the dataset cannot be screened or
     fitted; the result then carries no model and asks for resampling of the
@@ -499,29 +504,12 @@ def fit_mechanism(
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    y = dataset.energy(mechanism)
-    if np.ptp(y) == 0.0:
-        return MechanismFit(
-            mechanism=mechanism,
-            rdsm=None,
-            screening=None,
-            note=f"{mechanism} is constant over the dataset",
-        )
-    catalog = dataset.catalog
-    screening = screen_fdr_logworth(dataset.inputs, y, catalog.names, max_k=MECHANISM_MAX_RETAINED)
-    retained, note = _nonempty_retained(screening)
+    if np.ptp(dataset.energy(mechanism)) == 0.0:
+        return MechanismFit(mechanism, None, None, f"{mechanism} is constant over the dataset")
     hidden, rate, split = _MECHANISM_NETWORKS[mechanism]
-    network = NetworkSpec(
-        input_dim=len(retained), hidden_layers=hidden, learning_rate=rate, split=split, seed=seed
-    )
-    model = train_surrogate(network, dataset.input_columns(retained), y)
-    rdsm = MechanismRDSM(mechanism, retained, model, catalog.means, catalog)
-    return MechanismFit(
-        mechanism=mechanism,
-        rdsm=rdsm,
-        screening=screening,
-        note=note,
-    )
+    width = len(dataset.catalog)  # _reduced_fit narrows it to the retained columns
+    network = NetworkSpec(width, hidden_layers=hidden, learning_rate=rate, split=split, seed=seed)
+    return _reduced_fit(dataset, mechanism, network, MAX_RETAINED[mechanism])
 
 
 @dataclass(frozen=True)
@@ -626,9 +614,8 @@ def _disbond_varied(dataset: Dataset, gate: EngagementGate, fits) -> tuple:
     if np.ptp(y_di) == 0.0:
         retained = [p for f in fits.values() if f.rdsm for p in f.rdsm.retained_params]
         return None, tuple(dict.fromkeys(list(gate.axes) + retained))
-    screen = screen_fdr_logworth(
-        dataset.inputs, y_di, dataset.catalog.names, max_k=MECHANISM_MAX_RETAINED
-    )
+    cap = MAX_RETAINED["DI"]
+    screen = screen_fdr_logworth(dataset.inputs, y_di, dataset.catalog.names, max_k=cap)
     return screen, tuple(e.name for e in screen.entries[:_SUBSPACE_VARIED] if not e.zero_variance)
 
 

@@ -3,6 +3,7 @@ snapshots, determinism, and the documented exit codes."""
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -195,6 +196,23 @@ def test_simulate_dataset_and_snapshot(cat, work, data_csv):
     assert snapshot["options"]["n"] == 140
     assert snapshot["options"]["seed"] == 7
     assert "version" in snapshot
+
+
+def test_snapshot_names_the_specimen_by_content(work, data_csv, direct_dir, summed_dir):
+    shipped = hashlib.sha256((Path(cli.__file__).parent / "data" / "default_specimen.json")
+                             .read_bytes()).hexdigest()
+    for path in (work / "data.csv.run.json", summed_dir / "run_config.json"):
+        assert json.loads(path.read_text())["specimen_sha256"] == shipped, path
+    # a direct fit reads no specimen
+    assert "specimen_sha256" not in json.loads((direct_dir / "run_config.json").read_text())
+    # a --specimen file is named by the bytes read, while options keep its path
+    spec = work / "specimen_reformatted.json"
+    spec.write_text(json.dumps(_SPECIMEN, indent=1), encoding="utf-8")
+    out = work / "specimen_data.csv"
+    assert run("simulate", "--n", 4, "--specimen", spec, "--out", out) == EXIT_OK
+    snapshot = json.loads((work / "specimen_data.csv.run.json").read_text())
+    assert snapshot["specimen_sha256"] == hashlib.sha256(spec.read_bytes()).hexdigest() != shipped
+    assert snapshot["options"]["specimen"] == str(spec)
 
 
 def test_simulate_from_design(work):
@@ -602,11 +620,18 @@ def test_screen_ladder_csv(work, data_csv, cat):
     assert retained == [r[0] for r in rows[: len(retained)]]
 
 
-def test_screen_mechanism_default_cap(work, data_csv):
-    out = work / "screen_pm.csv"
-    assert run("screen", "--data", data_csv, "--output", "PM", "--out", out) == EXIT_OK
-    _, rows = read_csv(out)
-    assert sum(r[5] == "true" for r in rows) <= 3
+def test_screen_mechanism_default_cap(work, data_csv, capsys):
+    # each energy's default cap is its entry in the one cap table
+    assert set(workflow.MAX_RETAINED) == set(ENERGY_COLUMNS)
+    for energy, cap in workflow.MAX_RETAINED.items():
+        default, capped = work / f"screen_{energy}_default.csv", work / f"screen_{energy}_cap.csv"
+        screen = ("screen", "--data", data_csv, "--output", energy)
+        assert run(*screen, "--out", default) == EXIT_OK
+        assert run(*screen, "--max-k", cap, "--out", capped) == EXIT_OK
+        assert default.read_bytes() == capped.read_bytes(), energy
+    assert run("screen", "--help") == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    assert all(f"{energy} {cap}" in text for energy, cap in workflow.MAX_RETAINED.items())
 
 
 def test_screen_missing_file(work, capsys):

@@ -597,6 +597,27 @@ def test_fit_direct_single_dominant_input(cat, box):
     assert fit.rdsm.retained_params == ("Aln",)
 
 
+def test_floor_of_one_keeps_the_top_entry(cat, box):
+    # energies drawn apart from the inputs: no parameter clears the
+    # significance floor, so every reduced fit keeps the top entry alone
+    x = box.transform(sample_lhs(150, len(cat), seed=0), cat)
+    energies = np.abs(np.random.default_rng(0).normal(5.0, 1.0, (150, 6)))
+    ds = Dataset(cat, x, energies, provenance="external_csv")
+    fit = fit_mechanism(ds, "PL")
+    top = fit.screening.entries[0].name
+    assert fit.screening.retained == ()
+    assert fit.rdsm.retained_params == (top,)
+    assert fit.rdsm.surrogate.spec.input_dim == 1
+    assert fit.note == f"no parameter cleared the significance floor; kept {top}"
+    small = NetworkSpec(input_dim=len(cat), hidden_layers=(8,), epochs=120, seed=0)
+    for mode, width in (("retrained", 1), ("frozen_full", len(cat))):
+        direct = fit_direct(ds, network=small, query_mode=mode)
+        assert direct.screening.retained == ()
+        assert direct.rdsm.retained_params == (direct.screening.entries[0].name,)
+        assert direct.rdsm.surrogate.spec.input_dim == width
+        assert len(direct.rdsm.support) == 1
+
+
 def test_fit_direct_frozen_full_mode(splits, cat):
     train, held = splits
     small = NetworkSpec(input_dim=len(cat), hidden_layers=(16, 16), epochs=200, seed=1)
