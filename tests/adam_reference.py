@@ -22,7 +22,7 @@ from rdsm.surrogate import (
     _ADAM_FLOOR_STEPS,
     _ADAM_MOMENT_FLOOR,
     _EARLY_STOP_DELTA,
-    _EARLY_STOP_PATIENCE,
+    _EARLY_STOP_PATIENCE_STEPS,
     SurrogateModel,
     TrainReport,
     _mae_pct,
@@ -112,6 +112,7 @@ def reference_train(spec, x, y) -> SurrogateModel:
     best = [p.copy() for p in params]
     patience_anchor = math.inf
     patience = 0
+    rel_delta, min_delta = _EARLY_STOP_DELTA
     loss_history = []
     mae_history = []
     n_train = len(train_idx)
@@ -150,12 +151,12 @@ def reference_train(spec, x, y) -> SurrogateModel:
             if mae < best_mae:
                 best_mae = mae
                 best = [p.copy() for p in params]
-            if mae < patience_anchor - _EARLY_STOP_DELTA:
+            if patience_anchor - mae >= max(rel_delta * patience_anchor, min_delta):
                 patience_anchor = mae
                 patience = 0
             else:
-                patience += 1
-                if patience >= _EARLY_STOP_PATIENCE:
+                patience += len(range(0, n_train, spec.batch_size))  # the epoch's steps
+                if patience >= _EARLY_STOP_PATIENCE_STEPS:
                     break
         else:
             mae_history.append(math.nan)

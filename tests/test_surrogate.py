@@ -13,7 +13,7 @@ from gradcheck import gradient_check
 from rdsm import surrogate
 from rdsm.errors import NumericalFailureError, SchemaError
 from rdsm.surrogate import (
-    _EARLY_STOP_PATIENCE,
+    _EARLY_STOP_PATIENCE_STEPS,
     NetworkSpec,
     SurrogateModel,
     TrainReport,
@@ -243,10 +243,11 @@ def test_training_is_bit_deterministic(linear_problem):
 
 def test_early_stopping_bounds_epochs(linear_problem):
     x, y = linear_problem
-    model = train_surrogate(
-        NetworkSpec(input_dim=1, hidden_layers=(8,), epochs=2000, seed=3), x, y
-    )
-    assert _EARLY_STOP_PATIENCE <= model.report.epochs_run < 2000
+    spec = NetworkSpec(input_dim=1, hidden_layers=(8,), epochs=2000, seed=3)
+    model = train_surrogate(spec, x, y)
+    steps_per_epoch = math.ceil(model.report.n_train / spec.batch_size)  # 270 rows: 3
+    patience_epochs = math.ceil(_EARLY_STOP_PATIENCE_STEPS / steps_per_epoch)
+    assert patience_epochs <= model.report.epochs_run < 2000
     assert len(model.report.loss_history) == model.report.epochs_run
 
 
@@ -258,7 +259,7 @@ def test_longer_patience_replays_the_shorter_run(linear_problem, monkeypatch):
     spec = NetworkSpec(input_dim=1, hidden_layers=(8,), epochs=2000, seed=1)
     short = train_surrogate(spec, x, y)
     for module in (surrogate, adam_reference):
-        monkeypatch.setattr(module, "_EARLY_STOP_PATIENCE", 3 * _EARLY_STOP_PATIENCE)
+        monkeypatch.setattr(module, "_EARLY_STOP_PATIENCE_STEPS", 3 * _EARLY_STOP_PATIENCE_STEPS)
     long = train_surrogate(spec, x, y)
     n = short.report.epochs_run
     assert n < long.report.epochs_run
@@ -278,15 +279,29 @@ def test_constant_target_flagged_and_learned():
     rng = np.random.default_rng(2)
     x = rng.uniform(0.0, 1.0, size=(50, 1))
     y = np.full(50, 7.0)
-    # the subject is the zero-variance flag, so the schedule is pinned: at
-    # the larger default minibatch a 45-row fit stops early, before its
-    # error falls below 1e-6%
+    # the subject is the zero-variance flag, so the schedule is pinned
     spec = NetworkSpec(
         input_dim=1, hidden_layers=(4,), epochs=400, batch_size=32, learning_rate=0.001, seed=1
     )
     model = train_surrogate(spec, x, y)
     assert model.report.zero_variance
     assert model.report.test_mae_pct < 1e-6
+
+
+def test_fit_that_starts_below_the_old_delta_moves_its_anchor():
+    # the constant target above reads 0.041% held out after one epoch, under
+    # the 0.05-point absolute delta the early stop once used: no later epoch
+    # could improve on that by 0.05, so the anchor stayed at epoch 1 and the
+    # fit stopped at epoch 101 however fast its error still fell
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0.0, 1.0, size=(50, 1))
+    spec = NetworkSpec(input_dim=1, hidden_layers=(4,), epochs=2000, seed=1)
+    report = train_surrogate(spec, x, np.full(50, 7.0)).report
+    assert report.n_train <= spec.batch_size  # one optimizer step per epoch
+    assert report.mae_history[0] < 0.05
+    # an anchor left at epoch 1 stops the fit at epoch 1 + the patience
+    assert 1 + _EARLY_STOP_PATIENCE_STEPS < report.epochs_run < spec.epochs
+    assert report.test_mae_pct < 1e-3 * report.mae_history[0]
 
 
 def test_zero_heavy_target_excluded_from_mae():
