@@ -58,7 +58,8 @@ def benjamini_hochberg(p_values) -> np.ndarray:
     """Step-up FDR adjustment with enforced monotonicity, clipped at 1.
 
     Equals the brute-force definition: for the i-th smallest p, the minimum
-    over j >= i of m * p_(j) / j.
+    over j >= i of p_(j) * (m / j).  m / j is at least 1 in floating point
+    too, so no adjusted value rounds below its raw p.
     """
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -67,14 +68,11 @@ def benjamini_hochberg(p_values) -> np.ndarray:
         raise ValueError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
-    scaled = p[order] * m / np.arange(1, m + 1)
+    scaled = p[order] * (m / np.arange(1, m + 1))
     adjusted = np.minimum.accumulate(scaled[::-1])[::-1]
     out = np.empty(m)
     out[order] = np.minimum(adjusted, 1.0)
-    # adjusted >= raw holds exactly in real arithmetic (m/j >= 1 and the
-    # step-up minimum runs over larger order statistics); repair the one-ulp
-    # rounding of p * m / m so the invariant survives floating point
-    return np.maximum(out, p)
+    return out
 
 
 @_one_blas_thread()

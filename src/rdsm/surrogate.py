@@ -201,10 +201,8 @@ class SurrogateModel:
             arr.setflags(write=False)
 
     @_one_blas_thread()
-    def predict(self, x, pinned=None) -> np.ndarray:
-        """Outputs for (n, input_dim) rows.  pinned, a (columns, values)
-        pair, holds those inputs at the values on every row, whatever x has
-        there.
+    def predict(self, x) -> np.ndarray:
+        """Outputs for (n, input_dim) rows.
 
         Each block of row_blocks is scaled in float64, cast to float32 and
         run through the float32 network, as training scores its rows, and
@@ -220,14 +218,9 @@ class SurrogateModel:
             raise ValueError(
                 f"input has {x.shape[1]} columns, model expects {self.spec.input_dim}"
             )
-        if pinned is not None:
-            cols, values = pinned
-            values = _scale(values, self.input_lo[cols], self.input_hi[cols])
         out = np.empty(x.shape[0])
         for rows in row_blocks(x.shape[0]):
             xs = _scale(x[rows], self.input_lo, self.input_hi)
-            if pinned is not None:
-                xs[:, cols] = values
             out[rows] = _outputs(self._weights32, self._biases32, xs.astype(_TRAIN_DTYPE),
                                  self.output_lo, self.output_hi)
         return out

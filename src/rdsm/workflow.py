@@ -82,10 +82,10 @@ class MechanismRDSM:
     The model depends only on retained_params; every other coordinate is
     frozen at the baseline.  Two surrogate shapes are supported: a reduced
     network over exactly the retained columns (they are gathered and the
-    rest never read), and a full-width network (non-retained columns are
-    overwritten with baseline values before evaluation).  Either way a
-    perturbation of a non-retained coordinate changes the output by exactly
-    zero.
+    rest never read), and a full-width network (it reads a fresh copy of
+    the rows with every non-retained column at the baseline; the caller's
+    rows are not written).  Either way a perturbation of a non-retained
+    coordinate changes the output by exactly zero.
     """
 
     def __init__(
@@ -124,8 +124,7 @@ class MechanismRDSM:
         self.catalog = catalog
         self._cols = cols
         self._reduced = d == len(retained)
-        others = np.delete(np.arange(len(catalog)), cols)
-        self._pinned = (others, base[others])
+        self._keep = np.isin(np.arange(len(catalog)), cols)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -142,9 +141,8 @@ class MechanismRDSM:
     def predict(self, x) -> np.ndarray:
         """Predictions for (n, d) full catalog vectors."""
         x = _catalog_rows(x, self.catalog)
-        if self._reduced:
-            return self.surrogate.predict(x[:, self._cols])
-        return self.surrogate.predict(x, pinned=self._pinned)
+        rows = x[:, self._cols] if self._reduced else np.where(self._keep, x, self.baseline)
+        return self.surrogate.predict(rows)
 
     # -- persistence ---------------------------------------------------------
     def save(self, path) -> None:
@@ -671,7 +669,7 @@ def fit_summed(
                 if len(data) == 0
                 else f"only {len(data)} engaged rows; need {SCREEN_MIN_ROWS} to screen"
             )
-            fits[mech] = MechanismFit(mech, None, base_screen, note)
+            fits[mech] = MechanismFit(mech, None, None, note)
             level = 0.0
         members[mech] = fits[mech].rdsm or _constant_member(mech, level, catalog, anchor)
 

@@ -7,7 +7,10 @@ sample --method lss, simulate, screen, gate-check over a grid and on one
 point, sobol and uq on both fixture models, sobol on the summed one at
 n_base 16384 (long enough for OpenBLAS to split a bootstrap dot product over
 threads), fit --route direct (retrained and frozen_full) and --route
-summed, compare, and plot-data of both kinds.
+summed, compare, and plot-data of both kinds.  The frozen_full model is
+queried too: uq at 5000 rows, two predict blocks per subset, and a parity
+table on the held-out rows, whose non-retained values the model pins at the
+baseline.
 Every path it passes is relative, so the resolved-config snapshots do not
 record where the run happened.  It prints "sha256  relative/path" for every
 file under the directory, sorted by path, then the gate-check point line.
@@ -52,6 +55,9 @@ COMMANDS = (
     (*_DIRECT, "--outdir", "fit_direct"),
     (*_DIRECT, "--query-mode", "frozen_full", "--outdir", "fit_frozen"),
     (*_FIT, "--route", "summed", "--resample-n", 320, "--outdir", "fit_summed"),
+    ("uq", "--model", "fit_frozen/direct_rdsm.json", "--n", 5000, "--out", "uq_frozen.csv"),
+    ("plot-data", "--kind", "parity", "--model", "fit_frozen/direct_rdsm.json",
+     "--validation", _VALIDATION, "--out", "parity_frozen.csv"),
     ("compare", "--direct", "fit_direct/direct_rdsm.json", "--summed", "fit_summed/model",
      "--validation", _VALIDATION, "--train-rows", "fit_direct/fit_report.json",
      "--out", "comparison.csv"),

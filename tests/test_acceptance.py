@@ -146,17 +146,14 @@ def test_sobol_recovers_analytic_indices():
 
 def _bh_brute_force(p):
     """Adjusted p straight from the step-up definition: the smallest slope
-    min_{j >= i} m p_(j) / j, clipped to 1, never below the raw p (the raw
-    value is always a lower bound; the max repairs 1-ulp rounding when the
-    slope at j = m evaluates p * m / m)."""
+    min_{j >= i} p_(j) * (m / j), clipped to 1."""
     p = np.asarray(p, dtype=float)
     m = p.size
     order = np.argsort(p, kind="stable")
     out = np.empty(m)
     for pos in range(m):
-        idx = order[pos]
-        slope = min(m * p[order[j]] / (j + 1) for j in range(pos, m))
-        out[idx] = max(p[idx], min(1.0, slope))
+        slope = min(p[order[j]] * (m / (j + 1)) for j in range(pos, m))
+        out[order[pos]] = min(1.0, slope)
     return out
 
 

@@ -28,21 +28,13 @@ from rdsm.sensitivity import (
 
 
 def bh_brute_force(p):
-    """Direct definition: min over j >= rank(i) of m * p_(j) / j, capped at 1.
-
-    The outer max against the raw p is an identity in exact arithmetic
-    (every step-up term is at least p_(i)); it repairs the one-ulp rounding
-    of p * m / m so adjusted >= raw holds bit-for-bit, matching the
-    implementation's invariant.
-    """
+    """Direct definition: min over j >= rank(i) of p_(j) * (m / j), capped at 1."""
     p = np.asarray(p, dtype=float)
     m = p.size
     order = np.argsort(p, kind="stable")
     out = np.empty(m)
     for pos, idx in enumerate(order):
-        out[idx] = max(
-            p[idx], min(1.0, min(m * p[order[j]] / (j + 1) for j in range(pos, m)))
-        )
+        out[idx] = min(1.0, min(p[order[j]] * (m / (j + 1)) for j in range(pos, m)))
     return out
 
 
@@ -99,6 +91,21 @@ def test_screen_finds_planted_signal():
         if e.fdr_p >= 1e-300:
             assert 10.0 ** (-e.logworth) == pytest.approx(e.fdr_p, rel=1e-12)
         assert e.fdr_p >= e.raw_p
+
+
+def test_screen_ties_at_the_largest_p_keep_catalog_order(monkeypatch):
+    # p20 has the largest raw p, and p30, p33, p36 and p39 step up to it, so
+    # all five adjust to exactly p20's value; 41 * p / 41 rounds one ulp below
+    # this p, p * (41 / 41) does not
+    p_max = 0.9787827985128794
+    assert p_max * 41 / 41 != p_max
+    p = np.linspace(0.001, 0.5, 41)
+    tail = (20, 30, 33, 36, 39)
+    p[list(tail)] = (p_max, 0.95, 0.96, 0.97, 0.975)
+    monkeypatch.setattr(sensitivity, "_slope_p_values", lambda x, y: (p, np.zeros(41, bool)))
+    res = screen_fdr_logworth(np.zeros((30, 41)), np.zeros(30), _names(), max_k=3)
+    assert [e.fdr_p for e in res.entries[-5:]] == [p_max] * 5
+    assert [e.name for e in res.entries[-5:]] == [f"p{i}" for i in tail]
 
 
 def test_screen_null_columns_rarely_pass():

@@ -183,17 +183,6 @@ def test_predict_in_blocks_matches_one_pass(dims, n, monkeypatch):
     assert all(2048 <= b < 4096 for b in blocks) or blocks == [n]
 
 
-def test_predict_pins_columns_on_every_block():
-    model = _random_model((5, 8, 1), 0)
-    rng = np.random.default_rng(1)
-    x = rng.uniform(0.0, 2.0, size=(5000, 5))
-    cols, values = np.array([0, 3]), np.array([0.25, 1.5])
-    pinned = x.copy()
-    pinned[:, cols] = values
-    got = model.predict(x, pinned=(cols, values))
-    assert got.tobytes() == model.predict(pinned).tobytes()
-
-
 def test_predict_memory_stays_one_block():
     # tracemalloc counts numpy's own allocations, so the peak repeats exactly;
     # one unblocked pass over these rows peaks near 24 MB

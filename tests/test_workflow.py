@@ -19,7 +19,7 @@ from rdsm.dataset import MECHANISMS, Dataset
 from rdsm.errors import SchemaError, fields_doc
 from rdsm.sampling import sample_lhs
 from rdsm.sensitivity import sobol_indices
-from rdsm.surrogate import NetworkSpec, SurrogateModel, TrainReport
+from rdsm.surrogate import NetworkSpec, SurrogateModel, TrainReport, row_blocks
 from rdsm.workflow import (
     RESAMPLE_N,
     EngagementGate,
@@ -618,17 +618,21 @@ def test_floor_of_one_keeps_the_top_entry(cat, box):
         assert len(direct.rdsm.support) == 1
 
 
-def test_fit_direct_frozen_full_mode(splits, cat):
-    train, held = splits
+def test_fit_direct_frozen_full_mode(splits, cat, box):
+    train, _ = splits
     small = NetworkSpec(input_dim=len(cat), hidden_layers=(16, 16), epochs=200, seed=1)
     fit = fit_direct(train, network=small, query_mode="frozen_full")
     assert fit.rdsm.surrogate is fit.full_model
-    # queries pin every non-retained input at the baseline means
-    x = np.array(held.inputs[:8])
-    filled = np.tile(cat.means, (8, 1))
+    # queries pin every non-retained input at the baseline means, on each of
+    # predict's row blocks, and leave the caller's rows as they were
+    x = box.transform(np.random.default_rng(4).random((5000, len(cat))), cat)
+    assert len(row_blocks(len(x))) == 2
+    before = x.copy()
+    filled = np.tile(cat.means, (len(x), 1))
     cols = cat.indices(fit.rdsm.retained_params)
     filled[:, cols] = x[:, cols]
-    assert np.array_equal(fit.rdsm.predict(x), fit.full_model.predict(filled))
+    assert fit.rdsm.predict(x).tobytes() == fit.full_model.predict(filled).tobytes()
+    assert np.array_equal(x, before)
     with pytest.raises(ValueError, match="query_mode"):
         fit_direct(train, network=small, query_mode="cached")
 
@@ -776,8 +780,8 @@ def test_fit_summed_assembles_all_mechanisms(summed_fit):
 def test_fit_summed_starved_disbond_gets_flagged_constant(splits, sp, cat, box):
     # an 80-row resample engages a few rows, under the 30 a screen needs; an
     # absolute threshold no row reaches engages none.  Either way DI enters
-    # the sum as a zero constant on the first gate axis, flagged with the
-    # base-data screen
+    # the sum as a zero constant on the first gate axis, flagged, with no
+    # screen of its own (the base-data screen stays on disbond_base_screening)
     train, _ = splits
     rng = np.random.default_rng(3)
     x = box.transform(rng.random((50, len(cat))), cat)
@@ -792,7 +796,8 @@ def test_fit_summed_starved_disbond_gets_flagged_constant(splits, sp, cat, box):
         else:
             assert 1 <= n_engaged < 30
             assert di.note == f"only {n_engaged} engaged rows; need 30 to screen"
-        assert di.screening is fit.disbond_base_screening
+        assert di.screening is None
+        assert fit.disbond_base_screening is not None
         member = fit.summed.members["DI"]
         assert member.retained_params == ("P",)
         assert np.all(member.predict(x) == 0.0)
