@@ -771,6 +771,6 @@ def _simulate_block(specimen, X):
 def simulate_dataset(
     X: np.ndarray, specimen: BendSpecimen, threads: int = 1
 ) -> Dataset:
-    """Batch-simulate and wrap as a toy-model dataset."""
+    """Batch-simulate and wrap as a dataset."""
     energies = simulate_batch(X, specimen, threads=threads)
-    return Dataset(specimen.catalog, np.atleast_2d(X), energies, provenance="toy_model")
+    return Dataset(specimen.catalog, np.atleast_2d(X), energies)

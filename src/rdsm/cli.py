@@ -220,15 +220,15 @@ def _load_dataset(resolved, key, catalog) -> Dataset:
     return Dataset.load_csv(_require_file(_require_opt(resolved, key), f"{key} file"), catalog)
 
 
-def _specimen_bytes(resolved) -> bytes:
-    """The specimen config a command reads: --specimen, else the shipped one."""
+def _load_specimen(resolved, catalog):
+    """The specimen config a command reads, --specimen else the shipped one,
+    read once; the snapshot names it by the hash of the bytes parsed here."""
     path = resolved["specimen"]
     source = DEFAULT_SPECIMEN if path is None else _require_file(path, "specimen config")
-    return source.read_bytes()
-
-
-def _load_specimen(resolved, catalog):
-    return load_specimen_config(_specimen_bytes(resolved), catalog)
+    data = source.read_bytes()
+    specimen = load_specimen_config(data, catalog)
+    resolved["specimen_sha256"] = hashlib.sha256(data).hexdigest()
+    return specimen
 
 
 def _load_model(path, catalog):
@@ -276,10 +276,10 @@ def _write_snapshot(resolved, anchor: Path) -> None:
         "tool": "rdsm",
         "version": __version__,
         "command": resolved["command"],
-        "options": {k: v for k, v in resolved.items() if k != "command"},
+        "options": {k: v for k, v in resolved.items() if k not in ("command", "specimen_sha256")},
     }
-    if "specimen" in resolved:  # names the source model's config by its content
-        doc["specimen_sha256"] = hashlib.sha256(_specimen_bytes(resolved)).hexdigest()
+    if "specimen_sha256" in resolved:  # names the source model's config by the bytes parsed
+        doc["specimen_sha256"] = resolved["specimen_sha256"]
     if anchor.is_dir():
         target = anchor / "run_config.json"
     else:
@@ -495,10 +495,8 @@ def _cmd_sobol(resolved, catalog) -> tuple:
         catalog=catalog,
         n_bootstrap=resolved["n_bootstrap"],
     )
-    if result.degenerate:
-        order = range(len(result.names))
-    else:
-        order = np.argsort(-result.st, kind="stable")
+    # a degenerate result's indices are all NaN, which a stable sort leaves in catalog order
+    order = np.argsort(-result.st, kind="stable")
     rows = [
         (
             result.names[i],
@@ -572,32 +570,26 @@ def _load_train_keys(path):
     return frozenset(doc)
 
 
-def _section_cells(section):
-    if section is None:
-        empty = (None, None, None)
-        return {key: empty for key in ("n", "mean", "std", "mae", "mae_std")}
-    return {
-        "n": (section.n_rows, None, None),
-        "mean": (section.truth_mean, section.direct.pred_mean, section.summed.pred_mean),
-        "std": (section.truth_std, section.direct.pred_std, section.summed.pred_std),
-        "mae": (None, section.direct.mae_pct, section.summed.mae_pct),
-        "mae_std": (None, section.direct.mae_pct_std, section.summed.mae_pct_std),
-    }
+# each comparison row: its metric, the section's truth attribute, and the
+# attribute of each route's score in the section; None leaves the cell empty
+_COMPARISON_ROWS = (
+    ("n_rows", "n_rows", None),
+    ("mean", "truth_mean", "pred_mean"),
+    ("std", "truth_std", "pred_std"),
+    ("mae_pct", None, "mae_pct"),
+    ("mae_pct_std", None, "mae_pct_std"),
+)
 
 
 def _comparison_table(report) -> tuple:
-    all_cells = _section_cells(report.all_rows)
-    engaged_cells = _section_cells(report.engaged)
-    rows = [
-        (metric, *all_cells[key], *engaged_cells[key])
-        for metric, key in (
-            ("n_rows", "n"),
-            ("mean", "mean"),
-            ("std", "std"),
-            ("mae_pct", "mae"),
-            ("mae_pct_std", "mae_std"),
-        )
-    ]
+    rows = []
+    for metric, truth, score in _COMPARISON_ROWS:
+        row = [metric]
+        for section in (report.all_rows, report.engaged):  # engaged is None when no row is
+            owners = (None,) * 3 if section is None else (section, section.direct, section.summed)
+            row += [None if o is None or a is None else getattr(o, a)
+                    for o, a in zip(owners, (truth, score, score))]
+        rows.append(row)
     header = (
         "metric",
         "all_truth",

@@ -3,9 +3,8 @@
 A dataset row is the 41 catalog inputs followed by six energies: shear
 plasticity of the ply matrices (PL), ply fiber fracture (DL), delamination
 between plies (DC), disbond of the metal/composite interface (DI), substrate
-plasticity (PM), and their total (TS).  TS is defined as the exact sum of the
-five mechanisms; rows produced by the source model are checked against that
-definition at 1e-9 relative, while externally supplied CSVs are loaded as-is.
+plasticity (PM), and their total (TS).  The source model writes TS as the
+exact float sum of the five mechanisms; a loaded CSV is taken as it is.
 
 Every CSV the package reads or writes goes through read_csv and write_csv.
 Floats are written as shortest round-trip text, so save followed by load
@@ -24,8 +23,6 @@ from .errors import SchemaError
 
 MECHANISMS = ("PL", "DL", "DC", "DI", "PM")
 ENERGY_COLUMNS = MECHANISMS + ("TS",)
-
-_SUM_RTOL = 1e-9
 
 
 def _fmt(value) -> str:
@@ -107,10 +104,10 @@ def read_csv(path, columns) -> np.ndarray:
 class Dataset:
     """Immutable table of inputs and energies bound to a catalog.
 
-    provenance is "toy_model" for rows generated by the source model (TS-sum
-    invariant enforced) or "external_csv" for rows loaded from outside.
-    row_ids survive subsetting and name positions; row_keys name contents,
-    so a row keeps its key through a CSV round trip or into another design.
+    The table is what save_csv writes and load_csv reads; beside it a
+    dataset carries only row_ids.  row_ids survive subsetting and name
+    positions; row_keys name contents, so a row keeps its key through a CSV
+    round trip or into another design.
     """
 
     def __init__(
@@ -118,11 +115,8 @@ class Dataset:
         catalog: ParameterCatalog,
         inputs: np.ndarray,
         energies: np.ndarray,
-        provenance: str = "external_csv",
         row_ids: np.ndarray | None = None,
     ):
-        if provenance not in ("toy_model", "external_csv"):
-            raise ValueError(f"unknown provenance {provenance!r}")
         x = np.array(inputs, dtype=float)
         y = np.array(energies, dtype=float)
         if x.ndim != 2 or x.shape[1] != len(catalog):
@@ -131,14 +125,6 @@ class Dataset:
             raise ValueError(f"energies must be (n, 6), got {y.shape}")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise ValueError("dataset contains non-finite values")
-        if provenance == "toy_model":
-            total = y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3] + y[:, 4]
-            scale = np.maximum(np.maximum(np.abs(total), np.abs(y[:, 5])), 1e-30)
-            bad = np.abs(total - y[:, 5]) > _SUM_RTOL * scale
-            if np.any(bad):
-                raise ValueError(
-                    f"row {int(np.argmax(bad))}: TS does not equal the mechanism sum"
-                )
         if row_ids is None:
             ids = np.arange(x.shape[0], dtype=int)
         else:
@@ -154,7 +140,6 @@ class Dataset:
         self.catalog = catalog
         self.inputs = x
         self.energies = y
-        self.provenance = provenance
         self.row_ids = ids
 
     def __len__(self) -> int:
@@ -180,15 +165,9 @@ class Dataset:
         ]
 
     def subset(self, index) -> "Dataset":
-        """Row subset (mask or indices) preserving provenance and row ids."""
+        """Row subset (mask or indices) preserving row ids."""
         index = np.asarray(index)
-        return Dataset(
-            self.catalog,
-            self.inputs[index],
-            self.energies[index],
-            self.provenance,
-            self.row_ids[index],
-        )
+        return Dataset(self.catalog, self.inputs[index], self.energies[index], self.row_ids[index])
 
     def table(self) -> tuple[tuple[str, ...], np.ndarray]:
         """The CSV header, the 41 inputs then the 6 energies, and the (n, 47) rows."""
@@ -200,8 +179,7 @@ class Dataset:
     @classmethod
     def load_csv(cls, path, catalog: ParameterCatalog) -> "Dataset":
         """Load a CSV whose columns are exactly the 41 inputs plus 6 energies
-        (read_csv rules: any column order, located cell errors) as an
-        external_csv dataset."""
+        (read_csv rules: any column order, located cell errors)."""
         table = read_csv(path, catalog.names + ENERGY_COLUMNS)
         d = len(catalog)
         return cls(catalog, table[:, :d], table[:, d:])

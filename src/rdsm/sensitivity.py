@@ -301,8 +301,9 @@ def _pick_freeze(f_a, f_b, f_ab, n_bootstrap, rng):
     resample weights them by its counts.
     """
     n = f_a.shape[0]
-    v = float(np.var(np.concatenate([f_a, f_b])))
-    if v <= 0.0:
+    pooled = np.concatenate([f_a, f_b])
+    v = float(np.var(pooled))
+    if v <= 0.0 or pooled.min() == pooled.max():  # np.var of equal values can round above 0
         return None
     sq_a = np.subtract(f_a, f_ab)
     np.square(sq_a, out=sq_a)

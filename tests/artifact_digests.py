@@ -7,10 +7,13 @@ sample --method lss, simulate, screen, gate-check over a grid and on one
 point, sobol and uq on both fixture models, sobol on the summed one at
 n_base 16384 (long enough for OpenBLAS to split a bootstrap dot product over
 threads), fit --route direct (retrained and frozen_full) and --route
-summed, compare, and plot-data of both kinds.  The frozen_full model is
-queried too: uq at 5000 rows, two predict blocks per subset, and a parity
+summed twice, compare, and plot-data of both kinds.  The frozen_full model
+is queried too: uq at 5000 rows, two predict blocks per subset, and a parity
 table on the held-out rows, whose non-retained values the model pins at the
-baseline.
+baseline.  The first summed fit's 320-row disbond resample leaves too few
+engaged rows, so its DI member is a flagged constant; the second, at 640
+rows, trains a DI network, whose model, rescreen and telemetry are listed
+with a parity table of that model.
 Every path it passes is relative, so the resolved-config snapshots do not
 record where the run happened.  It prints "sha256  relative/path" for every
 file under the directory, sorted by path, then the gate-check point line.
@@ -55,6 +58,7 @@ COMMANDS = (
     (*_DIRECT, "--outdir", "fit_direct"),
     (*_DIRECT, "--query-mode", "frozen_full", "--outdir", "fit_frozen"),
     (*_FIT, "--route", "summed", "--resample-n", 320, "--outdir", "fit_summed"),
+    (*_FIT, "--route", "summed", "--resample-n", 640, "--outdir", "fit_summed_di"),
     ("uq", "--model", "fit_frozen/direct_rdsm.json", "--n", 5000, "--out", "uq_frozen.csv"),
     ("plot-data", "--kind", "parity", "--model", "fit_frozen/direct_rdsm.json",
      "--validation", _VALIDATION, "--out", "parity_frozen.csv"),
@@ -63,6 +67,8 @@ COMMANDS = (
      "--out", "comparison.csv"),
     ("plot-data", "--kind", "parity", "--model", "fit_summed/model",
      "--validation", _VALIDATION, "--out", "parity.csv"),
+    ("plot-data", "--kind", "parity", "--model", "fit_summed_di/model",
+     "--validation", _VALIDATION, "--out", "parity_summed_di.csv"),
     ("plot-data", "--kind", "energy-stack", "--data", "data.csv", "--out", "energy_stack.csv"),
 )
 GATE_POINT = ("gate-check", "--p", 0.4, "--xis", 0.25, "--giii", 0.1)

@@ -201,7 +201,6 @@ def test_end_to_end_toy_pipeline(cat):
         cat,
         np.vstack([held.inputs, fresh.inputs]),
         np.vstack([held.energies, fresh.energies]),
-        provenance="toy_model",
     )
     report = compare_approaches(
         direct.rdsm, summed.summed, validation, train_keys=train.row_keys()

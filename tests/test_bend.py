@@ -21,7 +21,7 @@ from rdsm.bend import (
     simulate_batch,
     simulate_dataset,
 )
-from rdsm.catalog import SamplingDistribution, build_catalog
+from rdsm.catalog import DISTRIBUTIONS, SamplingDistribution, build_catalog
 from rdsm.constitutive import bk_mixed_mode_gc, czm_damage, jc_stress
 from rdsm.errors import AdmissibilityError, NumericalFailureError, SchemaError
 from rdsm.sampling import sample_lhs
@@ -318,12 +318,15 @@ def test_disbond_engages_sparsely(cat, sp):
 
 
 def test_dataset_wrapper(cat, sp):
-    u = sample_lhs(5, len(cat), seed=5)
-    X = SamplingDistribution.uniform_pm20().transform(u, cat)
-    ds = simulate_dataset(X, sp)
-    assert ds.provenance == "toy_model"
-    assert len(ds) == 5
-    np.testing.assert_array_equal(ds.inputs, X)
+    u = sample_lhs(64, len(cat), seed=5)
+    for dist in DISTRIBUTIONS:
+        X = getattr(SamplingDistribution, dist)().transform(u, cat)
+        ds = simulate_dataset(X, sp)
+        assert len(ds) == 64
+        np.testing.assert_array_equal(ds.inputs, X)
+        # TS is the exact five-term float sum of the mechanisms on every row
+        pl, dl, dc, di, pm, ts = ds.energies.T
+        assert np.array_equal(ts, pl + dl + dc + di + pm), dist
 
 
 def test_cohesive_bank_full_failure_dissipates_mixed_gc():

@@ -215,6 +215,25 @@ def test_snapshot_names_the_specimen_by_content(work, data_csv, direct_dir, summ
     assert snapshot["options"]["specimen"] == str(spec)
 
 
+def test_snapshot_hashes_the_specimen_bytes_parsed(work, monkeypatch):
+    spec = work / "specimen_rewritten.json"
+    original = json.dumps(_SPECIMEN).encode()
+    spec.write_bytes(original)
+    real = cli.load_specimen_config
+
+    def parse_then_rewrite(source, catalog):
+        specimen = real(source, catalog)
+        spec.write_text(json.dumps(_SPECIMEN, indent=4), encoding="utf-8")
+        return specimen
+
+    monkeypatch.setattr(cli, "load_specimen_config", parse_then_rewrite)
+    out = work / "specimen_rewritten.csv"
+    assert run("simulate", "--n", 2, "--specimen", spec, "--out", out) == EXIT_OK
+    assert spec.read_bytes() != original
+    snapshot = json.loads((work / "specimen_rewritten.csv.run.json").read_text())
+    assert snapshot["specimen_sha256"] == hashlib.sha256(original).hexdigest()
+
+
 def test_simulate_from_design(work):
     design = work / "design6.csv"
     assert run("sample", "--n", 6, "--seed", 9, "--out", design) == EXIT_OK
@@ -746,6 +765,19 @@ def test_sobol_csv_sorted_by_total_order(work, direct_dir, cat):
         if r[0] not in retained:
             assert float(r[1]) == 0.0
     assert {r[0] for r in rows[: len(retained)]} == retained
+
+
+def test_sobol_of_a_constant_model_keeps_catalog_order(work, cat):
+    doc = json.loads((BENCH_FIXTURE / "direct_rdsm.json").read_text())
+    doc["model"]["weights"][-1] = [0.0] * len(doc["model"]["weights"][-1])
+    model = work / "constant_rdsm.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = work / "sobol_constant.csv"
+    code = run("sobol", "--model", model, "--n-base", 128, "--n-bootstrap", 10, "--out", out)
+    assert code == EXIT_OK
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == list(cat.names)
+    assert all(cell == "nan" for r in rows for cell in r[1:])
 
 
 def test_sobol_support_writes_the_full_design_bytes(work, direct_dir, summed_dir, cat, monkeypatch):

@@ -19,21 +19,8 @@ def _toy_rows(catalog, n, seed=0):
     return x, np.column_stack([mech, ts])
 
 
-def test_dataset_toy_sum_enforced(catalog):
-    x, y = _toy_rows(catalog, 5)
-    Dataset(catalog, x, y, provenance="toy_model")
-    bad = y.copy()
-    bad[3, 5] *= 1.001
-    with pytest.raises(ValueError, match="row 3"):
-        Dataset(catalog, x, bad, provenance="toy_model")
-    # external rows are loaded as-is
-    Dataset(catalog, x, bad, provenance="external_csv")
-
-
 def test_dataset_validation(catalog):
     x, y = _toy_rows(catalog, 4)
-    with pytest.raises(ValueError, match="provenance"):
-        Dataset(catalog, x, y, provenance="guess")
     with pytest.raises(ValueError):
         Dataset(catalog, x[:, :-1], y)
     with pytest.raises(ValueError):
@@ -44,7 +31,7 @@ def test_dataset_validation(catalog):
 
 def test_dataset_accessors_and_subset(catalog):
     x, y = _toy_rows(catalog, 10)
-    ds = Dataset(catalog, x, y, provenance="toy_model")
+    ds = Dataset(catalog, x, y)
     np.testing.assert_array_equal(ds.energy("TS"), y[:, 5])
     np.testing.assert_array_equal(ds.input_columns(["A", "P"]),
                                   x[:, [catalog.index("A"), catalog.index("P")]])
@@ -62,7 +49,7 @@ def test_csv_round_trip_bit_exact(catalog, tmp_path):
     x[0, 0] = 0.1 + 0.2
     x[1, 1] = 1.0 / 3.0
     x[2, 2] = 1e-17 + 1.0
-    ds = Dataset(catalog, x, y, provenance="toy_model")
+    ds = Dataset(catalog, x, y)
     path = tmp_path / "d.csv"
     ds.save_csv(path)
     back = Dataset.load_csv(path, catalog)
@@ -90,7 +77,7 @@ def test_float_table_writes_the_bytes_of_fmt(tmp_path):
 
 def test_csv_column_order_free(catalog, tmp_path):
     x, y = _toy_rows(catalog, 3)
-    ds = Dataset(catalog, x, y, provenance="toy_model")
+    ds = Dataset(catalog, x, y)
     path = tmp_path / "d.csv"
     ds.save_csv(path)
     lines = path.read_text().splitlines()

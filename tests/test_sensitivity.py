@@ -335,9 +335,11 @@ def test_sobol_ishigami_oracle():
 
 
 def test_sobol_constant_model_degenerate():
-    r = sobol_indices(lambda u: np.zeros(len(u)), 3, 128, seed=1)
-    assert r.degenerate
-    assert np.all(np.isnan(r.s1)) and np.all(np.isnan(r.st))
+    # np.var of 256 copies of 0.1 is about 2e-34, not zero
+    for value in (0.0, 0.1):
+        r = sobol_indices(lambda u: np.full(len(u), value), 3, 128, seed=1)
+        assert r.degenerate, value
+        assert np.all(np.isnan(r.s1)) and np.all(np.isnan(r.st))
 
 
 def test_sobol_validation():

@@ -100,10 +100,10 @@ def _constant_rdsm(mechanism, value, catalog, anchor):
 
 
 def _synthetic_dataset(cat, x, ts):
-    """External-provenance dataset whose mechanism columns are zero."""
+    """Dataset whose mechanism columns are zero."""
     energies = np.zeros((len(ts), 6))
     energies[:, 5] = ts
-    return Dataset(cat, x, energies, provenance="external_csv")
+    return Dataset(cat, x, energies)
 
 
 # -- engagement gate ------------------------------------------------------------
@@ -602,7 +602,7 @@ def test_floor_of_one_keeps_the_top_entry(cat, box):
     # significance floor, so every reduced fit keeps the top entry alone
     x = box.transform(sample_lhs(150, len(cat), seed=0), cat)
     energies = np.abs(np.random.default_rng(0).normal(5.0, 1.0, (150, 6)))
-    ds = Dataset(cat, x, energies, provenance="external_csv")
+    ds = Dataset(cat, x, energies)
     fit = fit_mechanism(ds, "PL")
     top = fit.screening.entries[0].name
     assert fit.screening.retained == ()
@@ -682,7 +682,6 @@ def test_resample_varies_only_named(cat, sp):
     sub = resample_subspace(sp, varied, n=64, seed=13)
     ds = sub.dataset
     assert len(ds) == 64
-    assert ds.provenance == "toy_model"
     frozen = [n for n in cat.names if n not in varied]
     for name in frozen:
         col = ds.inputs[:, cat.index(name)]
@@ -748,7 +747,7 @@ def test_engagement_mask_threshold_arithmetic(cat):
     energies[:, 5] = [100.0, 100.0, 100.0, 0.0]
     energies[:, 3] = [1.0, 5.0, 3.0, 0.0]  # DI: 1%, 5%, exactly 3%, zero total
     energies[:, 4] = energies[:, 5] - energies[:, 3]
-    ds = Dataset(cat, x, energies, provenance="external_csv")
+    ds = Dataset(cat, x, energies)
     mask = engagement_mask(ds, "DI", threshold=0.03)
     assert mask.tolist() == [False, True, True, False]
     assert engagement_mask(ds, "DI", threshold=2.0, threshold_mode="absolute").tolist() == [
@@ -815,7 +814,7 @@ def test_fit_summed_constant_mechanisms(tmp_path, sp, cat, box):
     energies = simulate_dataset(x, sp).energies.copy()
     energies[:, [MECHANISMS.index("DL"), MECHANISMS.index("DI")]] = 0.0
     energies[:, 5] = energies[:, :5].sum(axis=1)
-    fit = fit_summed(Dataset(cat, x, energies, provenance="external_csv"), sp,
+    fit = fit_summed(Dataset(cat, x, energies), sp,
                      seed=0, resample_n=120)
     dl = fit.fits["DL"]
     assert dl.rdsm is None
@@ -1005,7 +1004,6 @@ def test_compare_rejects_training_row_under_new_id(direct_fit, summed_fit, split
         held.catalog,
         np.vstack([held.inputs, leaked.inputs]),
         np.vstack([held.energies, leaked.energies]),
-        provenance="toy_model",
         row_ids=np.arange(10_000, 10_000 + len(held) + 3),
     )
     assert not set(validation.row_ids.tolist()) & set(train.row_ids.tolist())
