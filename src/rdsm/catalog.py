@@ -19,35 +19,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# group name -> expected cardinality
-GROUPS = {
-    "metal": 5,
-    "resin_cohesive": 6,
-    "resin_interface": 6,
-    "lamina_ebx1200": 4,
-    "lamina_elt1800": 4,
-    "lamina_h7500": 4,
-    "lamina_h7781": 4,
-    "lamina_shear": 8,
-}
-
-
 @dataclass(frozen=True)
 class ParameterSpec:
-    """One catalog entry: identifier, group, catalog mean, display units."""
+    """One catalog entry: (name, mean, units), the name an identifier."""
 
     name: str
-    group: str
     mean: float
     units: str
-
-    def __post_init__(self):
-        if not self.name.isidentifier():
-            raise ValueError(f"parameter name {self.name!r} is not an identifier")
-        if self.group not in GROUPS:
-            raise ValueError(f"unknown group {self.group!r} for parameter {self.name!r}")
-        if not np.isfinite(self.mean):
-            raise ValueError(f"parameter {self.name!r}: non-finite mean")
 
 
 class ParameterCatalog:
@@ -59,20 +37,7 @@ class ParameterCatalog:
 
     def __init__(self, specs: Iterable[ParameterSpec]):
         self._specs = tuple(specs)
-        self._index = {}
-        for i, spec in enumerate(self._specs):
-            if spec.name in self._index:
-                raise ValueError(f"duplicate parameter name {spec.name!r}")
-            self._index[spec.name] = i
-        counts: dict[str, int] = {}
-        for spec in self._specs:
-            counts[spec.group] = counts.get(spec.group, 0) + 1
-        for group, want in GROUPS.items():
-            have = counts.get(group, 0)
-            if have != want:
-                raise ValueError(
-                    f"group {group!r} has {have} parameters, expected {want}"
-                )
+        self._index = {spec.name: i for i, spec in enumerate(self._specs)}
         means = np.array([s.mean for s in self._specs], dtype=float)
         means.setflags(write=False)
         self._means = means
@@ -111,57 +76,57 @@ class ParameterCatalog:
         return self._means
 
 
-# (name, group, mean, units) rows in canonical column order.
+# (name, mean, units) rows in canonical column order.
 _TABLE = [
     # aluminum substrate
-    ("E", "metal", 10.1, "msi"),
-    ("nu", "metal", 0.29, "-"),
-    ("A", "metal", 29.8, "ksi"),
-    ("B", "metal", 103.6, "ksi"),
-    ("Aln", "metal", 0.607, "-"),
+    ("E", 10.1, "msi"),
+    ("nu", 0.29, "-"),
+    ("A", 29.8, "ksi"),
+    ("B", 103.6, "ksi"),
+    ("Aln", 0.607, "-"),
     # resin, cohesive-layer instance
-    ("EC", "resin_cohesive", 10.0, "msi"),
-    ("XT", "resin_cohesive", 7.6, "ksi"),
-    ("XS", "resin_cohesive", 4.9, "ksi"),
-    ("GI", "resin_cohesive", 7.6, "lbf-in/in^2"),
-    ("GII", "resin_cohesive", 16.6, "lbf-in/in^2"),
-    ("BK", "resin_cohesive", 2.6, "-"),
+    ("EC", 10.0, "msi"),
+    ("XT", 7.6, "ksi"),
+    ("XS", 4.9, "ksi"),
+    ("GI", 7.6, "lbf-in/in^2"),
+    ("GII", 16.6, "lbf-in/in^2"),
+    ("BK", 2.6, "-"),
     # resin, metal/composite interface instance
-    ("EiC", "resin_interface", 10.0, "msi"),
-    ("XiT", "resin_interface", 7.6, "ksi"),
-    ("XiS", "resin_interface", 4.9, "ksi"),
-    ("GiI", "resin_interface", 7.6, "lbf-in/in^2"),
-    ("GiII", "resin_interface", 16.6, "lbf-in/in^2"),
-    ("BiK", "resin_interface", 2.6, "-"),
+    ("EiC", 10.0, "msi"),
+    ("XiT", 7.6, "ksi"),
+    ("XiS", 4.9, "ksi"),
+    ("GiI", 7.6, "lbf-in/in^2"),
+    ("GiII", 16.6, "lbf-in/in^2"),
+    ("BiK", 2.6, "-"),
     # +/-45 double-bias fabric
-    ("E1200", "lamina_ebx1200", 2.8, "msi"),
-    ("X1200", "lamina_ebx1200", 53.0, "ksi"),
-    ("V1200", "lamina_ebx1200", 0.15, "-"),
-    ("G1200", "lamina_ebx1200", 150.0, "lbs/in"),
+    ("E1200", 2.8, "msi"),
+    ("X1200", 53.0, "ksi"),
+    ("V1200", 0.15, "-"),
+    ("G1200", 150.0, "lbs/in"),
     # 0/90 stitched fabric
-    ("E1800", "lamina_elt1800", 2.8, "msi"),
-    ("X1800", "lamina_elt1800", 53.0, "ksi"),
-    ("V1800", "lamina_elt1800", 0.15, "-"),
-    ("G1800", "lamina_elt1800", 150.0, "lbs/in"),
+    ("E1800", 2.8, "msi"),
+    ("X1800", 53.0, "ksi"),
+    ("V1800", 0.15, "-"),
+    ("G1800", 150.0, "lbs/in"),
     # plain-weave cloth, bond side
-    ("E7500", "lamina_h7500", 2.83, "msi"),
-    ("X7500", "lamina_h7500", 46.7, "ksi"),
-    ("V7500", "lamina_h7500", 0.15, "-"),
-    ("G7500", "lamina_h7500", 100.0, "lbs/in"),
+    ("E7500", 2.83, "msi"),
+    ("X7500", 46.7, "ksi"),
+    ("V7500", 0.15, "-"),
+    ("G7500", 100.0, "lbs/in"),
     # satin-weave cloth, outer surface
-    ("E7781", "lamina_h7781", 4.4, "msi"),
-    ("X7781", "lamina_h7781", 70.0, "ksi"),
-    ("V7781", "lamina_h7781", 0.15, "-"),
-    ("G7781", "lamina_h7781", 100.0, "lbs/in"),
+    ("E7781", 4.4, "msi"),
+    ("X7781", 70.0, "ksi"),
+    ("V7781", 0.15, "-"),
+    ("G7781", 100.0, "lbs/in"),
     # shared in-plane shear set
-    ("GS", "lamina_shear", 0.8, "msi"),
-    ("SS", "lamina_shear", 5.16, "ksi"),
-    ("alpha12", "lamina_shear", 0.2767, "-"),
-    ("d12", "lamina_shear", 0.714, "-"),
-    ("epsilon", "lamina_shear", 0.02, "-"),
-    ("sigmaY", "lamina_shear", 5.16, "ksi"),
-    ("C", "lamina_shear", 0.65, "msi"),
-    ("P", "lamina_shear", 0.729, "-"),
+    ("GS", 0.8, "msi"),
+    ("SS", 5.16, "ksi"),
+    ("alpha12", 0.2767, "-"),
+    ("d12", 0.714, "-"),
+    ("epsilon", 0.02, "-"),
+    ("sigmaY", 5.16, "ksi"),
+    ("C", 0.65, "msi"),
+    ("P", 0.729, "-"),
 ]
 
 

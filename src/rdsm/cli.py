@@ -516,9 +516,7 @@ def _cmd_uq(resolved, catalog) -> tuple:
     subsets = _parse_subsets(resolved["subsets"])
     if subsets is None:
         if isinstance(model, SummedRDSM):
-            raise ValueError(
-                "a summed model needs an explicit --subsets ladder"
-            )
+            raise _UsageError("uq on a summed model requires --subsets")
         retained = model.retained_params
         subsets = [retained[:k] for k in range(1, len(retained) + 1)]
     report = uq_sweep(
@@ -828,7 +826,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except _UsageError as exc:
         return _fail(EXIT_USAGE, "usage", exc)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         return _fail(EXIT_MISSING_FILE, "missing-file", exc)
     except SchemaError as exc:
         return _fail(EXIT_SCHEMA, "schema", exc)

@@ -52,16 +52,25 @@ def write_csv(path, header, rows) -> None:
                 writer.writerow([_fmt(v) for v in row])
 
 
+def _rows(reader):
+    """The reader's rows, a csv.Error a SchemaError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
+
+
 def read_csv(path, columns) -> np.ndarray:
     """Numeric (n, len(columns)) table, C-ordered, from a CSV whose header
     holds exactly these columns in any order.
 
     Extra, missing, or duplicate columns and malformed rows are schema
-    errors that name the 1-based row and the column; a header with no rows
-    under it is empty data (a plain ValueError).
+    errors that name the 1-based row and the column, and text the csv module
+    rejects (such as an over-long cell) one that names the line; a header
+    with no rows under it is empty data (a plain ValueError).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(csv.reader(fh))
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:

@@ -36,11 +36,12 @@ class NumericalFailureError(RdsmError, RuntimeError):
 
 
 def parse_json(text, what: str):
-    """Parsed JSON text; malformed text, or a number beyond what the parser
-    converts, is a SchemaError naming what."""
+    """Parsed JSON text; malformed text, a number beyond what the parser
+    converts, or nesting deeper than it recurses is a SchemaError naming
+    what."""
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise SchemaError(f"malformed {what}: {exc}") from None
 
 

@@ -2,8 +2,10 @@
 
 A script, not a test (pytest does not collect it).  Inside the directory it
 is given, which must be empty or absent, it copies the bench fixture models
-to fixture/ and runs, through rdsm.cli.main in this process: catalog,
-sample --method lss, simulate, screen, gate-check over a grid and on one
+to fixture/ and runs, through rdsm.cli.main in this process: catalog on
+both distributions (the normal one has empty bounds), sample --method lss and
+--method mc --unit, simulate on both distributions (the normal one through
+the catalog's normal quantile), screen, gate-check over a grid and on one
 point, sobol and uq on both fixture models, sobol on the summed one at
 n_base 16384 (long enough for OpenBLAS to split a bootstrap dot product over
 threads), fit --route direct (retrained and frozen_full) and --route
@@ -44,8 +46,12 @@ _VALIDATION = "fit_direct/validation.csv"  # both fits hold out the same rows
 
 COMMANDS = (
     ("catalog", "--out", "catalog.csv"),
+    ("catalog", "--distribution", "normal_10std", "--out", "catalog_normal.csv"),
     ("sample", "--n", 64, "--seed", 3, "--method", "lss", "--strata", 4, "--out", "design.csv"),
+    ("sample", "--n", 64, "--seed", 3, "--method", "mc", "--unit", "--out", "design_mc_unit.csv"),
     ("simulate", "--n", 140, "--seed", 7, "--out", "data.csv"),
+    ("simulate", "--n", 40, "--seed", 7, "--distribution", "normal_10std",
+     "--out", "data_normal.csv"),
     ("screen", "--data", "data.csv", "--out", "screening_TS.csv"),
     ("gate-check", "--grid", 5, "--out", "gate_grid.csv"),
     *(("sobol", "--model", f"fixture/{model}", "--n-base", 256, "--n-bootstrap", 20,

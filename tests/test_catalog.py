@@ -4,14 +4,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from rdsm.catalog import (
-    GROUPS,
-    ParameterCatalog,
-    ParameterSpec,
-    SamplingDistribution,
-    _normal_quantile,
-    build_catalog,
-)
+from rdsm.catalog import SamplingDistribution, _normal_quantile, build_catalog
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +14,7 @@ def catalog():
 
 def test_catalog_cardinality(catalog):
     assert len(catalog) == 41
-    for group, want in GROUPS.items():
-        assert sum(spec.group == group for spec in catalog) == want
+    assert all(spec.name.isidentifier() and np.isfinite(spec.mean) for spec in catalog)
 
 
 def test_catalog_lookup_means(catalog):
@@ -56,23 +48,6 @@ def test_catalog_immutable(catalog):
     spec = catalog["A"]
     with pytest.raises(Exception):
         spec.mean = 2.0
-
-
-def test_duplicate_name_rejected(catalog):
-    specs = list(catalog)
-    specs[1] = ParameterSpec("E", "metal", 1.0, "msi")
-    with pytest.raises(ValueError, match="duplicate"):
-        ParameterCatalog(specs)
-
-
-def test_wrong_cardinality_rejected(catalog):
-    with pytest.raises(ValueError, match="expected"):
-        ParameterCatalog(list(catalog)[:-1])
-
-
-def test_unknown_group_rejected():
-    with pytest.raises(ValueError, match="unknown group"):
-        ParameterSpec("Q", "mystery", 1.0, "-")
 
 
 def test_uniform_pm20_bounds(catalog):

@@ -552,9 +552,14 @@ def test_config_schema_errors(work, capsys):
     capsys.readouterr()
     huge = work / "huge.json"
     huge.write_text('{"n": %s}' % ("1" * 5000))
-    assert run("sample", "--config", huge, "--out", work / "y.csv") == EXIT_SCHEMA
-    err = capsys.readouterr().err
-    assert err.startswith("rdsm: error: schema:") and err.count("\n") == 1, err
+    # and so is nesting past the parser's recursion limit
+    deep = work / "deep.json"
+    deep.write_text("[" * 200_000)
+    for config in (huge, deep):
+        assert run("sample", "--config", config, "--out", work / "y.csv") == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("rdsm: error: schema: malformed config file")
+        assert err.count("\n") == 1, err
     assert not (work / "y.csv").exists()
 
 
@@ -847,10 +852,13 @@ def test_uq_rejects_one_row(work, direct_dir, capsys):
 
 
 def test_uq_summed_needs_subsets(work, summed_dir, capsys):
+    # the option is required for a summed model, so its absence is a usage error
     code = run("uq", "--model", summed_dir / "model", "--n", 200,
                "--out", work / "uq_s.csv")
-    assert code == EXIT_DATA
-    assert "--subsets" in capsys.readouterr().err
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "rdsm: error: usage: uq on a summed model requires --subsets\n", err
+    assert not (work / "uq_s.csv").exists()
     code = run("uq", "--model", summed_dir / "model", "--n", 200,
                "--subsets", "P;P,XiS", "--out", work / "uq_s.csv")
     assert code == EXIT_OK
@@ -1019,6 +1027,37 @@ def test_header_only_input_is_empty_data(work, data_csv, capsys):
         err = capsys.readouterr().err
         assert err == "rdsm: error: invalid-data: no data rows\n", err
     assert not outdir.exists()
+
+
+def test_over_long_csv_cell_is_schema_error(work, data_csv):
+    # the csv module refuses a cell over its field limit; the error names the line
+    header = data_csv.read_text().splitlines()[0]
+    path = work / "long_cell.csv"
+    path.write_text(header + "\n" + '"' + "1" * 200_000 + '"' + ",0" * 46 + "\n")
+    out = work / "long_cell" / "screening.csv"
+    code, err = _run_quiet("screen", "--data", path, "--out", out)
+    assert code == EXIT_SCHEMA, err
+    _assert_one_line(err)
+    assert "at line 2" in err and "field limit" in err, err
+    assert not out.parent.exists()
+
+
+def test_output_under_a_file_is_missing_file(work, data_csv):
+    afile = work / "afile"
+    afile.write_text("keep\n")
+    before = sorted(work.iterdir())
+    for argv in (
+        ("catalog", "--out", afile / "x.csv"),
+        ("simulate", "--n", 2, "--outdir", afile),
+        ("fit", "--data", data_csv, "--hidden", 4, "--epochs", 2, "--holdout", 5,
+         "--outdir", afile),
+    ):
+        code, err = _run_quiet(*argv)
+        assert code == EXIT_MISSING_FILE, (argv, err)
+        _assert_one_line(err)
+        assert err.startswith("rdsm: error: missing-file:"), err
+    assert afile.read_text() == "keep\n"
+    assert sorted(work.iterdir()) == before
 
 
 def test_failed_fit_writes_nothing(work, data_csv, monkeypatch, capsys):
